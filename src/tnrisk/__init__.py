@@ -1,8 +1,8 @@
 """Transnational attack-allocation risk engine.
 
-Estimates model parameters from country-level data, builds a layered activity
-network over sources and targets, solves a cost-guided absorbing chain for the
-expected attack matrix, and evaluates counterfactual defense scenarios.
+Estimates model parameters from country-level data, allocates each source's
+expected plots over its routes to target countries with a closed-form logit,
+and evaluates counterfactual defense scenarios.
 """
 
 from .params import (
@@ -37,16 +37,7 @@ from .estimation import (
     raw_barrier,
     supply_sensitivity,
 )
-from .network import ActivityNetwork, NodeId, build_network, least_cost_to_end, path_cost
-from .evader import (
-    AttackMatrix,
-    EvaderChain,
-    attack_matrix,
-    enumerate_path_distribution,
-    sample_paths,
-    target_totals,
-    transition_matrix,
-)
+from .evader import AttackMatrix, target_totals
 from .scenario import (
     DeltaMatrix,
     ScenarioSpec,

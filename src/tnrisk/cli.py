@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,6 @@ class RunConfig:
     q: float
     out_dir: Path
     fmt: str
-    seed: int
 
 
 def _parse_weights(text: str) -> tuple[SupportWeights, str]:
@@ -66,10 +66,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=DEFAULT_Q, help="plot-conversion factor")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed for diagnostics")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    if not (math.isfinite(args.lam) and args.lam >= 0):
+        raise ValueError(f"--lambda must be finite and non-negative, got {args.lam}")
     weights, label = _parse_weights(args.weights)
     data_dir = Path(args.data) if args.data else dataset.bundled_data_dir()
     return RunConfig(
@@ -82,7 +83,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         q=args.q,
         out_dir=Path(args.out),
         fmt=args.format,
-        seed=args.seed,
     )
 
 
@@ -111,7 +111,6 @@ def _echo(config: RunConfig) -> dict:
         "weights": config.weights_label,
         "q": config.q,
         "format": config.fmt,
-        "seed": config.seed,
     }
 
 

@@ -196,7 +196,7 @@ def load_pair_table(path: str | Path, kind: str) -> PairTable:
     return table
 
 
-def _load_vector(path: Path, value_name: str, parse=float) -> dict[str, float]:
+def _load_vector(path: Path, value_name: str) -> dict[str, float]:
     if not path.is_file():
         raise MissingFile(str(path))
     out: dict[str, float] = {}
@@ -211,7 +211,14 @@ def _load_vector(path: Path, value_name: str, parse=float) -> dict[str, float]:
             code = row[0].strip()
             if code in out:
                 raise DuplicateCode(code)
-            out[code] = parse(row[1])
+            try:
+                value = float(row[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise MalformedRow(line, f"{value_name} in {path.name} is not a finite number: "
+                                         f"{row[1]!r}")
+            out[code] = value
     return out
 
 
@@ -240,7 +247,10 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
                 raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
             if origin != dest and dest not in known_targets:
                 raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
-            cost = parse_cost(row[2])
+            try:
+                cost = parse_cost(row[2])
+            except ValueError as e:
+                raise MalformedRow(line, f"bad cost in barriers.csv: {e}") from None
             if cost < 0:
                 raise NegativeValue(f"line {line}: barrier {origin},{dest} = {cost}")
             barriers[(origin, dest)] = 0.0 if origin == dest else cost

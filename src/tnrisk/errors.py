@@ -57,35 +57,11 @@ class EmptyRegion(ModelError):
         self.region = region
 
 
-# --- network -----------------------------------------------------------------
+# --- scenario ----------------------------------------------------------------
 
 class EmptyTargets(ModelError):
     pass
 
-
-class NegativeCycle(ModelError):
-    pass
-
-
-class NotAPath(ModelError):
-    pass
-
-
-class BlockedEdgeOnPath(ModelError):
-    pass
-
-
-# --- evader ------------------------------------------------------------------
-
-class DeadSource(ModelError):
-    pass
-
-
-class SupplyMismatch(ModelError):
-    pass
-
-
-# --- scenario ----------------------------------------------------------------
 
 class UnknownCode(ModelError):
     def __init__(self, code: str):

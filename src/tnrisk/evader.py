@@ -1,77 +1,11 @@
-"""Least-cost-guided evader chain and the attack allocation it induces.
-
-Each edge (u, v) gets probability proportional to exp(-lambda * (w(u,v) +
-cost_to_end(v) - cost_to_end(u))); the exponent is shifted by its row maximum
-before exponentiation so large cost magnitudes cannot overflow.  The chain is
-absorbed at End.  Expected plot counts come from exact forward propagation in
-topological order; exhaustive path enumeration and seeded Monte Carlo sampling
-are provided as independent cross-checks.
-"""
+"""The attack matrix: expected plots per (source, target), and its writers."""
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-
-from .errors import DeadSource, SupplyMismatch
-from .network import (
-    ABANDON_NODE,
-    ATTACK_NODE,
-    END_NODE,
-    ActivityNetwork,
-    CostToEnd,
-    NodeId,
-    source,
-)
-from .params import is_blocked
-
-ABANDON_KEY = "abandon"
-
-
-@dataclass
-class EvaderChain:
-    states: tuple[NodeId, ...]
-    M: dict[NodeId, dict[NodeId, float]]  # row-stochastic over traversable edges
-    initial: dict[NodeId, float]
-    dead: frozenset[NodeId]
-    network: ActivityNetwork = field(repr=False, default=None)
-    lam: float = 0.0
-
-    def row(self, u: NodeId) -> dict[NodeId, float]:
-        return self.M.get(u, {})
-
-
-def transition_matrix(network: ActivityNetwork, costs: CostToEnd, lam: float) -> EvaderChain:
-    """Build the guided-evader chain from least-cost-to-end values."""
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    M: dict[NodeId, dict[NodeId, float]] = {}
-    dead = set()
-    for u in network.nodes:
-        if u == END_NODE:
-            continue
-        options = [(v, network.weight(u, v)) for v in network.successors(u)
-                   if not is_blocked(costs[v])]
-        if not options:
-            dead.add(u)
-            continue
-        base = costs[u] if not is_blocked(costs[u]) else 0.0
-        exponents = [-lam * (w + costs[v] - base) for v, w in options]
-        shift = max(exponents)
-        weights = [math.exp(e - shift) for e in exponents]
-        z = sum(weights)
-        M[u] = {v: wt / z for (v, _), wt in zip(options, weights)}
-
-    supply = network.params.S
-    total = sum(supply[n.code] for n in network.source_nodes)
-    initial = {n: supply[n.code] / total for n in network.source_nodes} if total > 0 else {}
-    return EvaderChain(states=tuple(network.nodes), M=M, initial=initial,
-                       dead=frozenset(dead), network=network, lam=lam)
 
 
 @dataclass
@@ -91,124 +25,12 @@ class AttackMatrix:
         return sum(self.N.values())
 
 
-def _forward_absorption(chain: EvaderChain, start: NodeId) -> dict[tuple[NodeId, NodeId], float]:
-    """Exact edge-traversal probabilities for a walk started at one node (DAG)."""
-    prob = {n: 0.0 for n in chain.states}
-    prob[start] = 1.0
-    flow: dict[tuple[NodeId, NodeId], float] = {}
-    for u in chain.states:  # states are in topological order
-        p = prob[u]
-        if p == 0.0 or u == END_NODE:
-            continue
-        for v, m in chain.row(u).items():
-            flow[(u, v)] = flow.get((u, v), 0.0) + p * m
-            prob[v] += p * m
-    return flow
-
-
-def attack_matrix(chain: EvaderChain, supply: dict[str, float]) -> AttackMatrix:
-    """Expected plot counts per (source, target), plus expected abandoned plots."""
-    net = chain.network
-    src_codes = [n.code for n in net.source_nodes]
-    if set(src_codes) != {c for c, s in supply.items() if s > 0}:
-        raise SupplyMismatch("supply support does not match the chain's source set")
-    tgt_codes = [n.code for n in net.staged_nodes]
-
-    N: dict[tuple[str, str], float] = {}
-    abandoned: dict[str, float] = {}
-    for i in src_codes:
-        flow = _forward_absorption(chain, source(i))
-        for t in tgt_codes:
-            p = flow.get((NodeId("staged", t), ATTACK_NODE), 0.0)
-            if p > 0.0:
-                N[(i, t)] = supply[i] * p
-        p_ab = flow.get((ABANDON_NODE, END_NODE), 0.0)
-        abandoned[i] = supply[i] * p_ab
-    return AttackMatrix(
-        sources=src_codes,
-        targets=tgt_codes,
-        N=N,
-        abandoned=abandoned,
-        total_plots=sum(supply[i] for i in src_codes),
-        lam=chain.lam,
-        params_echo=net.params.echo(),
-    )
-
-
 def target_totals(matrix: AttackMatrix) -> tuple[dict[str, float], float]:
     """Per-target column sums and the grand total (abandoned plots excluded)."""
     totals = {t: 0.0 for t in matrix.targets}
     for (_, t), v in matrix.N.items():
         totals[t] += v
     return totals, sum(totals.values())
-
-
-def enumerate_path_distribution(network: ActivityNetwork, costs: CostToEnd,
-                                start: NodeId, lam: float) -> dict[str, float]:
-    """Exhaustive source-to-End path probabilities, keyed by target code or 'abandon'."""
-    chain = transition_matrix(network, costs, lam)
-    if start in chain.dead:
-        raise DeadSource(repr(start))
-    dist: dict[str, float] = {}
-
-    def walk(u: NodeId, p: float, key: str | None):
-        if u == END_NODE:
-            dist[key] = dist.get(key, 0.0) + p
-            return
-        for v, m in chain.row(u).items():
-            k = key
-            if v.kind == "staged":
-                k = v.code
-            elif v == ABANDON_NODE:
-                k = ABANDON_KEY
-            walk(v, p * m, k)
-
-    walk(start, 1.0, None)
-    return dist
-
-
-def sample_paths(chain: EvaderChain, start: NodeId, n: int, seed: int) -> dict[str, float]:
-    """Empirical path distribution from n seeded random walks, same keys as enumeration.
-
-    Walkers advance level by level in topological order, so the whole batch is
-    drawn with a handful of vectorized categorical draws.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if start in chain.dead:
-        raise DeadSource(repr(start))
-    rng = np.random.default_rng(seed)
-    index = {s: k for k, s in enumerate(chain.states)}
-    key_names = [s.code for s in chain.states if s.kind == "staged"] + [ABANDON_KEY]
-    key_ids = {name: k for k, name in enumerate(key_names)}
-    key_of_state = np.full(len(chain.states), -1, dtype=np.int64)
-    for s, k in index.items():
-        if s.kind == "staged":
-            key_of_state[k] = key_ids[s.code]
-        elif s == ABANDON_NODE:
-            key_of_state[k] = key_ids[ABANDON_KEY]
-
-    cur = np.full(n, index[start], dtype=np.int64)
-    key = np.full(n, -1, dtype=np.int64)
-    for k, u in enumerate(chain.states):
-        if u == END_NODE or u not in chain.M:
-            continue
-        mask = cur == k
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        row = chain.row(u)
-        succ = np.array([index[v] for v in row], dtype=np.int64)
-        probs = np.array(list(row.values()))
-        nxt = succ[rng.choice(len(succ), size=cnt, p=probs)]
-        marks = key_of_state[nxt]
-        new_key = np.where(marks >= 0, marks, key[mask])
-        cur[mask] = nxt
-        key[mask] = new_key
-    if (key < 0).any():
-        raise AssertionError("a sampled walk reached End without passing a staged or abandon node")
-    counts = np.bincount(key, minlength=len(key_names))
-    return {key_names[k]: counts[k] / n for k in range(len(key_names)) if counts[k] > 0}
 
 
 # --- exports -------------------------------------------------------------------

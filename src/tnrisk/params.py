@@ -24,6 +24,8 @@ def is_blocked(value: float) -> bool:
 def parse_cost(text: str) -> float:
     """Parse a cost cell, folding 'inf' and huge finite values into BLOCKED."""
     v = float(text)
+    if math.isnan(v):
+        raise ValueError(f"cost is not a number: {text!r}")
     return BLOCKED if v >= _BLOCKED_FLOOR else v
 
 
@@ -74,7 +76,8 @@ class ModelParams:
     weights_label: str = "default"
 
     def __post_init__(self):
-        # domestic operations carry negligible barriers
+        # domestic operations carry negligible barriers; the caller's dict is left as passed
+        self.T = dict(self.T)
         for code in self.S:
             self.T.setdefault((code, code), 0.0)
 

@@ -1,4 +1,4 @@
-"""Counterfactual perturbations and comparisons of attack matrices.
+"""The attack-allocation solver, counterfactual perturbations and comparisons.
 
 A scenario is a list of overrides applied to a copy of the model parameters:
 barrier overrides (with '*' wildcards that never touch the diagonal), and
@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IndexMismatch, ThresholdOutOfRange, UnknownCode
-from .evader import AttackMatrix, attack_matrix, target_totals, transition_matrix
-from .network import build_network, least_cost_to_end
+import numpy as np
+
+from .errors import EmptyTargets, IndexMismatch, ThresholdOutOfRange, UnknownCode
+from .evader import AttackMatrix, target_totals
 from .params import BLOCKED, ModelParams, is_blocked
 
 
@@ -107,12 +108,75 @@ def homegrown(params: ModelParams) -> ModelParams:
     return out
 
 
+@dataclass
+class RouteNetwork:
+    """The source -> staged -> attack -> end network as one edge per route.
+
+    Every staged node has a single successor, so a source chooses among whole
+    routes: through target j at cost T_ij + I_j + Y_j, or to abandon at cost A.
+    ``edges`` lists these costs source by source, in sorted code order, each
+    source's ``len(targets) + 1`` routes with the abandon route last.  A route
+    with a blocked hop costs +inf.
+    """
+
+    sources: list[str]
+    targets: list[str]
+    supply: np.ndarray
+    edges: np.ndarray
+
+
+def build_network(params: ModelParams) -> RouteNetwork:
+    """Route costs of every source with positive supply."""
+    targets = params.targets
+    if not targets:
+        raise EmptyTargets("no country has both interception and yield data")
+    sources = params.sources
+    barrier = np.array([[params.barrier(i, j) for j in targets] for i in sources],
+                       dtype=float).reshape(len(sources), len(targets))
+    attack = np.array([params.I[j] + params.Y[j] for j in targets])
+    routes = np.where(is_blocked(barrier) | is_blocked(attack), BLOCKED, barrier + attack)
+    abandon = BLOCKED if is_blocked(params.A) else params.A
+    edges = np.column_stack([routes, np.full(len(sources), abandon)])
+    return RouteNetwork(sources=sources, targets=targets,
+                        supply=np.array([params.S[i] for i in sources], dtype=float),
+                        edges=edges.ravel())
+
+
 def solve(params: ModelParams) -> AttackMatrix:
-    """Build the network, solve the chain, return the attack matrix."""
-    network = build_network(params)
-    costs = least_cost_to_end(network)
-    chain = transition_matrix(network, costs, params.lam)
-    return attack_matrix(chain, params.S)
+    """Expected plots per (source, target): a logit over each source's routes.
+
+    N_ij = S_i exp(-lam u_ij) / (sum_k exp(-lam u_ik) + exp(-lam A)) with
+    u_ij = T_ij + I_j + Y_j.  A blocked route gets nothing; a source with no
+    open route attacks nowhere and abandons nothing.
+    """
+    lam = params.lam
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    net = build_network(params)
+    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
+    best = cost.min(axis=1)
+    live = np.isfinite(best)
+    # costs above each source's cheapest route, so exp cannot overflow
+    gap = cost[live] - best[live, None]
+    # blocked routes are dropped before scaling: 0 * inf is NaN at lam = 0
+    route = np.isfinite(gap)
+    weight = np.zeros_like(gap)
+    weight[route] = np.exp(-lam * gap[route])
+    plots = np.zeros_like(cost)
+    plots[live] = net.supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
+
+    rows, cols = np.nonzero(plots[:, :-1] > 0.0)
+    N = {(net.sources[r], net.targets[c]): v
+         for r, c, v in zip(rows.tolist(), cols.tolist(), plots[rows, cols].tolist())}
+    return AttackMatrix(
+        sources=net.sources,
+        targets=net.targets,
+        N=N,
+        abandoned=dict(zip(net.sources, plots[:, -1].tolist())),
+        total_plots=sum(params.S[i] for i in net.sources),
+        lam=lam,
+        params_echo=params.echo(),
+    )
 
 
 @dataclass

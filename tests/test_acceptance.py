@@ -16,26 +16,28 @@ import pytest
 from tnrisk import (
     BLOCKED,
     ModelParams,
-    attack_matrix,
-    build_network,
     deterrence_sweep,
     diff_matrices,
-    enumerate_path_distribution,
     find_threshold,
     fortress,
     homegrown,
     is_blocked,
-    least_cost_to_end,
     normalize_min_median,
-    sample_paths,
     solve,
     target_totals,
-    transition_matrix,
 )
 from tnrisk.estimation import impute_survey, supply_sensitivity
-from tnrisk.network import source, staged
 
 from conftest import random_params
+from oracle import (
+    build_network,
+    enumerate_path_distribution,
+    least_cost_to_end,
+    sample_paths,
+    source,
+    staged,
+    transition_matrix,
+)
 
 
 def report(n: int, detail: str) -> None:
@@ -101,7 +103,7 @@ def test_criterion_04_oracle_triangle():
         net = build_network(p)
         costs = least_cost_to_end(net)
         chain = transition_matrix(net, costs, p.lam)
-        m = attack_matrix(chain, p.S)
+        m = solve(p)
         for i in p.sources:
             if source(i) in chain.dead:
                 assert m.row_sum(i) == 0.0

