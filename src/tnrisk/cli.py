@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 domain error, 2 I/O or usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
 from .errors import ModelError, ThresholdOutOfRange
-from .params import BLOCKED, WEIGHT_PRESETS, DEFAULT_LAMBDA, DEFAULT_Q, SupportWeights, is_blocked
+from .params import WEIGHT_PRESETS, DEFAULT_LAMBDA, DEFAULT_Q, SupportWeights, is_blocked
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -49,9 +47,10 @@ def _parse_weights(text: str) -> tuple[SupportWeights, str]:
 
 
 def _parse_abandon(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return BLOCKED
-    return float(text)
+    try:
+        return scn.parse_cost(text, "--abandon")
+    except ModelError as e:
+        raise ValueError(str(e)) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -60,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="estimate parameters from raw tables, or load pre-estimated ones")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                    help="rationality parameter")
-    p.add_argument("--abandon", default="inf", help="abandon yield, a number or 'inf'")
+    p.add_argument("--abandon", default="inf", help="abandon yield, a number or 'inf'/'blocked'")
     p.add_argument("--weights", default="default",
                    help="support weights: default|high|low or r,s,o")
     p.add_argument("--q", type=float, default=DEFAULT_Q, help="plot-conversion factor")
@@ -114,10 +113,8 @@ def _echo(config: RunConfig) -> dict:
     }
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with path.open("w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
+    return {i: v for i, v in zip(matrix.sources, matrix.unroutable.tolist()) if v}
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -150,8 +147,8 @@ def cmd_estimate(config: RunConfig) -> int:
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, config.out_dir)
-    _write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
-                                                       "params": params.echo()})
+    evader.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
+                                                             "params": params.echo()})
     print(f"wrote estimated parameter tables to {config.out_dir}")
     return EXIT_OK
 
@@ -165,31 +162,22 @@ def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.Attack
     if config.fmt == "json" or prefix == "":
         evader.write_matrix_json(matrix, out / f"{prefix}attack_matrix.json")
     totals, grand = evader.target_totals(matrix)
-    with (out / f"{prefix}target_totals.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["target", "expected_plots"])
-        for t, v in sorted(totals.items()):
-            w.writerow([t, repr(v)])
-        w.writerow(["TOTAL", repr(grand)])
+    evader.write_csv(out / f"{prefix}target_totals.csv", ["target", "expected_plots"],
+                     [*totals.items(), ("TOTAL", grand)])
     return matrix
-
-
-def _write_plot_data(matrix, path: Path) -> None:
-    # circle areas proportional to plot counts; zero entries omitted
-    peak = max(matrix.N.values(), default=0.0)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["source", "target", "value", "normalized"])
-        for (i, t), v in sorted(matrix.N.items()):
-            w.writerow([i, t, repr(v), repr(v / peak if peak else 0.0)])
 
 
 def cmd_solve(config: RunConfig) -> int:
     params = _load_params(config)
     matrix = _solve_to_dir(params, config)
-    _write_plot_data(matrix, config.out_dir / "plot_data.csv")
-    _write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
-                                                       "params": params.echo()})
+    # circle areas proportional to plot counts; zero entries omitted
+    peak = float(matrix.N.max(initial=0.0))
+    cells = evader.nonzero_cells(matrix.N, matrix.sources, matrix.targets)
+    evader.write_csv(config.out_dir / "plot_data.csv", ["source", "target", "value", "normalized"],
+                     ((i, t, v, v / peak) for i, t, v in cells))
+    evader.write_json(config.out_dir / "run_metadata.json", {
+        "config": _echo(config), "params": params.echo(), "unroutable": _unroutable(matrix),
+    })
     totals, grand = evader.target_totals(matrix)
     top = max(totals.items(), key=lambda kv: kv[1]) if totals else ("-", 0.0)
     print(f"solved: {grand:.1f} expected attacks; top target {top[0]} ({top[1]:.1f})")
@@ -209,18 +197,13 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     alt = _solve_to_dir(alt_params, config, prefix="alt_")
     delta = scn.diff_matrices(base, alt)
     out = config.out_dir
-    with (out / "delta.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["source", "target", "delta"])
-        for (i, t), v in sorted(delta.delta.items()):
-            w.writerow([i, t, repr(v)])
-    with (out / "ranked_gainers.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["target", "total_delta"])
-        for t, v in delta.ranked_targets:
-            w.writerow([t, repr(v)])
-    _write_json(out / "run_metadata.json", {"config": _echo(config), "scenario": name,
-                                            "params": params.echo()})
+    evader.write_csv(out / "delta.csv", ["source", "target", "delta"],
+                     evader.nonzero_cells(delta.delta, delta.sources, delta.targets))
+    evader.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
+    evader.write_json(out / "run_metadata.json", {
+        "config": _echo(config), "scenario": name, "params": params.echo(),
+        "base_unroutable": _unroutable(base), "alt_unroutable": _unroutable(alt),
+    })
     top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
     print(f"scenario {name}: largest per-target change {top[0]} ({top[1]:+.1f})")
     return EXIT_OK
@@ -236,16 +219,11 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
     while a <= a_max + 1e-9:
         grid.append(round(a, 9))
         a += step
-    curve = scn.deterrence_sweep(params, grid, lam=config.lam)
+    curve = scn.deterrence_sweep(params, grid)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    tgt_cols = sorted(curve.per_target)
-    with (out / "sweep.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["A", "total_attacks"] + tgt_cols)
-        for k, a in enumerate(curve.a_values):
-            w.writerow([repr(a), repr(curve.totals[k])] +
-                       [repr(curve.per_target[t][k]) for t in tgt_cols])
+    evader.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
+                     zip(curve.a_values, curve.totals, *curve.per_target.values()))
     fraction = 0.5
     status = EXIT_OK
     try:
@@ -255,7 +233,7 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
         threshold = None
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_DOMAIN
-    _write_json(out / "run_metadata.json", {
+    evader.write_json(out / "run_metadata.json", {
         "config": _echo(config), "params": params.echo(),
         "threshold": threshold, "threshold_fraction": fraction,
         "grid": {"min": a_min, "max": a_max, "step": step},

@@ -196,7 +196,7 @@ def load_pair_table(path: str | Path, kind: str) -> PairTable:
     return table
 
 
-def _load_vector(path: Path, value_name: str) -> dict[str, float]:
+def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
     if not path.is_file():
         raise MissingFile(str(path))
     out: dict[str, float] = {}
@@ -218,6 +218,9 @@ def _load_vector(path: Path, value_name: str) -> dict[str, float]:
             if not math.isfinite(value):
                 raise MalformedRow(line, f"{value_name} in {path.name} is not a finite number: "
                                          f"{row[1]!r}")
+            if value * sign < 0:
+                raise MalformedRow(line, f"{value_name} in {path.name} must be "
+                                         f"{'>=' if sign > 0 else '<='} 0, got {row[1]!r}")
             out[code] = value
     return out
 
@@ -225,9 +228,9 @@ def _load_vector(path: Path, value_name: str) -> dict[str, float]:
 def load_pre_estimated(directory: str | Path) -> ModelParams:
     """Load the four pre-estimated parameter tables from a directory."""
     directory = Path(directory)
-    supply = _load_vector(directory / "supply.csv", "supply")
-    interception = _load_vector(directory / "interception.csv", "cost")
-    yields = _load_vector(directory / "yield.csv", "yield")
+    supply = _load_vector(directory / "supply.csv", "supply", +1)
+    interception = _load_vector(directory / "interception.csv", "cost", +1)
+    yields = _load_vector(directory / "yield.csv", "yield", -1)
 
     barriers_path = directory / "barriers.csv"
     if not barriers_path.is_file():
@@ -286,8 +289,8 @@ def validate_bundle(bundle: DataBundle) -> ValidationReport:
     return report
 
 
-def load_bundle(data_dir: str | Path, with_pre_estimated: bool = False) -> DataBundle:
-    """Load countries + pair tables (and optionally pre-estimated params) from a directory."""
+def load_bundle(data_dir: str | Path) -> DataBundle:
+    """Load countries + pair tables (and pre-estimated params, if present) from a directory."""
     data_dir = Path(data_dir)
     bundle = DataBundle(
         countries=load_country_table(data_dir / "countries.csv"),
@@ -295,9 +298,7 @@ def load_bundle(data_dir: str | Path, with_pre_estimated: bool = False) -> DataB
         distances=load_pair_table(data_dir / "distance_km.csv", "distance"),
     )
     pre_dir = data_dir / "pre_estimated"
-    if with_pre_estimated:
-        bundle.pre_estimated = load_pre_estimated(pre_dir)
-    elif pre_dir.is_dir():
+    if pre_dir.is_dir():
         try:
             bundle.pre_estimated = load_pre_estimated(pre_dir)
         except MissingFile:

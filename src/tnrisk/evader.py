@@ -4,51 +4,66 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 @dataclass
 class AttackMatrix:
+    """Expected plots: ``N`` has a row per source and a column per target.
+
+    ``unroutable`` is the supply of a source with no open route and no abandon
+    option (else 0), so ``N.sum(axis=1) + abandoned + unroutable`` is the supply.
+    """
+
     sources: list[str]
     targets: list[str]
-    N: dict[tuple[str, str], float]
-    abandoned: dict[str, float]
+    N: np.ndarray
+    abandoned: np.ndarray
+    unroutable: np.ndarray
     total_plots: float
-    lam: float
     params_echo: dict
-
-    def row_sum(self, src: str) -> float:
-        return sum(self.N.get((src, t), 0.0) for t in self.targets)
-
-    def grand_total(self) -> float:
-        return sum(self.N.values())
 
 
 def target_totals(matrix: AttackMatrix) -> tuple[dict[str, float], float]:
     """Per-target column sums and the grand total (abandoned plots excluded)."""
-    totals = {t: 0.0 for t in matrix.targets}
-    for (_, t), v in matrix.N.items():
-        totals[t] += v
-    return totals, sum(totals.values())
+    columns = matrix.N.sum(axis=0).tolist()
+    return dict(zip(matrix.targets, columns)), sum(columns)
+
+
+def nonzero_cells(values: np.ndarray, sources: list[str], targets: list[str]) -> Iterator:
+    """(source, target, value) of every nonzero cell, row by row: sorted, as codes are."""
+    rows, cols = np.nonzero(values)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
+        yield sources[r], targets[c], v
 
 
 # --- exports -------------------------------------------------------------------
 
-def write_matrix_csv(matrix: AttackMatrix, path: str | Path) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Stream rows to a CSV file; floats are written as their repr."""
     with Path(path).open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["source", "target", "expected_plots"])
-        for (i, t), v in sorted(matrix.N.items()):
-            w.writerow([i, t, repr(v)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    with Path(path).open("w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_matrix_csv(matrix: AttackMatrix, path: str | Path) -> None:
+    write_csv(path, ["source", "target", "expected_plots"],
+              nonzero_cells(matrix.N, matrix.sources, matrix.targets))
 
 
 def write_abandoned_csv(matrix: AttackMatrix, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["source", "abandoned"])
-        for i, v in sorted(matrix.abandoned.items()):
-            w.writerow([i, repr(v)])
+    write_csv(path, ["source", "abandoned"], zip(matrix.sources, matrix.abandoned.tolist()))
 
 
 def matrix_to_json(matrix: AttackMatrix) -> dict:
@@ -57,15 +72,14 @@ def matrix_to_json(matrix: AttackMatrix) -> dict:
         "params": matrix.params_echo,
         "sources": matrix.sources,
         "targets": matrix.targets,
-        "expected_plots": {f"{i}->{t}": v for (i, t), v in sorted(matrix.N.items())},
-        "abandoned": dict(sorted(matrix.abandoned.items())),
-        "target_totals": dict(sorted(totals.items())),
+        "expected_plots": {f"{i}->{t}": v
+                           for i, t, v in nonzero_cells(matrix.N, matrix.sources, matrix.targets)},
+        "abandoned": dict(zip(matrix.sources, matrix.abandoned.tolist())),
+        "target_totals": totals,
         "grand_total": grand,
         "total_supply": matrix.total_plots,
     }
 
 
 def write_matrix_json(matrix: AttackMatrix, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        json.dump(matrix_to_json(matrix), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, matrix_to_json(matrix))

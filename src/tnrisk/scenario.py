@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTargets, IndexMismatch, ThresholdOutOfRange, UnknownCode
-from .evader import AttackMatrix, target_totals
+from .errors import EmptyTargets, IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
+from .evader import AttackMatrix
 from .params import BLOCKED, ModelParams, is_blocked
 
 
@@ -32,22 +32,30 @@ class ScenarioSpec:
     @staticmethod
     def from_json(path: str | Path) -> "ScenarioSpec":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        overrides = [(o, d, _parse_override(v)) for o, d, v in doc.get("barrier_overrides", [])]
+        overrides = [(o, d, parse_cost(v, "scenario override"))
+                     for o, d, v in doc.get("barrier_overrides", [])]
         a = doc.get("a_override")
         return ScenarioSpec(
             name=doc.get("name", "unnamed"),
             barrier_overrides=overrides,
-            a_override=_parse_override(a) if a is not None else None,
+            a_override=parse_cost(a, "scenario override") if a is not None else None,
             lambda_override=doc.get("lambda_override"),
             interception_overrides=doc.get("interception_overrides", {}),
             yield_overrides=doc.get("yield_overrides", {}),
         )
 
 
-def _parse_override(v) -> float:
+def parse_cost(v, name: str) -> float:
+    """A route cost given as a number, or 'inf'/'blocked' for a blocked route."""
     if isinstance(v, str) and v.strip().lower() in ("inf", "blocked"):
         return BLOCKED
-    return float(v)
+    try:
+        value = float(v)
+    except (TypeError, ValueError):
+        value = math.nan
+    if math.isnan(value) or value == -math.inf:
+        raise ModelError(f"{name} must be a number, 'inf' or 'blocked', got {v!r}")
+    return value
 
 
 def _known_codes(params: ModelParams) -> set[str]:
@@ -142,18 +150,14 @@ def build_network(params: ModelParams) -> RouteNetwork:
                         edges=edges.ravel())
 
 
-def solve(params: ModelParams) -> AttackMatrix:
-    """Expected plots per (source, target): a logit over each source's routes.
+def _allocate(cost: np.ndarray, supply: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Plots per route: each row's supply split by a logit over its route costs.
 
-    N_ij = S_i exp(-lam u_ij) / (sum_k exp(-lam u_ik) + exp(-lam A)) with
-    u_ij = T_ij + I_j + Y_j.  A blocked route gets nothing; a source with no
-    open route attacks nowhere and abandons nothing.
+    A blocked route (+inf) gets nothing; a row with no open route gets all zeros.
+    Also returns the mask of rows that have an open route.
     """
-    lam = params.lam
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    net = build_network(params)
-    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
     best = cost.min(axis=1)
     live = np.isfinite(best)
     # costs above each source's cheapest route, so exp cannot overflow
@@ -163,18 +167,28 @@ def solve(params: ModelParams) -> AttackMatrix:
     weight = np.zeros_like(gap)
     weight[route] = np.exp(-lam * gap[route])
     plots = np.zeros_like(cost)
-    plots[live] = net.supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
+    plots[live] = supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
+    return plots, live
 
-    rows, cols = np.nonzero(plots[:, :-1] > 0.0)
-    N = {(net.sources[r], net.targets[c]): v
-         for r, c, v in zip(rows.tolist(), cols.tolist(), plots[rows, cols].tolist())}
+
+def solve(params: ModelParams) -> AttackMatrix:
+    """Expected plots per (source, target): a logit over each source's routes.
+
+    N_ij = S_i exp(-lam u_ij) / (sum_k exp(-lam u_ik) + exp(-lam A)) with
+    u_ij = T_ij + I_j + Y_j.  A blocked route gets nothing; a source with no
+    open route attacks nowhere, abandons nothing and reports its supply as
+    unroutable.
+    """
+    net = build_network(params)
+    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
+    plots, live = _allocate(cost, net.supply, params.lam)
     return AttackMatrix(
         sources=net.sources,
         targets=net.targets,
-        N=N,
-        abandoned=dict(zip(net.sources, plots[:, -1].tolist())),
-        total_plots=sum(params.S[i] for i in net.sources),
-        lam=lam,
+        N=plots[:, :-1].copy(),
+        abandoned=plots[:, -1].copy(),
+        unroutable=np.where(live, 0.0, net.supply),
+        total_plots=sum(net.supply.tolist()),
         params_echo=params.echo(),
     )
 
@@ -183,34 +197,28 @@ def solve(params: ModelParams) -> AttackMatrix:
 class SweepCurve:
     a_values: list[float]
     totals: list[float]
-    per_target: dict[str, list[float]]
+    per_target: dict[str, list[float]]  # in sorted target order
     supply_total: float
-    fraction: float | None = None
-    threshold: float | None = None
 
 
-def deterrence_sweep(params: ModelParams, a_values: list[float],
-                     lam: float | None = None) -> SweepCurve:
-    """Grand-total (and per-target) attack counts as the abandon yield varies."""
+def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
+    """Grand-total (and per-target) attack counts as the abandon yield varies.
+
+    The route costs are built once; only the abandon route's cost changes along the grid.
+    """
     if any(not math.isfinite(a) for a in a_values):
         raise ValueError("sweep grid must be finite")
     if sorted(a_values) != list(a_values):
         raise ValueError("sweep grid must be sorted ascending")
-    totals: list[float] = []
-    per_target: dict[str, list[float]] = {}
-    for a in a_values:
-        p = params.copy()
-        p.A = a
-        if lam is not None:
-            p.lam = lam
-        matrix = solve(p)
-        tt, grand = target_totals(matrix)
-        totals.append(grand)
-        for t, v in tt.items():
-            per_target.setdefault(t, []).append(v)
-    supply_total = sum(params.S[c] for c in params.sources)
-    return SweepCurve(a_values=list(a_values), totals=totals,
-                      per_target=per_target, supply_total=supply_total)
+    net = build_network(params)
+    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
+    columns = np.empty((len(a_values), len(net.targets)))
+    for k, a in enumerate(a_values):
+        cost[:, -1] = BLOCKED if is_blocked(a) else a
+        columns[k] = _allocate(cost, net.supply, params.lam)[0][:, :-1].sum(axis=0)
+    return SweepCurve(a_values=list(a_values), totals=[sum(r) for r in columns.tolist()],
+                      per_target=dict(zip(net.targets, columns.T.tolist())),
+                      supply_total=sum(net.supply.tolist()))
 
 
 def find_threshold(curve: SweepCurve, fraction: float = 0.5) -> float:
@@ -237,7 +245,7 @@ def find_threshold(curve: SweepCurve, fraction: float = 0.5) -> float:
 class DeltaMatrix:
     sources: list[str]
     targets: list[str]
-    delta: dict[tuple[str, str], float]
+    delta: np.ndarray  # alt.N - base.N
     target_deltas: dict[str, float]
     ranked_targets: list[tuple[str, float]]  # by total increase, descending
 
@@ -246,17 +254,11 @@ def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
     """Entrywise alt - base, with targets ranked by absolute total increase."""
     if base.sources != alt.sources or base.targets != alt.targets:
         raise IndexMismatch("attack matrices have different source/target sets")
-    delta: dict[tuple[str, str], float] = {}
-    for key in set(base.N) | set(alt.N):
-        d = alt.N.get(key, 0.0) - base.N.get(key, 0.0)
-        if d != 0.0:
-            delta[key] = d
-    base_tt, _ = target_totals(base)
-    alt_tt, _ = target_totals(alt)
-    target_deltas = {t: alt_tt[t] - base_tt[t] for t in base.targets}
+    column_deltas = alt.N.sum(axis=0) - base.N.sum(axis=0)
+    target_deltas = dict(zip(base.targets, column_deltas.tolist()))
     ranked = sorted(target_deltas.items(), key=lambda kv: (-kv[1], kv[0]))
     return DeltaMatrix(sources=list(base.sources), targets=list(base.targets),
-                       delta=delta, target_deltas=target_deltas, ranked_targets=ranked)
+                       delta=alt.N - base.N, target_deltas=target_deltas, ranked_targets=ranked)
 
 
 def builtin_scenario(name: str, params: ModelParams) -> ModelParams:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tnrisk import BLOCKED, ModelParams, bundled_data_dir, load_bundle
+from tnrisk import BLOCKED, DeltaMatrix, ModelParams, bundled_data_dir, load_bundle
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,13 @@ def pre_params(bundle):
 @pytest.fixture()
 def params(pre_params):
     return pre_params.copy()
+
+
+def cell_dict(matrix) -> dict[tuple[str, str], float]:
+    """Nonzero cells keyed (source, target): an attack matrix's N or a delta matrix's delta."""
+    values = matrix.delta if isinstance(matrix, DeltaMatrix) else matrix.N
+    return {(matrix.sources[r], matrix.targets[c]): float(values[r, c])
+            for r, c in zip(*np.nonzero(values))}
 
 
 def tiny_params(abandon=BLOCKED, lam=0.1) -> ModelParams:

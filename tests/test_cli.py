@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import tnrisk
+from tnrisk import fortress, solve
 from tnrisk.cli import main
 from tnrisk.dataset import bundled_data_dir
+
+from conftest import cell_dict
 
 
 def run(*argv: str) -> int:
@@ -58,6 +61,29 @@ class TestSolve:
         assert max(totals, key=totals.get) == "USA"
         assert "top target USA" in capsys.readouterr().out
 
+    def test_matrix_csv_lists_nonzero_cells_sorted(self, tmp_path, pre_params):
+        out = tmp_path / "out"
+        assert run("solve", "--out", str(out)) == 0
+        m = solve(pre_params)
+        expected = cell_dict(m)
+        rows = read_csv(out / "attack_matrix.csv")
+        assert len(expected) < m.N.size  # blocked pairs leave zero cells to omit
+        assert [(r["source"], r["target"]) for r in rows] == sorted(expected)
+        assert all(float(r["expected_plots"]) == expected[(r["source"], r["target"])]
+                   for r in rows)
+
+    def test_unroutable_in_metadata(self, tmp_path, pre_params):
+        out = tmp_path / "out"
+        assert run("solve", "--out", str(out)) == 0
+        assert json.loads((out / "run_metadata.json").read_text())["unroutable"] == {}
+        assert run("scenario", "homegrown", "--out", str(out)) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["base_unroutable"] == {}
+        # without abandoning, a source that is not a target has no route left
+        assert meta["alt_unroutable"] == {i: pre_params.S[i] for i in pre_params.sources
+                                          if i not in pre_params.targets}
+        assert meta["alt_unroutable"]
+
     def test_metadata_echo(self, tmp_path):
         out = tmp_path / "out"
         run("solve", "--out", str(out), "--lambda", "0.2", "--abandon", "-30")
@@ -86,6 +112,11 @@ class TestSolve:
 
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         assert run("solve", "--out", str(tmp_path), "--weights", "0.5,0.25") == 2
+
+    @pytest.mark.parametrize("abandon", ["nan", "-inf"])
+    def test_non_finite_abandon_exit_2(self, tmp_path, capsys, abandon):
+        assert run("solve", "--out", str(tmp_path), f"--abandon={abandon}") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
     def test_bad_lambda_exit_2(self, tmp_path, capsys, lam):
@@ -142,6 +173,29 @@ class TestScenario:
         for r in alt:
             if r["target"] == "FRA":
                 assert r["source"] == "FRA"
+
+    def test_delta_csv_lists_changed_cells(self, tmp_path, pre_params):
+        out = tmp_path / "out"
+        assert run("scenario", "fortress-USA", "--out", str(out)) == 0
+        base = cell_dict(solve(pre_params))
+        alt = cell_dict(solve(fortress(pre_params, "USA")))
+        expected = {k: alt.get(k, 0.0) - base.get(k, 0.0) for k in sorted(base.keys() | alt.keys())
+                    if alt.get(k, 0.0) != base.get(k, 0.0)}
+        rows = read_csv(out / "delta.csv")
+        assert [(r["source"], r["target"]) for r in rows] == list(expected)
+        assert all(float(r["delta"]) == expected[(r["source"], r["target"])] for r in rows)
+
+    @pytest.mark.parametrize("doc", [
+        {"a_override": "nan"},
+        {"a_override": "-inf"},
+        {"barrier_overrides": [["*", "USA", "nan"]]},
+        {"barrier_overrides": [["*", "USA", "-inf"]]},
+    ], ids=["abandon-nan", "abandon-minus-inf", "barrier-nan", "barrier-minus-inf"])
+    def test_non_finite_override_exit_1(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run("scenario", str(spec), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_code_exit_1(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -136,7 +136,11 @@ class TestPreEstimated:
         ("interception.csv", "code,cost\nBBB,0\nCCC,inf\n"),
         ("supply.csv", "code,supply\nAAA,10\nDDD,-inf\n"),
         ("barriers.csv", "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,nan\n"),
-    ], ids=["yield-nan", "interception-inf", "supply-minus-inf", "barrier-nan"])
+        ("supply.csv", "code,supply\nAAA,10\nIDN,-100\n"),
+        ("yield.csv", "code,yield\nBBB,-1\nCCC,0.5\n"),
+        ("interception.csv", "code,cost\nBBB,0\nCCC,-1\n"),
+    ], ids=["yield-nan", "interception-inf", "supply-minus-inf", "barrier-nan",
+            "supply-negative", "yield-positive", "interception-negative"])
     def test_non_finite_rejected(self, tmp_path, name, table):
         d = tmp_path
         write(d, "supply.csv", "code,supply\nAAA,10\n")

@@ -11,7 +11,7 @@ from tnrisk import BLOCKED, ModelParams, fortress, homegrown, solve, target_tota
 from tnrisk.errors import EmptyTargets
 from tnrisk.evader import matrix_to_json
 
-from conftest import random_params, tiny_params
+from conftest import cell_dict, random_params, tiny_params
 from oracle import (
     ABANDON_KEY,
     ABANDON_NODE,
@@ -132,33 +132,51 @@ class TestAttackMatrix:
         c_usa = 0.2 + 1.5 - 54.0
         c_fra = 1.0 + 0.6 - 6.8
         p_usa = 1.0 / (1.0 + math.exp(-0.1 * (c_fra - c_usa)))
-        assert m.N[("SRC", "USA")] == pytest.approx(100.0 * p_usa)
-        assert m.N[("SRC", "FRA")] == pytest.approx(100.0 * (1.0 - p_usa))
-        assert m.abandoned["SRC"] == 0.0
-        assert m.grand_total() == pytest.approx(100.0)
+        assert cell_dict(m)[("SRC", "USA")] == pytest.approx(100.0 * p_usa)
+        assert cell_dict(m)[("SRC", "FRA")] == pytest.approx(100.0 * (1.0 - p_usa))
+        assert m.abandoned[m.sources.index("SRC")] == 0.0
+        assert m.N.sum() == pytest.approx(100.0)
 
     def test_conservation(self, pre_params):
         p = pre_params
         m = solve(p)
-        for i in m.sources:
-            assert m.row_sum(i) + m.abandoned[i] == pytest.approx(p.S[i], abs=1e-9)
+        for k, i in enumerate(m.sources):
+            assert m.N[k].sum() + m.abandoned[k] == pytest.approx(p.S[i], abs=1e-9)
 
     def test_target_totals_sum(self, pre_params):
         m = solve(pre_params)
         totals, grand = target_totals(m)
         assert grand == pytest.approx(sum(totals.values()))
-        assert grand == pytest.approx(m.grand_total())
+        assert grand == pytest.approx(m.N.sum())
 
     def test_json_document(self, pre_params):
         m = solve(pre_params)
         doc = matrix_to_json(m)
         assert doc["params"]["lambda"] == 0.1
-        assert doc["grand_total"] == pytest.approx(m.grand_total())
+        assert doc["grand_total"] == pytest.approx(m.N.sum())
         assert set(doc["target_totals"]) == set(m.targets)
 
     def test_empty_targets(self):
         with pytest.raises(EmptyTargets):
             solve(ModelParams(S={"SRC": 1.0}, T={}, I={"SRC": 1.0}, Y={}))
+
+    def test_unroutable_supply_reported(self):
+        # X has no open route and no abandon option: its 10 plots go nowhere
+        m = solve(ModelParams(S={"X": 10.0, "Y": 5.0},
+                              T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
+                              I={"Z": 1.0}, Y={"Z": -2.0}))
+        assert m.unroutable.tolist() == [10.0, 0.0]
+        assert m.N.sum(axis=1).tolist() == [0.0, 5.0]
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_mass_conservation(self, seed):
+        """Attacks + abandoned + unroutable = supply, source by source."""
+        p = random_params(np.random.default_rng(seed), blocked_fraction=0.5)
+        m = solve(p)
+        supply = np.array([p.S[i] for i in m.sources])
+        mass = m.N.sum(axis=1) + m.abandoned + m.unroutable
+        assert np.all(np.abs(mass - supply) <= 1e-9 * supply)
 
     @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
     def test_bad_lambda(self, lam):
@@ -175,16 +193,17 @@ class TestOracleTriangle:
             p = random_params(rng)
             net, costs, chain = solve_chain(p)
             m = solve(p)
-            for i in p.sources:
+            m_cells = cell_dict(m)
+            for k, i in enumerate(p.sources):
                 if source(i) in chain.dead:
-                    assert m.row_sum(i) == 0.0
+                    assert m.N[k].sum() == 0.0
                     continue
                 dist = enumerate_path_distribution(net, costs, source(i), p.lam)
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
                 for t in p.targets:
                     expected = p.S[i] * dist.get(t, 0.0)
-                    assert m.N.get((i, t), 0.0) == pytest.approx(expected, abs=1e-9)
-                assert m.abandoned[i] == pytest.approx(
+                    assert m_cells.get((i, t), 0.0) == pytest.approx(expected, abs=1e-9)
+                assert m.abandoned[k] == pytest.approx(
                     p.S[i] * dist.get(ABANDON_KEY, 0.0), abs=1e-9)
 
     def test_fundamental_matrix_matches_exact(self):
@@ -193,14 +212,15 @@ class TestOracleTriangle:
             p = random_params(rng)
             _, _, chain = solve_chain(p)
             m = solve(p)
-            for i in p.sources:
+            m_cells = cell_dict(m)
+            for k, i in enumerate(p.sources):
                 if source(i) in chain.dead:
                     continue
                 oracle = fundamental_matrix_absorption(chain, source(i))
                 for t in p.targets:
-                    assert m.N.get((i, t), 0.0) / p.S[i] == pytest.approx(
+                    assert m_cells.get((i, t), 0.0) / p.S[i] == pytest.approx(
                         oracle.get((staged(t), ATTACK_NODE), 0.0), abs=1e-10)
-                assert m.abandoned[i] / p.S[i] == pytest.approx(
+                assert m.abandoned[k] / p.S[i] == pytest.approx(
                     oracle.get((ABANDON_NODE, END_NODE), 0.0), abs=1e-10)
 
     def test_closed_form_matches_enumeration(self, pre_params):
@@ -241,12 +261,13 @@ class TestOracleTriangle:
                     elif prob > 0.0:
                         cells[(i, key)] = p.S[i] * prob
             m = solve(p)
-            assert m.N.keys() == cells.keys()
+            m_cells, m_abandoned = cell_dict(m), dict(zip(m.sources, m.abandoned.tolist()))
+            assert m_cells.keys() == cells.keys()
             for key, v in cells.items():
-                assert math.isclose(m.N[key], v, rel_tol=1e-10, abs_tol=0.0), key
-            assert m.abandoned.keys() == set(p.sources)
+                assert math.isclose(m_cells[key], v, rel_tol=1e-10, abs_tol=0.0), key
+            assert m_abandoned.keys() == set(p.sources)
             for i in p.sources:
-                assert math.isclose(m.abandoned[i], abandoned.get(i, 0.0),
+                assert math.isclose(m_abandoned[i], abandoned.get(i, 0.0),
                                     rel_tol=1e-10, abs_tol=0.0), i
 
     def test_sampling_converges(self):

@@ -18,11 +18,13 @@ from tnrisk import (
     homegrown,
     is_blocked,
     solve,
+    target_totals,
 )
 from tnrisk.errors import IndexMismatch, ThresholdOutOfRange, UnknownCode
+from tnrisk import scenario
 from tnrisk.scenario import builtin_scenario
 
-from conftest import random_params, tiny_params
+from conftest import cell_dict, random_params, tiny_params
 
 
 class TestApplyScenario:
@@ -64,13 +66,13 @@ class TestApplyScenario:
         base = solve(params)
         alt = solve(apply_scenario(params, ScenarioSpec()))
         d = diff_matrices(base, alt)
-        assert d.delta == {}
+        assert cell_dict(d) == {}
 
 
 class TestFortress:
     def test_usa_column_vanishes(self, params):
         alt = solve(fortress(params, "USA"))
-        for (i, t), v in alt.N.items():
+        for (i, t), v in cell_dict(alt).items():
             if t == "USA":
                 assert i == "USA"  # only the domestic path survives
 
@@ -91,44 +93,56 @@ class TestFortress:
         params.A = -30.0
         base = solve(params)
         alt = solve(fortress(params, "USA"))
-        for i in base.sources:
-            assert base.row_sum(i) + base.abandoned[i] == pytest.approx(params.S[i])
-            assert alt.row_sum(i) + alt.abandoned[i] == pytest.approx(params.S[i])
+        for k, i in enumerate(base.sources):
+            assert base.N[k].sum() + base.abandoned[k] == pytest.approx(params.S[i])
+            assert alt.N[k].sum() + alt.abandoned[k] == pytest.approx(params.S[i])
 
     def test_unreachable_country_noop(self):
         p = tiny_params()
         p.T[("SRC", "FRA")] = BLOCKED
         base = solve(p)
         alt = solve(fortress(p, "FRA"))
-        assert diff_matrices(base, alt).delta == {}
+        assert cell_dict(diff_matrices(base, alt)) == {}
 
 
 class TestHomegrown:
     def test_diagonal_only(self, params):
         alt = solve(homegrown(params))
-        for (i, t) in alt.N:
+        for (i, t) in cell_dict(alt):
             assert i == t
 
     def test_total_strictly_below_baseline(self, params):
         base = solve(params)
         alt = solve(homegrown(params))
-        assert alt.grand_total() < base.grand_total()
+        assert alt.N.sum() < base.N.sum()
 
     def test_compose_with_fortress(self, params):
         # blocking a superset first changes nothing: homegrown . fortress = homegrown
         a = solve(homegrown(params))
         b = solve(homegrown(fortress(params, "USA")))
-        assert diff_matrices(a, b).delta == {}
+        assert cell_dict(diff_matrices(a, b)) == {}
 
     def test_non_target_sources_dead_when_no_abandon(self, params):
         alt = solve(homegrown(params))
         target_set = set(params.targets)
-        for i in alt.sources:
+        for k, i in enumerate(alt.sources):
             if i not in target_set:
-                assert alt.row_sum(i) == 0.0 and alt.abandoned[i] == 0.0
+                assert alt.N[k].sum() == 0.0 and alt.abandoned[k] == 0.0
 
 
 class TestSweep:
+    def test_one_network_build_per_sweep(self, params, monkeypatch):
+        calls = []
+        build = scenario.build_network
+        monkeypatch.setattr(scenario, "build_network", lambda p: calls.append(p) or build(p))
+        grid = [-40.0, -20.0, 0.0, 5.0]
+        curve = deterrence_sweep(params, grid)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for a, total in zip(grid, curve.totals):
+            params.A = a
+            assert total == pytest.approx(target_totals(solve(params))[1], rel=1e-12)
+
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
             deterrence_sweep(params, [0.0, -1.0])
@@ -194,15 +208,16 @@ class TestSweep:
 class TestDiff:
     def test_self_diff_zero(self, params):
         m = solve(params)
-        assert diff_matrices(m, m).delta == {}
+        assert cell_dict(diff_matrices(m, m)) == {}
 
     def test_antisymmetry(self, params):
         base = solve(params)
         alt = solve(fortress(params, "USA"))
         ab = diff_matrices(base, alt)
         ba = diff_matrices(alt, base)
-        for key, v in ab.delta.items():
-            assert ba.delta[key] == pytest.approx(-v)
+        ab_cells, ba_cells = cell_dict(ab), cell_dict(ba)
+        for key, v in ab_cells.items():
+            assert ba_cells[key] == pytest.approx(-v)
 
     def test_index_mismatch(self, params):
         base = solve(params)
@@ -211,8 +226,8 @@ class TestDiff:
             diff_matrices(base, other)
 
     def test_builtin_names(self, params):
-        assert solve(builtin_scenario("homegrown", params)).N.keys() == \
-            solve(homegrown(params)).N.keys()
+        assert cell_dict(solve(builtin_scenario("homegrown", params))).keys() == \
+            cell_dict(solve(homegrown(params))).keys()
         with pytest.raises(KeyError):
             builtin_scenario("nope", params)
 
