@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
 from .errors import ModelError, ThresholdOutOfRange
-from .params import WEIGHT_PRESETS, DEFAULT_LAMBDA, DEFAULT_Q, SupportWeights, is_blocked
+from .params import DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out, parse_cost
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -46,13 +46,6 @@ def _parse_weights(text: str) -> tuple[SupportWeights, str]:
     return w, text
 
 
-def _parse_abandon(text: str) -> float:
-    try:
-        return scn.parse_cost(text, "--abandon")
-    except ModelError as e:
-        raise ValueError(str(e)) from None
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default=None, help="data directory (default: bundled dataset)")
     p.add_argument("--mode", choices=["estimate", "pre"], default="pre",
@@ -76,7 +69,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         data_dir=data_dir,
         mode=args.mode,
         lam=args.lam,
-        abandon=_parse_abandon(args.abandon),
+        abandon=parse_cost(args.abandon, "--abandon"),
         weights=weights,
         weights_label=label,
         q=args.q,
@@ -85,20 +78,22 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_params(config: RunConfig):
-    if config.mode == "pre":
-        params = dataset.load_pre_estimated(config.data_dir / "pre_estimated")
-        params.lam = config.lam
-        params.A = config.abandon
-        params.Q = config.q
-        params.weights_label = config.weights_label
-        return params
-    bundle = dataset.load_bundle(config.data_dir)
+def _estimate(config: RunConfig):
     return estimation.estimate_params(
-        bundle, weights=config.weights, q=config.q,
-        abandon_yield=config.abandon, lam=config.lam,
-        weights_label=config.weights_label,
+        dataset.load_bundle(config.data_dir), weights=config.weights, q=config.q,
+        abandon_yield=config.abandon, lam=config.lam, weights_label=config.weights_label,
     )
+
+
+def _load_params(config: RunConfig):
+    if config.mode == "estimate":
+        return _estimate(config)
+    params = dataset.load_pre_estimated(config.data_dir / "pre_estimated")
+    params.lam = config.lam
+    params.A = config.abandon
+    params.Q = config.q
+    params.weights_label = config.weights_label
+    return params
 
 
 def _echo(config: RunConfig) -> dict:
@@ -106,7 +101,7 @@ def _echo(config: RunConfig) -> dict:
         "data": str(config.data_dir),
         "mode": config.mode,
         "lambda": config.lam,
-        "abandon": "inf" if is_blocked(config.abandon) else config.abandon,
+        "abandon": cost_out(config.abandon),
         "weights": config.weights_label,
         "q": config.q,
         "format": config.fmt,
@@ -140,15 +135,11 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    bundle = dataset.load_bundle(config.data_dir)
-    params = estimation.estimate_params(
-        bundle, weights=config.weights, q=config.q,
-        abandon_yield=config.abandon, lam=config.lam, weights_label=config.weights_label,
-    )
+    params = _estimate(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, config.out_dir)
-    evader.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
-                                                             "params": params.echo()})
+    dataset.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
+                                                              "params": params.echo()})
     print(f"wrote estimated parameter tables to {config.out_dir}")
     return EXIT_OK
 
@@ -162,8 +153,8 @@ def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.Attack
     if config.fmt == "json" or prefix == "":
         evader.write_matrix_json(matrix, out / f"{prefix}attack_matrix.json")
     totals, grand = evader.target_totals(matrix)
-    evader.write_csv(out / f"{prefix}target_totals.csv", ["target", "expected_plots"],
-                     [*totals.items(), ("TOTAL", grand)])
+    dataset.write_csv(out / f"{prefix}target_totals.csv", ["target", "expected_plots"],
+                      [*totals.items(), ("TOTAL", grand)])
     return matrix
 
 
@@ -173,9 +164,9 @@ def cmd_solve(config: RunConfig) -> int:
     # circle areas proportional to plot counts; zero entries omitted
     peak = float(matrix.N.max(initial=0.0))
     cells = evader.nonzero_cells(matrix.N, matrix.sources, matrix.targets)
-    evader.write_csv(config.out_dir / "plot_data.csv", ["source", "target", "value", "normalized"],
-                     ((i, t, v, v / peak) for i, t, v in cells))
-    evader.write_json(config.out_dir / "run_metadata.json", {
+    dataset.write_csv(config.out_dir / "plot_data.csv", ["source", "target", "value", "normalized"],
+                      ((i, t, v, v / peak) for i, t, v in cells))
+    dataset.write_json(config.out_dir / "run_metadata.json", {
         "config": _echo(config), "params": params.echo(), "unroutable": _unroutable(matrix),
     })
     totals, grand = evader.target_totals(matrix)
@@ -186,7 +177,7 @@ def cmd_solve(config: RunConfig) -> int:
 
 def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     params = _load_params(config)
-    if spec_arg in ("fortress-USA", "homegrown"):
+    if spec_arg in scn.BUILTIN_SCENARIOS:
         alt_params = scn.builtin_scenario(spec_arg, params)
         name = spec_arg
     else:
@@ -197,10 +188,10 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     alt = _solve_to_dir(alt_params, config, prefix="alt_")
     delta = scn.diff_matrices(base, alt)
     out = config.out_dir
-    evader.write_csv(out / "delta.csv", ["source", "target", "delta"],
-                     evader.nonzero_cells(delta.delta, delta.sources, delta.targets))
-    evader.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
-    evader.write_json(out / "run_metadata.json", {
+    dataset.write_csv(out / "delta.csv", ["source", "target", "delta"],
+                      evader.nonzero_cells(delta.delta, delta.sources, delta.targets))
+    dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
+    dataset.write_json(out / "run_metadata.json", {
         "config": _echo(config), "scenario": name, "params": params.echo(),
         "base_unroutable": _unroutable(base), "alt_unroutable": _unroutable(alt),
     })
@@ -222,8 +213,8 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
     curve = scn.deterrence_sweep(params, grid)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    evader.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
-                     zip(curve.a_values, curve.totals, *curve.per_target.values()))
+    dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
+                      zip(curve.a_values, curve.totals, *curve.per_target.values()))
     fraction = 0.5
     status = EXIT_OK
     try:
@@ -233,7 +224,7 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
         threshold = None
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_DOMAIN
-    evader.write_json(out / "run_metadata.json", {
+    dataset.write_json(out / "run_metadata.json", {
         "config": _echo(config), "params": params.echo(),
         "threshold": threshold, "threshold_fraction": fraction,
         "grid": {"min": a_min, "max": a_max, "step": step},
@@ -257,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         _add_common(p)
         if name == "scenario":
-            p.add_argument("spec", help="built-in name (fortress-USA, homegrown) or a JSON file")
+            p.add_argument("spec", help=f"built-in name ({', '.join(scn.BUILTIN_SCENARIOS)})"
+                                        " or a JSON file")
         if name == "sweep":
             p.add_argument("--a-min", type=float, default=-60.0)
             p.add_argument("--a-max", type=float, default=10.0)

@@ -8,7 +8,8 @@ be supplied with ``--data``.
 from __future__ import annotations
 
 import csv
-import math
+import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -21,15 +22,13 @@ from .errors import (
     MissingFile,
     NegativeValue,
 )
-from .params import BLOCKED, ModelParams, is_blocked, parse_cost
+from .params import ModelParams, parse_cost, parse_number
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
     "muslim_pop", "sigma_n", "sigma_r", "sigma_s", "sigma_o", "is_oecd", "is_target",
 ]
 PAIR_HEADER = ["origin", "dest", "value"]
-
-PRE_ESTIMATED_FILES = ("supply.csv", "barriers.csv", "interception.csv", "yield.csv")
 
 
 @dataclass(frozen=True)
@@ -103,16 +102,34 @@ class ValidationReport:
         return [f"{kind}\t{loc}\t{msg}" for kind, loc, msg in self.entries]
 
 
-def _parse_float(cell: str, line: int, name: str, required: bool) -> float | None:
+def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, cells) of every non-blank row of a CSV table that has this header."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(str(path))
+    with path.open(newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != header:
+            raise MalformedRow(1, f"bad header in {path.name}, expected {','.join(header)}")
+        for line, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(line, f"expected {len(header)} cells in {path.name}, "
+                                         f"got {len(row)}")
+            yield line, row
+
+
+def _parse_float(cell: str, line: int, name: str, required: bool = True,
+                 sign: int = 0) -> float | None:
+    """A cell as :func:`parse_number` reads it; a blank optional cell is None."""
     cell = cell.strip()
-    if cell == "":
-        if required:
-            raise MalformedRow(line, f"missing required field {name}")
+    if cell == "" and not required:
         return None
     try:
-        return float(cell)
-    except ValueError:
-        raise MalformedRow(line, f"non-numeric {name}: {cell!r}") from None
+        return parse_number(cell, sign, name)
+    except ValueError as e:
+        raise MalformedRow(line, str(e)) from None
 
 
 def _parse_flag(cell: str, line: int, name: str) -> bool:
@@ -125,103 +142,58 @@ def _parse_flag(cell: str, line: int, name: str) -> bool:
 
 
 def load_country_table(path: str | Path) -> list[CountryRecord]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     records: list[CountryRecord] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != COUNTRY_HEADER:
-            raise MalformedRow(1, f"bad header, expected {','.join(COUNTRY_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(COUNTRY_HEADER):
-                raise MalformedRow(line, f"expected {len(COUNTRY_HEADER)} cells, got {len(row)}")
-            code = row[0].strip()
-            if code in seen:
-                raise DuplicateCode(code)
-            seen.add(code)
-            sigmas = [_parse_float(row[i], line, COUNTRY_HEADER[i], required=False)
-                      for i in range(7, 11)]
-            stated = [s for s in sigmas if s is not None]
-            if stated and (any(s < 0 or s > 1 for s in stated) or sum(stated) > 1 + 1e-9):
-                raise MalformedRow(line, f"survey fractions out of range: {stated}")
-            records.append(CountryRecord(
-                code=code,
-                name=row[1].strip(),
-                region=row[2].strip(),
-                population=_parse_float(row[3], line, "population", required=True),
-                gdp=_parse_float(row[4], line, "gdp_usd", required=False),
-                sec_fraction=_parse_float(row[5], line, "sec_fraction", required=False),
-                muslim_pop=_parse_float(row[6], line, "muslim_pop", required=True),
-                sigma_n=sigmas[0], sigma_r=sigmas[1], sigma_s=sigmas[2], sigma_o=sigmas[3],
-                is_oecd=_parse_flag(row[11], line, "is_oecd"),
-                is_target=_parse_flag(row[12], line, "is_target"),
-            ))
+    name = Path(path).name
+    for line, row in _rows(path, COUNTRY_HEADER):
+        code = row[0].strip()
+        if code in seen:
+            raise DuplicateCode(code)
+        seen.add(code)
+        # population through sigma_o, in CountryRecord's field order
+        numbers = [_parse_float(row[i], line, f"{column} in {name}",
+                                required=column in ("population", "muslim_pop"))
+                   for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
+        stated = [s for s in numbers[4:] if s is not None]
+        if stated and (any(s < 0 or s > 1 for s in stated) or sum(stated) > 1 + 1e-9):
+            raise MalformedRow(line, f"survey fractions out of range: {stated}")
+        records.append(CountryRecord(code, row[1].strip(), row[2].strip(), *numbers,
+                                     is_oecd=_parse_flag(row[11], line, "is_oecd"),
+                                     is_target=_parse_flag(row[12], line, "is_target")))
     return records
 
 
 def load_pair_table(path: str | Path, kind: str) -> PairTable:
     if kind not in ("migration", "distance"):
         raise ValueError(f"bad pair-table kind {kind!r}")
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     table = PairTable(kind=kind)
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != PAIR_HEADER:
-            raise MalformedRow(1, f"bad header, expected {','.join(PAIR_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            origin, dest = row[0].strip(), row[1].strip()
-            value = _parse_float(row[2], line, "value", required=True)
-            if value < 0:
-                raise NegativeValue(f"line {line}: {origin},{dest} = {value}")
-            if kind == "distance":
-                mirror = table.entries.get((dest, origin))
-                if mirror is not None and origin != dest:
-                    scale = max(abs(mirror), abs(value), 1e-30)
-                    if abs(mirror - value) / scale > 1e-6:
-                        raise AsymmetricDistance(origin, dest)
-                table.entries[(origin, dest)] = value
-                table.entries[(dest, origin)] = value
-            else:
-                table.entries[(origin, dest)] = value
+    label = f"value in {Path(path).name}"
+    for line, row in _rows(path, PAIR_HEADER):
+        origin, dest = row[0].strip(), row[1].strip()
+        value = _parse_float(row[2], line, label)
+        if value < 0:
+            raise NegativeValue(f"line {line}: {origin},{dest} = {value}")
+        if kind == "distance":
+            mirror = table.entries.get((dest, origin))
+            if mirror is not None and origin != dest:
+                scale = max(abs(mirror), abs(value), 1e-30)
+                if abs(mirror - value) / scale > 1e-6:
+                    raise AsymmetricDistance(origin, dest)
+            table.entries[(origin, dest)] = value
+            table.entries[(dest, origin)] = value
+        else:
+            table.entries[(origin, dest)] = value
     return table
 
 
 def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
-    if not path.is_file():
-        raise MissingFile(str(path))
     out: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["code", value_name]:
-            raise MalformedRow(1, f"bad header in {path.name}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            code = row[0].strip()
-            if code in out:
-                raise DuplicateCode(code)
-            try:
-                value = float(row[1])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise MalformedRow(line, f"{value_name} in {path.name} is not a finite number: "
-                                         f"{row[1]!r}")
-            if value * sign < 0:
-                raise MalformedRow(line, f"{value_name} in {path.name} must be "
-                                         f"{'>=' if sign > 0 else '<='} 0, got {row[1]!r}")
-            out[code] = value
+    label = f"{value_name} in {path.name}"
+    for line, row in _rows(path, ["code", value_name]):
+        code = row[0].strip()
+        if code in out:
+            raise DuplicateCode(code)
+        out[code] = _parse_float(row[1], line, label, sign=sign)
     return out
 
 
@@ -232,33 +204,22 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
     interception = _load_vector(directory / "interception.csv", "cost", +1)
     yields = _load_vector(directory / "yield.csv", "yield", -1)
 
-    barriers_path = directory / "barriers.csv"
-    if not barriers_path.is_file():
-        raise MissingFile(str(barriers_path))
     barriers: dict[tuple[str, str], float] = {}
     known_targets = set(interception) | set(yields)
-    with barriers_path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["origin", "dest", "cost"]:
-            raise MalformedRow(1, "bad header in barriers.csv")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            origin, dest = row[0].strip(), row[1].strip()
-            if origin != dest and origin not in supply:
-                raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
-            if origin != dest and dest not in known_targets:
-                raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
-            try:
-                cost = parse_cost(row[2])
-            except ValueError as e:
-                raise MalformedRow(line, f"bad cost in barriers.csv: {e}") from None
-            if cost < 0:
-                raise NegativeValue(f"line {line}: barrier {origin},{dest} = {cost}")
-            barriers[(origin, dest)] = 0.0 if origin == dest else cost
-    for code in supply:
-        barriers[(code, code)] = 0.0
+    for line, row in _rows(directory / "barriers.csv", ["origin", "dest", "cost"]):
+        origin, dest = row[0].strip(), row[1].strip()
+        if origin != dest and origin not in supply:
+            raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
+        if origin != dest and dest not in known_targets:
+            raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
+        try:
+            cost = parse_cost(row[2], "cost in barriers.csv")
+        except ValueError as e:
+            raise MalformedRow(line, str(e)) from None
+        if cost < 0:
+            raise NegativeValue(f"line {line}: barrier {origin},{dest} = {cost}")
+        barriers[(origin, dest)] = 0.0 if origin == dest else cost
+    # ModelParams adds the zero diagonal of every supply code the file leaves out
     return ModelParams(S=supply, T=barriers, I=interception, Y=yields)
 
 
@@ -267,9 +228,8 @@ def validate_bundle(bundle: DataBundle) -> ValidationReport:
     report = ValidationReport()
     codes = {c.code for c in bundle.countries}
     for c in bundle.countries:
-        if c.is_target and (c.sec_fraction is None or not math.isfinite(c.sec_fraction)):
-            report.add("MissingSecurityData", c.code,
-                       "is_target set but sec_fraction missing or non-finite")
+        if c.is_target and c.sec_fraction is None:
+            report.add("MissingSecurityData", c.code, "is_target set but sec_fraction missing")
         if c.population <= 0:
             report.add("BadPopulation", c.code, f"population {c.population} not positive")
         if c.muslim_pop < 0:
@@ -278,12 +238,7 @@ def validate_bundle(bundle: DataBundle) -> ValidationReport:
         for code in sorted(table.codes() - codes):
             report.add("UnknownCode", f"{label}:{code}", "pair table references unknown country")
     if bundle.pre_estimated is not None:
-        p = bundle.pre_estimated
-        referenced = set(p.S) | set(p.I) | set(p.Y)
-        for (i, j) in p.T:
-            referenced.add(i)
-            referenced.add(j)
-        for code in sorted(referenced - codes):
+        for code in sorted(bundle.pre_estimated.codes - codes):
             report.add("UnknownCode", f"pre_estimated:{code}",
                        "pre-estimated table references unknown country")
     return report
@@ -311,27 +266,27 @@ def bundled_data_dir() -> Path:
     return Path(resources.files("tnrisk").joinpath("data", "bundled"))
 
 
-# --- canonical writers (round-trip support) -----------------------------------
+# --- writers -------------------------------------------------------------------
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    if is_blocked(value):
-        return "inf"
-    return repr(value)
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Stream rows to a CSV file; floats are written as their repr, None as a blank."""
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    with Path(path).open("w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def write_country_table(records: list[CountryRecord], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(COUNTRY_HEADER)
-        for c in sorted(records, key=lambda r: r.code):
-            w.writerow([
-                c.code, c.name, c.region, _fmt(c.population), _fmt(c.gdp),
-                _fmt(c.sec_fraction), _fmt(c.muslim_pop), _fmt(c.sigma_n),
-                _fmt(c.sigma_r), _fmt(c.sigma_s), _fmt(c.sigma_o),
-                int(c.is_oecd), int(c.is_target),
-            ])
+    write_csv(path, COUNTRY_HEADER, (
+        [c.code, c.name, c.region, c.population, c.gdp, c.sec_fraction, c.muslim_pop,
+         c.sigma_n, c.sigma_r, c.sigma_s, c.sigma_o, int(c.is_oecd), int(c.is_target)]
+        for c in sorted(records, key=lambda r: r.code)))
 
 
 def write_pair_table(table: PairTable, path: str | Path) -> None:
@@ -339,8 +294,4 @@ def write_pair_table(table: PairTable, path: str | Path) -> None:
     if table.kind == "distance":
         # one direction per unordered pair
         entries = {k: v for k, v in entries.items() if k[0] <= k[1]}
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(PAIR_HEADER)
-        for (a, b), v in sorted(entries.items()):
-            w.writerow([a, b, _fmt(v)])
+    write_csv(path, PAIR_HEADER, ((a, b, v) for (a, b), v in sorted(entries.items())))

@@ -8,13 +8,12 @@ sign).  The normalization is scale invariant, so the raw units never matter.
 
 from __future__ import annotations
 
-import csv
 import logging
 import statistics
 from dataclasses import replace
 from pathlib import Path
 
-from .dataset import CountryRecord, DataBundle
+from .dataset import CountryRecord, DataBundle, write_csv
 from .errors import DegenerateSpread, EmptyRegion, MissingImputation
 from .params import (
     BLOCKED,
@@ -23,6 +22,7 @@ from .params import (
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
+    cost_out,
     is_blocked,
 )
 
@@ -210,19 +210,9 @@ def write_params_csv(params: ModelParams, directory: str | Path) -> None:
     """Emit the four parameter tables in the pre-estimated schemas."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    def vector(name: str, column: str, data: dict[str, float]) -> None:
-        with (directory / name).open("w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["code", column])
-            for code, v in sorted(data.items()):
-                w.writerow([code, repr(v)])
-
-    vector("supply.csv", "supply", params.S)
-    vector("interception.csv", "cost", params.I)
-    vector("yield.csv", "yield", params.Y)
-    with (directory / "barriers.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["origin", "dest", "cost"])
-        for (i, j), v in sorted(params.T.items()):
-            w.writerow([i, j, "inf" if is_blocked(v) else repr(v)])
+    for name, column, data in (("supply.csv", "supply", params.S),
+                               ("interception.csv", "cost", params.I),
+                               ("yield.csv", "yield", params.Y)):
+        write_csv(directory / name, ["code", column], sorted(data.items()))
+    write_csv(directory / "barriers.csv", ["origin", "dest", "cost"],
+              ((i, j, cost_out(v)) for (i, j), v in sorted(params.T.items())))

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .dataset import write_csv, write_json
 
 
 @dataclass
@@ -42,20 +42,6 @@ def nonzero_cells(values: np.ndarray, sources: list[str], targets: list[str]) ->
 
 
 # --- exports -------------------------------------------------------------------
-
-def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
-    """Stream rows to a CSV file; floats are written as their repr."""
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def write_json(path: str | Path, doc: dict) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
 
 def write_matrix_csv(matrix: AttackMatrix, path: str | Path) -> None:
     write_csv(path, ["source", "target", "expected_plots"],

@@ -21,12 +21,38 @@ def is_blocked(value: float) -> bool:
     return value >= _BLOCKED_FLOOR
 
 
-def parse_cost(text: str) -> float:
-    """Parse a cost cell, folding 'inf' and huge finite values into BLOCKED."""
-    v = float(text)
-    if math.isnan(v):
-        raise ValueError(f"cost is not a number: {text!r}")
-    return BLOCKED if v >= _BLOCKED_FLOOR else v
+def parse_cost(v, name: str = "cost") -> float:
+    """A route cost: a number, or 'inf'/'blocked'; values >= 1e100 fold into BLOCKED.
+
+    Raises ValueError, naming the value, for NaN, -inf or anything else.
+    """
+    try:
+        value = float(v)
+    except (TypeError, ValueError):
+        value = BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"{name} must be a number, 'inf' or 'blocked', got {v!r}")
+    return BLOCKED if value >= _BLOCKED_FLOOR else value
+
+
+def cost_out(value: float) -> float | str:
+    """A cost as written to a file or metadata: 'inf' when blocked."""
+    return "inf" if is_blocked(value) else value
+
+
+def parse_number(v, sign: int = 0, name: str = "value") -> float:
+    """A finite number, also >= 0 for sign +1 (supply, interception) or <= 0 for -1 (yield).
+
+    Raises ValueError, naming the value, otherwise.
+    """
+    try:
+        value = float(v)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value) or value * sign < 0:
+        bound = {1: " >= 0", -1: " <= 0"}.get(sign, "")
+        raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,6 +115,11 @@ class ModelParams:
     def targets(self) -> list[str]:
         return sorted(set(self.I) & set(self.Y))
 
+    @property
+    def codes(self) -> set[str]:
+        """Every country code that any parameter table mentions."""
+        return set(self.S) | set(self.I) | set(self.Y) | {c for pair in self.T for c in pair}
+
     def barrier(self, origin: str, dest: str) -> float:
         if origin == dest:
             return 0.0
@@ -101,7 +132,7 @@ class ModelParams:
         """Scalar parameters for reproducibility metadata."""
         return {
             "lambda": self.lam,
-            "abandon_yield": "inf" if is_blocked(self.A) else self.A,
+            "abandon_yield": cost_out(self.A),
             "q": self.Q,
             "weights_preset": self.weights_label,
             "n_sources": len(self.sources),

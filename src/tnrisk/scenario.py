@@ -17,11 +17,17 @@ import numpy as np
 
 from .errors import EmptyTargets, IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .evader import AttackMatrix
-from .params import BLOCKED, ModelParams, is_blocked
+from .params import BLOCKED, ModelParams, is_blocked, parse_cost, parse_number
 
 
 @dataclass
 class ScenarioSpec:
+    """Overrides, checked on construction: a bad value raises ModelError.
+
+    Barrier and abandon overrides are costs (a number, 'inf' or 'blocked');
+    lambda and interception overrides are finite and >= 0, yields finite and <= 0.
+    """
+
     name: str = "unnamed"
     barrier_overrides: list[tuple[str, str, float]] = field(default_factory=list)
     a_override: float | None = None
@@ -29,46 +35,37 @@ class ScenarioSpec:
     interception_overrides: dict[str, float] = field(default_factory=dict)
     yield_overrides: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        try:
+            self.barrier_overrides = [(o, d, parse_cost(v, f"barrier override {o},{d}"))
+                                      for o, d, v in self.barrier_overrides]
+            if self.a_override is not None:
+                self.a_override = parse_cost(self.a_override, "a_override")
+            if self.lambda_override is not None:
+                self.lambda_override = parse_number(self.lambda_override, +1, "lambda_override")
+            self.interception_overrides = {c: parse_number(v, +1, f"interception override {c}")
+                                           for c, v in self.interception_overrides.items()}
+            self.yield_overrides = {c: parse_number(v, -1, f"yield override {c}")
+                                    for c, v in self.yield_overrides.items()}
+        except ValueError as e:
+            raise ModelError(f"scenario {e}") from None
+
     @staticmethod
     def from_json(path: str | Path) -> "ScenarioSpec":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        overrides = [(o, d, parse_cost(v, "scenario override"))
-                     for o, d, v in doc.get("barrier_overrides", [])]
-        a = doc.get("a_override")
         return ScenarioSpec(
             name=doc.get("name", "unnamed"),
-            barrier_overrides=overrides,
-            a_override=parse_cost(a, "scenario override") if a is not None else None,
+            barrier_overrides=doc.get("barrier_overrides", []),
+            a_override=doc.get("a_override"),
             lambda_override=doc.get("lambda_override"),
             interception_overrides=doc.get("interception_overrides", {}),
             yield_overrides=doc.get("yield_overrides", {}),
         )
 
 
-def parse_cost(v, name: str) -> float:
-    """A route cost given as a number, or 'inf'/'blocked' for a blocked route."""
-    if isinstance(v, str) and v.strip().lower() in ("inf", "blocked"):
-        return BLOCKED
-    try:
-        value = float(v)
-    except (TypeError, ValueError):
-        value = math.nan
-    if math.isnan(value) or value == -math.inf:
-        raise ModelError(f"{name} must be a number, 'inf' or 'blocked', got {v!r}")
-    return value
-
-
-def _known_codes(params: ModelParams) -> set[str]:
-    codes = set(params.S) | set(params.I) | set(params.Y)
-    for i, j in params.T:
-        codes.add(i)
-        codes.add(j)
-    return codes
-
-
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     """Return a new ModelParams with the scenario's overrides applied, in order."""
-    known = _known_codes(params)
+    known = params.codes
     out = params.copy()
     for origin_pat, dest_pat, cost in spec.barrier_overrides:
         for pat in (origin_pat, dest_pat):
@@ -85,11 +82,11 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     for code, v in spec.interception_overrides.items():
         if code not in out.I:
             raise UnknownCode(code)
-        out.I[code] = float(v)
+        out.I[code] = v
     for code, v in spec.yield_overrides.items():
         if code not in out.Y:
             raise UnknownCode(code)
-        out.Y[code] = float(v)
+        out.Y[code] = v
     if spec.a_override is not None:
         out.A = spec.a_override
     if spec.lambda_override is not None:
@@ -99,7 +96,7 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
 
 def fortress(params: ModelParams, country: str) -> ModelParams:
     """Block every foreign path into one country; its domestic path survives."""
-    if country not in _known_codes(params):
+    if country not in params.codes:
         raise UnknownCode(country)
     return apply_scenario(params, ScenarioSpec(
         name=f"fortress-{country}",
@@ -142,6 +139,10 @@ def build_network(params: ModelParams) -> RouteNetwork:
     barrier = np.array([[params.barrier(i, j) for j in targets] for i in sources],
                        dtype=float).reshape(len(sources), len(targets))
     attack = np.array([params.I[j] + params.Y[j] for j in targets])
+    # a NaN would make a row's logit all NaN, and a NaN supply drops out of the sources
+    if (np.isnan(barrier).any() or np.isnan(attack).any() or math.isnan(params.A)
+            or np.isnan(list(params.S.values())).any()):
+        raise ModelError("NaN in the barriers, interception, yield, abandon yield or supply")
     routes = np.where(is_blocked(barrier) | is_blocked(attack), BLOCKED, barrier + attack)
     abandon = BLOCKED if is_blocked(params.A) else params.A
     edges = np.column_stack([routes, np.full(len(sources), abandon)])
@@ -261,10 +262,12 @@ def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
                        delta=alt.N - base.N, target_deltas=target_deltas, ranked_targets=ranked)
 
 
+# named scenarios usable directly from the CLI
+BUILTIN_SCENARIOS = {"fortress-USA": lambda params: fortress(params, "USA"),
+                     "homegrown": homegrown}
+
+
 def builtin_scenario(name: str, params: ModelParams) -> ModelParams:
-    """Named scenarios usable directly from the CLI."""
-    if name == "fortress-USA":
-        return fortress(params, "USA")
-    if name == "homegrown":
-        return homegrown(params)
-    raise KeyError(f"no built-in scenario named {name!r}")
+    if name not in BUILTIN_SCENARIOS:
+        raise KeyError(f"no built-in scenario named {name!r}")
+    return BUILTIN_SCENARIOS[name](params)

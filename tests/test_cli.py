@@ -134,6 +134,26 @@ class TestSolve:
         assert run("solve", "--data", str(data), "--out", str(tmp_path / "out")) == 1
         assert f"line {k + 1}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, row, cell, value", [
+        ("countries.csv", "IDN,", 6, "nan"),
+        ("migration.csv", "AFG,AUS,", 2, "nan"),
+        ("distance_km.csv", "AFG,AUS,", 2, "inf"),
+    ], ids=["muslim-pop-nan", "migration-nan", "distance-inf"])
+    def test_non_finite_in_raw_table_exit_1(self, tmp_path, capsys, name, row, cell, value):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        path = data / name
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
+        cells = lines[k].split(",")
+        cells[cell] = value
+        lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        assert run("solve", "--mode", "estimate", "--data", str(data), "--out", out) == 1
+        assert f"line {k + 1}:" in capsys.readouterr().err
+        assert run("validate", "--data", str(data), "--out", out) == 1
+
 
 class TestEstimate:
     def test_writes_tables(self, tmp_path):
@@ -190,7 +210,15 @@ class TestScenario:
         {"a_override": "-inf"},
         {"barrier_overrides": [["*", "USA", "nan"]]},
         {"barrier_overrides": [["*", "USA", "-inf"]]},
-    ], ids=["abandon-nan", "abandon-minus-inf", "barrier-nan", "barrier-minus-inf"])
+        {"yield_overrides": {"USA": "nan"}},
+        {"yield_overrides": {"USA": 0.5}},
+        {"interception_overrides": {"USA": -5}},
+        {"interception_overrides": {"USA": "inf"}},
+        {"lambda_override": "nan"},
+        {"lambda_override": -0.1},
+    ], ids=["abandon-nan", "abandon-minus-inf", "barrier-nan", "barrier-minus-inf",
+            "yield-nan", "yield-positive", "interception-negative", "interception-inf",
+            "lambda-nan", "lambda-negative"])
     def test_non_finite_override_exit_1(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))

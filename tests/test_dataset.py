@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import shutil
 import statistics
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from tnrisk import (
     BLOCKED,
     bundled_data_dir,
     is_blocked,
+    load_bundle,
     load_country_table,
     load_pair_table,
     load_pre_estimated,
@@ -103,6 +105,11 @@ class TestPairTable:
         with pytest.raises(NegativeValue):
             load_pair_table(p, "migration")
 
+    def test_wrong_cell_count(self, tmp_path):
+        p = write(tmp_path, "m.csv", "origin,dest,value\nFRA,DEU,3\nFRA,ITA\n")
+        with pytest.raises(MalformedRow, match="line 3: expected 3 cells in m.csv, got 2"):
+            load_pair_table(p, "migration")
+
     def test_migration_missing_pair_distinct_from_zero(self, tmp_path):
         p = write(tmp_path, "m.csv", "origin,dest,value\nFRA,DEU,0\n")
         t = load_pair_table(p, "migration")
@@ -123,12 +130,14 @@ class TestPreEstimated:
     def test_blocked_parsing(self, tmp_path):
         d = tmp_path
         write(d, "supply.csv", "code,supply\nAAA,10\n")
-        write(d, "interception.csv", "code,cost\nBBB,0\nCCC,1\n")
-        write(d, "yield.csv", "code,yield\nBBB,-1\nCCC,0\n")
-        write(d, "barriers.csv", "origin,dest,cost\nAAA,BBB,1e+200\nAAA,CCC,inf\n")
+        write(d, "interception.csv", "code,cost\nBBB,0\nCCC,1\nDDD,2\n")
+        write(d, "yield.csv", "code,yield\nBBB,-1\nCCC,0\nDDD,-2\n")
+        write(d, "barriers.csv", "origin,dest,cost\nAAA,BBB,1e+200\nAAA,CCC,inf\n"
+                                 "AAA,DDD,blocked\n")
         p = load_pre_estimated(d)
         assert is_blocked(p.T[("AAA", "BBB")])
         assert is_blocked(p.T[("AAA", "CCC")])
+        assert p.T[("AAA", "DDD")] == BLOCKED
         assert p.T[("AAA", "AAA")] == 0.0  # forced diagonal
 
     @pytest.mark.parametrize("name, table", [
@@ -136,11 +145,12 @@ class TestPreEstimated:
         ("interception.csv", "code,cost\nBBB,0\nCCC,inf\n"),
         ("supply.csv", "code,supply\nAAA,10\nDDD,-inf\n"),
         ("barriers.csv", "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,nan\n"),
+        ("barriers.csv", "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,-inf\n"),
         ("supply.csv", "code,supply\nAAA,10\nIDN,-100\n"),
         ("yield.csv", "code,yield\nBBB,-1\nCCC,0.5\n"),
         ("interception.csv", "code,cost\nBBB,0\nCCC,-1\n"),
     ], ids=["yield-nan", "interception-inf", "supply-minus-inf", "barrier-nan",
-            "supply-negative", "yield-positive", "interception-negative"])
+            "barrier-minus-inf", "supply-negative", "yield-positive", "interception-negative"])
     def test_non_finite_rejected(self, tmp_path, name, table):
         d = tmp_path
         write(d, "supply.csv", "code,supply\nAAA,10\n")
@@ -214,6 +224,38 @@ class TestRoundTrip:
             write_pair_table(table, a)
             write_pair_table(load_pair_table(a, kind), b)
             assert a.read_bytes() == b.read_bytes()
+
+
+TABLES = ["countries.csv", "migration.csv", "distance_km.csv", "pre_estimated/supply.csv",
+          "pre_estimated/barriers.csv", "pre_estimated/interception.csv",
+          "pre_estimated/yield.csv"]
+
+
+def _bundle_copy_loader(tmp_path: Path, table: str):
+    """A copy of the bundled data and the loader that reads ``table`` from it."""
+    data = tmp_path / "data"
+    shutil.copytree(bundled_data_dir(), data)
+    if table.startswith("pre_estimated/"):
+        return data, lambda: load_pre_estimated(data / "pre_estimated")
+    return data, lambda: load_bundle(data)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_checks_its_header(tmp_path, table):
+    data, load = _bundle_copy_loader(tmp_path, table)
+    path = data / table
+    path.write_text("code,value\n" + path.read_text().split("\n", 1)[1])
+    with pytest.raises(MalformedRow, match=f"line 1: bad header in {Path(table).name}") as err:
+        load()
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_must_exist(tmp_path, table):
+    data, load = _bundle_copy_loader(tmp_path, table)
+    (data / table).unlink()
+    with pytest.raises(MissingFile, match=Path(table).name):
+        load()
 
 
 def test_bundled_dir_exists():

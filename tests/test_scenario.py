@@ -20,7 +20,7 @@ from tnrisk import (
     solve,
     target_totals,
 )
-from tnrisk.errors import IndexMismatch, ThresholdOutOfRange, UnknownCode
+from tnrisk.errors import IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from tnrisk import scenario
 from tnrisk.scenario import builtin_scenario
 
@@ -242,3 +242,18 @@ def test_random_instances_monotone_in_a():
         curve = deterrence_sweep(p, grid)
         for x, y in zip(curve.totals, curve.totals[1:]):
             assert y >= x - 1e-9
+
+
+@pytest.mark.parametrize("name", ["S", "T", "I", "Y", "A"])
+def test_nan_parameter_rejected(name):
+    p = ModelParams(S={"A": 1.0, "B": 2.0}, T={("A", "X"): 1.0, ("B", "X"): 2.0},
+                    I={"X": 0.0}, Y={"X": -1.0}, A=-5.0)
+    if name == "A":
+        p.A = math.nan
+    else:
+        table = getattr(p, name)
+        table[next(iter(table))] = math.nan
+    with pytest.raises(ModelError, match="NaN"):
+        solve(p)
+    with pytest.raises(ModelError, match="NaN"):
+        deterrence_sweep(p, [-10.0, 0.0])
