@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
 from .errors import ModelError, ThresholdOutOfRange
-from .params import DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out, parse_cost
+from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out,
+                     parse_cost, parse_number)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -63,6 +64,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(args.lam) and args.lam >= 0):
         raise ValueError(f"--lambda must be finite and non-negative, got {args.lam}")
+    q = parse_number(args.q, +1, "--q")
+    if q == 0:
+        raise ValueError("--q must be positive, got 0.0")
     weights, label = _parse_weights(args.weights)
     data_dir = Path(args.data) if args.data else dataset.bundled_data_dir()
     return RunConfig(
@@ -72,7 +76,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         abandon=parse_cost(args.abandon, "--abandon"),
         weights=weights,
         weights_label=label,
-        q=args.q,
+        q=q,
         out_dir=Path(args.out),
         fmt=args.format,
     )
@@ -145,13 +149,17 @@ def cmd_estimate(config: RunConfig) -> int:
 
 
 def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.AttackMatrix":
+    """Solve and write the matrix files; with no prefix (``solve``) also the JSON and plot data."""
     matrix = scn.solve(params)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    evader.write_matrix_csv(matrix, out / f"{prefix}attack_matrix.csv")
+    with_json = config.fmt == "json" or not prefix
+    evader.write_matrix_csv(
+        matrix, out / f"{prefix}attack_matrix.csv",
+        json_path=out / f"{prefix}attack_matrix.json" if with_json else None,
+        # circle areas proportional to plot counts; zero entries omitted
+        plot_path=None if prefix else out / "plot_data.csv")
     evader.write_abandoned_csv(matrix, out / f"{prefix}abandoned.csv")
-    if config.fmt == "json" or prefix == "":
-        evader.write_matrix_json(matrix, out / f"{prefix}attack_matrix.json")
     totals, grand = evader.target_totals(matrix)
     dataset.write_csv(out / f"{prefix}target_totals.csv", ["target", "expected_plots"],
                       [*totals.items(), ("TOTAL", grand)])
@@ -161,11 +169,6 @@ def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.Attack
 def cmd_solve(config: RunConfig) -> int:
     params = _load_params(config)
     matrix = _solve_to_dir(params, config)
-    # circle areas proportional to plot counts; zero entries omitted
-    peak = float(matrix.N.max(initial=0.0))
-    cells = evader.nonzero_cells(matrix.N, matrix.sources, matrix.targets)
-    dataset.write_csv(config.out_dir / "plot_data.csv", ["source", "target", "value", "normalized"],
-                      ((i, t, v, v / peak) for i, t, v in cells))
     dataset.write_json(config.out_dir / "run_metadata.json", {
         "config": _echo(config), "params": params.echo(), "unroutable": _unroutable(matrix),
     })
@@ -188,8 +191,8 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     alt = _solve_to_dir(alt_params, config, prefix="alt_")
     delta = scn.diff_matrices(base, alt)
     out = config.out_dir
-    dataset.write_csv(out / "delta.csv", ["source", "target", "delta"],
-                      evader.nonzero_cells(delta.delta, delta.sources, delta.targets))
+    dataset.write_cells(delta.delta, delta.sources, delta.targets, out / "delta.csv",
+                        ["source", "target", "delta"])
     dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
     dataset.write_json(out / "run_metadata.json", {
         "config": _echo(config), "scenario": name, "params": params.echo(),
@@ -201,8 +204,8 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
 
 
 def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int:
-    if not (a_min < a_max and step > 0):
-        print("error: need a_min < a_max and step > 0", file=sys.stderr)
+    if not (all(map(math.isfinite, (a_min, a_max, step))) and a_min < a_max and step > 0):
+        print("error: need finite a_min < a_max and step > 0", file=sys.stderr)
         return EXIT_USAGE
     params = _load_params(config)
     grid = []

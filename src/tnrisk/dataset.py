@@ -8,11 +8,15 @@ be supplied with ``--data``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     AsymmetricDistance,
@@ -103,8 +107,13 @@ class ValidationReport:
 
 
 def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line, cells) of every non-blank row of a CSV table that has this header."""
+    """(line, cells) of every non-blank row of a CSV table that has this header.
+
+    A country code (column code, origin or dest) must not be blank, and must
+    not contain "->", which joins the two codes of a JSON cell key.
+    """
     path = Path(path)
+    code_columns = [k for k, name in enumerate(header) if name in ("code", "origin", "dest")]
     if not path.is_file():
         raise MissingFile(str(path))
     with path.open(newline="", encoding="utf-8") as f:
@@ -117,6 +126,10 @@ def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]
             if len(row) != len(header):
                 raise MalformedRow(line, f"expected {len(header)} cells in {path.name}, "
                                          f"got {len(row)}")
+            for k in code_columns:
+                if not row[k].strip() or "->" in row[k]:
+                    raise MalformedRow(line, f"{header[k]} in {path.name} must be a country "
+                                             f"code, not blank or with '->', got {row[k]!r}")
             yield line, row
 
 
@@ -280,6 +293,100 @@ def write_json(path: str | Path, doc: dict) -> None:
     with Path(path).open("w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+# cells per block of write_cells: bounds the writer's memory, not what it writes
+BLOCK_CELLS = 4096
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as the csv module writes it as one cell of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # the ",\r\n" after the cell
+
+
+def _row_blocks(n_cols: int, key_order: list[int]) -> Iterator[tuple[int, int]]:
+    """[start, end) row ranges of about BLOCK_CELLS cells.
+
+    A range ends only where the rows before it are also the first rows of
+    ``key_order``, so each range holds the same rows in both orders.
+    """
+    start, last = 0, -1
+    for end, row in enumerate(key_order, start=1):
+        last = max(last, row)
+        if last == end - 1 and ((end - start) * n_cols >= BLOCK_CELLS or end == len(key_order)):
+            yield start, end
+            start = end
+
+
+def _write_lines(f, rows: Iterable) -> None:
+    """CSV lines of cells already formatted as the csv module writes them."""
+    f.write("\r\n".join(map(",".join, rows)))
+    f.write("\r\n")
+
+
+def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str | Path,
+                header: list[str], plot_path: str | Path | None = None,
+                json_file: tuple[str | Path, dict, str] | None = None) -> None:
+    """Write each nonzero cell of ``values`` as a CSV row (row code, column code, value).
+
+    Rows follow row-major order, which is sorted order when the codes are
+    sorted.  One pass over blocks of about BLOCK_CELLS cells formats each
+    value once, as its repr (what csv and json write for a float), and feeds
+    that text to every file:
+
+    - ``plot_path``: the same rows under the header (*header[:2], "value",
+      "normalized"), where normalized is the value over the largest value;
+    - ``json_file`` = (path, doc, key): ``doc`` as :func:`write_json` writes it,
+      with ``doc[key]`` the object mapping "row->col" to the value.  Its keys
+      sort as the row's "code->" and then the column code, which is the sorted
+      order whenever no code contains "->".
+    """
+    row_csv = np.array([_csv_cell(c) for c in rows], dtype=object)
+    col_csv = np.array([_csv_cell(c) for c in cols], dtype=object)
+    key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
+    with ExitStack() as stack:
+        def open_csv(p: str | Path, head: list[str]):
+            f = stack.enter_context(Path(p).open("w", newline="", encoding="utf-8"))
+            csv.writer(f).writerow(head)
+            return f
+
+        out = open_csv(path, header)
+        plot = open_csv(plot_path, [*header[:2], "value", "normalized"]) if plot_path else None
+        peak = values.max(initial=0.0)
+        js = None
+        if json_file:
+            json_path, doc, key = json_file
+            # only top-level keys follow a newline and two spaces: the marker is key's own line
+            marker = f"\n  {json.dumps(key)}: {{}}"
+            head, _, tail = json.dumps({**doc, key: {}}, indent=2, sort_keys=True).partition(marker)
+            js = stack.enter_context(Path(json_path).open("w", encoding="utf-8"))
+            js.write(head + marker[:-1])
+            rank = np.argsort(key_order)  # each row's place in the key order
+            row_key = np.array([f"    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
+            col_key = np.array([f"{json.dumps(c)[1:]}: " for c in cols], dtype=object)
+        wrote = False
+        for start, end in _row_blocks(len(cols), key_order):
+            block = values[start:end]
+            r, c = np.nonzero(block)
+            if not r.size:
+                continue
+            v = block[r, c]
+            r += start
+            text = list(map(repr, v.tolist()))
+            cells = (row_csv[r], col_csv[c], text)
+            _write_lines(out, zip(*cells))
+            if plot:
+                _write_lines(plot, zip(*cells, map(repr, (v / peak).tolist())))
+            if js:
+                k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
+                js.write(",\n" if wrote else "\n")
+                js.write(",\n".join(map("".join, zip(row_key[r[k]], col_key[c[k]],
+                                                      map(text.__getitem__, k.tolist())))))
+            wrote = True
+        if js:
+            js.write(("\n  }" if wrote else "}") + tail + "\n")
 
 
 def write_country_table(records: list[CountryRecord], path: str | Path) -> None:

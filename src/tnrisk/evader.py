@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import write_csv, write_json
+from .dataset import write_cells, write_csv
 
 
 @dataclass
@@ -34,38 +33,31 @@ def target_totals(matrix: AttackMatrix) -> tuple[dict[str, float], float]:
     return dict(zip(matrix.targets, columns)), sum(columns)
 
 
-def nonzero_cells(values: np.ndarray, sources: list[str], targets: list[str]) -> Iterator:
-    """(source, target, value) of every nonzero cell, row by row: sorted, as codes are."""
-    rows, cols = np.nonzero(values)
-    for r, c, v in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
-        yield sources[r], targets[c], v
-
-
 # --- exports -------------------------------------------------------------------
 
-def write_matrix_csv(matrix: AttackMatrix, path: str | Path) -> None:
-    write_csv(path, ["source", "target", "expected_plots"],
-              nonzero_cells(matrix.N, matrix.sources, matrix.targets))
+def write_matrix_csv(matrix: AttackMatrix, path: str | Path, json_path: str | Path | None = None,
+                     plot_path: str | Path | None = None) -> None:
+    """Write the nonzero cells, in sorted (source, target) order, to ``path``.
+
+    In the same pass over the cells, optionally write the JSON document
+    (parameters, codes, cells keyed "source->target", abandoned plots and
+    totals) and the plot data (each cell also over the largest cell).
+    """
+    json_file = None
+    if json_path is not None:
+        totals, grand = target_totals(matrix)
+        json_file = (json_path, {
+            "params": matrix.params_echo,
+            "sources": matrix.sources,
+            "targets": matrix.targets,
+            "abandoned": dict(zip(matrix.sources, matrix.abandoned.tolist())),
+            "target_totals": totals,
+            "grand_total": grand,
+            "total_supply": matrix.total_plots,
+        }, "expected_plots")
+    write_cells(matrix.N, matrix.sources, matrix.targets, path,
+                ["source", "target", "expected_plots"], plot_path, json_file)
 
 
 def write_abandoned_csv(matrix: AttackMatrix, path: str | Path) -> None:
     write_csv(path, ["source", "abandoned"], zip(matrix.sources, matrix.abandoned.tolist()))
-
-
-def matrix_to_json(matrix: AttackMatrix) -> dict:
-    totals, grand = target_totals(matrix)
-    return {
-        "params": matrix.params_echo,
-        "sources": matrix.sources,
-        "targets": matrix.targets,
-        "expected_plots": {f"{i}->{t}": v
-                           for i, t, v in nonzero_cells(matrix.N, matrix.sources, matrix.targets)},
-        "abandoned": dict(zip(matrix.sources, matrix.abandoned.tolist())),
-        "target_totals": totals,
-        "grand_total": grand,
-        "total_supply": matrix.total_plots,
-    }
-
-
-def write_matrix_json(matrix: AttackMatrix, path: str | Path) -> None:
-    write_json(path, matrix_to_json(matrix))

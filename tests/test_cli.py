@@ -93,12 +93,23 @@ class TestSolve:
         assert meta["params"]["lambda"] == 0.2
 
     def test_determinism(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run("solve", "--out", str(a))
-        run("solve", "--out", str(b))
-        for name in ("attack_matrix.csv", "attack_matrix.json", "target_totals.csv",
-                     "plot_data.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        """Every file of solve and scenario, in both formats, is the same run to run."""
+        for k, (argv, some) in enumerate([
+            (["solve"], {"attack_matrix.csv", "attack_matrix.json", "plot_data.csv"}),
+            (["solve", "--format", "json"], {"attack_matrix.json", "plot_data.csv"}),
+            (["scenario", "fortress-USA"], {"base_attack_matrix.csv", "alt_attack_matrix.csv",
+                                            "delta.csv", "ranked_gainers.csv"}),
+            (["scenario", "homegrown", "--format", "json"],
+             {"base_attack_matrix.json", "alt_attack_matrix.json", "delta.csv"}),
+        ]):
+            a, b = tmp_path / f"{k}a", tmp_path / f"{k}b"
+            assert run(*argv, "--out", str(a)) == 0
+            assert run(*argv, "--out", str(b)) == 0
+            names = sorted(f.name for f in a.iterdir())
+            assert names == sorted(f.name for f in b.iterdir())
+            assert some <= set(names), argv
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (argv, name)
 
     def test_estimate_mode_close_to_pre(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -109,6 +120,25 @@ class TestSolve:
         assert ta["TOTAL"] == pytest.approx(tb["TOTAL"], rel=0.05)
         assert max(ta, key=lambda t: ta[t] if t != "TOTAL" else -1) == \
             max(tb, key=lambda t: tb[t] if t != "TOTAL" else -1)
+
+    @pytest.mark.parametrize("q", ["-1", "0", "nan", "inf"])
+    def test_bad_q_exit_2(self, tmp_path, capsys, q):
+        out = str(tmp_path / "out")
+        assert run("solve", "--mode", "estimate", "--out", out, f"--q={q}") == 2
+        assert capsys.readouterr().err.startswith("error: --q ")
+        assert not (tmp_path / "out").exists()
+
+    def test_blank_code_exit_1(self, tmp_path, capsys):
+        """A blank code is an error naming the file and line, not a country named ''."""
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        supply = data / "pre_estimated" / "supply.csv"
+        line = [ln.split(",")[0] for ln in supply.read_text().splitlines()].index("IDN") + 1
+        for path in (supply, data / "pre_estimated" / "barriers.csv"):
+            path.write_text(path.read_text().replace("IDN,", ","))
+        assert run("solve", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        assert f"line {line}: code in supply.csv must be a country code" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         assert run("solve", "--out", str(tmp_path), "--weights", "0.5,0.25") == 2
@@ -248,6 +278,30 @@ class TestSweep:
 
     def test_bad_grid_exit_2(self, tmp_path):
         assert run("sweep", "--out", str(tmp_path), "--a-min", "5", "--a-max", "-5") == 2
+
+    @pytest.mark.parametrize("bound", ["--a-max=inf", "--a-min=-inf", "--step=inf",
+                                       "--a-max=nan"])
+    def test_non_finite_grid_exit_2(self, tmp_path, bound):
+        """Rejected before the grid is built; run in a child with a time and memory limit,
+        since building an unbounded grid never ends."""
+        limit = None
+        if sys.platform != "win32":
+            import resource
+
+            def limit():  # a runaway grid fails on memory rather than filling the host's
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        src = Path(tnrisk.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        try:
+            done = subprocess.run([sys.executable, "-m", "tnrisk.cli", "sweep", bound,
+                                   "--out", str(tmp_path / "out")], env=env, preexec_fn=limit,
+                                  capture_output=True, text=True, timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"sweep {bound} still running after 20 s")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: need finite")
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_script_installed(tmp_path):

@@ -250,6 +250,17 @@ def test_every_table_checks_its_header(tmp_path, table):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("code", ["", "A->B"], ids=["blank", "arrow"])
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_checks_its_codes(tmp_path, table, code):
+    data, load = _bundle_copy_loader(tmp_path, table)
+    path = data / table
+    header, first, rest = path.read_text().split("\n", 2)
+    path.write_text("\n".join([header, code + first[first.index(","):], rest]))
+    with pytest.raises(MalformedRow, match=f"line 2: {header.split(',')[0]} in {path.name}"):
+        load()
+
+
 @pytest.mark.parametrize("table", TABLES)
 def test_every_table_must_exist(tmp_path, table):
     data, load = _bundle_copy_loader(tmp_path, table)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tnrisk import BLOCKED, ModelParams, fortress, homegrown, solve, target_totals
 from tnrisk.errors import EmptyTargets
-from tnrisk.evader import matrix_to_json
+from tnrisk.evader import write_matrix_csv
 
 from conftest import cell_dict, random_params, tiny_params
 from oracle import (
@@ -149,12 +150,14 @@ class TestAttackMatrix:
         assert grand == pytest.approx(sum(totals.values()))
         assert grand == pytest.approx(m.N.sum())
 
-    def test_json_document(self, pre_params):
+    def test_json_document(self, pre_params, tmp_path):
         m = solve(pre_params)
-        doc = matrix_to_json(m)
+        write_matrix_csv(m, tmp_path / "m.csv", json_path=tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
         assert doc["params"]["lambda"] == 0.1
         assert doc["grand_total"] == pytest.approx(m.N.sum())
         assert set(doc["target_totals"]) == set(m.targets)
+        assert doc["expected_plots"] == {f"{i}->{t}": v for (i, t), v in cell_dict(m).items()}
 
     def test_empty_targets(self):
         with pytest.raises(EmptyTargets):
