@@ -21,6 +21,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+# the most points a sweep grid may have; its per-target table is this many rows
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass
 class RunConfig:
@@ -207,12 +210,14 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
     if not (all(map(math.isfinite, (a_min, a_max, step))) and a_min < a_max and step > 0):
         print("error: need finite a_min < a_max and step > 0", file=sys.stderr)
         return EXIT_USAGE
+    # a point up to 1e-9 past a_max is kept, so rounding cannot drop the last one
+    points = (a_max - a_min + 1e-9) / step + 1
+    if points > MAX_GRID_POINTS:
+        print(f"error: a grid from {a_min} to {a_max} by {step} has more than "
+              f"{MAX_GRID_POINTS} points", file=sys.stderr)
+        return EXIT_USAGE
     params = _load_params(config)
-    grid = []
-    a = a_min
-    while a <= a_max + 1e-9:
-        grid.append(round(a, 9))
-        a += step
+    grid = [round(a_min + k * step, 9) for k in range(int(points))]
     curve = scn.deterrence_sweep(params, grid)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ from .errors import (
     AsymmetricDistance,
     CodeMismatch,
     DuplicateCode,
+    DuplicatePair,
     MalformedRow,
     MissingFile,
     NegativeValue,
 )
-from .params import ModelParams, parse_cost, parse_number
+from .params import Barriers, ModelParams, parse_cost, parse_costs, parse_number
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
@@ -106,31 +108,69 @@ class ValidationReport:
         return [f"{kind}\t{loc}\t{msg}" for kind, loc, msg in self.entries]
 
 
-def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line, cells) of every non-blank row of a CSV table that has this header.
+# cells per block of the table reader and of write_cells: bounds their memory, not what they do
+BLOCK_CELLS = 4096
 
-    A country code (column code, origin or dest) must not be blank, and must
-    not contain "->", which joins the two codes of a JSON cell key.
+
+def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+    """(lines, columns) of the non-blank rows of a CSV table that has this header.
+
+    Row k is on line ``lines[k]`` and has ``columns[c][k]`` in column c.  Every
+    row must have one cell per header column.  A country code (column code,
+    origin or dest) must not be blank, and must not contain "->", which joins
+    the two codes of a JSON cell key; each distinct code is checked once.  A
+    bad cell count is reported before a bad code, each at its earliest row.
     """
     path = Path(path)
-    code_columns = [k for k, name in enumerate(header) if name in ("code", "origin", "dest")]
     if not path.is_file():
         raise MissingFile(str(path))
+    width = len(header)
+    columns: list[list[str]] = [[] for _ in header]
+    is_code = [name in ("code", "origin", "dest") for name in header]
+    code_cells: dict[str, str] = {}  # each distinct code is held as one string, not once a row
+    blank: set[int] = set()
     with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         if next(reader, None) != header:
             raise MalformedRow(1, f"bad header in {path.name}, expected {','.join(header)}")
-        for line, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(line, f"expected {len(header)} cells in {path.name}, "
-                                         f"got {len(row)}")
-            for k in code_columns:
-                if not row[k].strip() or "->" in row[k]:
-                    raise MalformedRow(line, f"{header[k]} in {path.name} must be a country "
-                                             f"code, not blank or with '->', got {row[k]!r}")
-            yield line, row
+        line = 2
+        # one block of rows is held at a time, as tuples of strings, which the
+        # cyclic garbage collector stops scanning
+        for rows in iter(lambda: list(map(tuple, islice(reader, BLOCK_CELLS // width))), []):
+            numbered = range(line, line + len(rows))
+            line = numbered.stop
+            # a blank row has a blank first cell; where one may exist, rows are checked one by one
+            if set(map(len, rows)) != {width} or not all(map(str.strip, {r[0] for r in rows})):
+                kept = []
+                for n, row in zip(numbered, rows):
+                    if not any(map(str.strip, row)):
+                        blank.add(n)
+                    elif len(row) != width:
+                        raise MalformedRow(n, f"expected {width} cells in {path.name}, "
+                                              f"got {len(row)}")
+                    else:
+                        kept.append(row)
+                rows = kept
+            for k, column in enumerate(columns):
+                cells = [row[k] for row in rows]
+                column += map(code_cells.setdefault, cells, cells) if is_code[k] else cells
+    lines: Sequence[int] = range(2, line)
+    if blank:
+        lines = [n for n in lines if n not in blank]
+    for name, column, code in zip(header, columns, is_code):
+        if code:
+            bad = [c for c in set(column) if not c.strip() or "->" in c]
+            if bad:
+                k = min(map(column.index, bad))
+                raise MalformedRow(lines[k], f"{name} in {path.name} must be a country code, "
+                                             f"not blank or with '->', got {column[k]!r}")
+    return lines, columns
+
+
+def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line, cells) of every non-blank row of a table, as :func:`_table` reads it."""
+    lines, columns = _table(path, header)
+    return zip(lines, zip(*columns))
 
 
 def _parse_float(cell: str, line: int, name: str, required: bool = True,
@@ -210,29 +250,63 @@ def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
     return out
 
 
+def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> Barriers:
+    """barriers.csv as one matrix whose axis is every code of the four tables.
+
+    An off-diagonal row needs an origin in supply.csv and a destination with
+    interception or yield data.  A diagonal row loads as 0.0, as does each
+    supply code's domestic pair the file leaves out.  Each check runs once over
+    whole columns; where rows fail several, the first failing row is reported,
+    for the first check it fails in the order origin, destination, cost, sign.
+    """
+    lines, (origins, dests, cells) = _table(path, ["origin", "dest", "cost"])
+    cells_of_codes = {*origins, *dests}  # each distinct cell is stripped and indexed once
+    codes = sorted({*supply, *targets, *map(str.strip, cells_of_codes)})
+    index = {c: k for k, c in enumerate(codes)}
+    at = {cell: index[cell.strip()] for cell in cells_of_codes}
+    rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
+                  for column in (origins, dests))
+    in_supply, in_targets = np.zeros((2, len(codes)), dtype=bool)
+    in_supply[[index[c] for c in supply]] = True
+    in_targets[[index[c] for c in targets]] = True
+    values = parse_costs(cells)
+    foreign = rows != cols
+    # row-major: the earliest row first, then the earliest check in that row
+    faults = np.column_stack([foreign & ~in_supply[rows], foreign & ~in_targets[cols],
+                              np.isnan(values), values < 0])
+    if faults.any():
+        k, check = divmod(int(faults.argmax()), faults.shape[1])
+        origin, dest, line = origins[k].strip(), dests[k].strip(), lines[k]
+        if check == 0:
+            raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
+        if check == 1:
+            raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
+        if check == 2:
+            try:
+                parse_cost(cells[k], "cost in barriers.csv")
+            except ValueError as e:
+                raise MalformedRow(line, str(e)) from None
+        raise NegativeValue(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
+    pairs = rows * len(codes) + cols
+    seen = np.zeros(len(codes) ** 2, dtype=bool)
+    seen[pairs] = True
+    if np.count_nonzero(seen) < len(pairs):
+        first: dict[int, int] = {}
+        for k, pair in enumerate(pairs.tolist()):
+            if first.setdefault(pair, k) != k:
+                raise DuplicatePair((origins[k].strip(), dests[k].strip()),
+                                    lines[first[pair]], lines[k])
+    values[~foreign] = 0.0
+    return Barriers.listing(codes, rows, cols, values, map(index.__getitem__, supply))
+
+
 def load_pre_estimated(directory: str | Path) -> ModelParams:
     """Load the four pre-estimated parameter tables from a directory."""
     directory = Path(directory)
     supply = _load_vector(directory / "supply.csv", "supply", +1)
     interception = _load_vector(directory / "interception.csv", "cost", +1)
     yields = _load_vector(directory / "yield.csv", "yield", -1)
-
-    barriers: dict[tuple[str, str], float] = {}
-    known_targets = set(interception) | set(yields)
-    for line, row in _rows(directory / "barriers.csv", ["origin", "dest", "cost"]):
-        origin, dest = row[0].strip(), row[1].strip()
-        if origin != dest and origin not in supply:
-            raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
-        if origin != dest and dest not in known_targets:
-            raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
-        try:
-            cost = parse_cost(row[2], "cost in barriers.csv")
-        except ValueError as e:
-            raise MalformedRow(line, str(e)) from None
-        if cost < 0:
-            raise NegativeValue(f"line {line}: barrier {origin},{dest} = {cost}")
-        barriers[(origin, dest)] = 0.0 if origin == dest else cost
-    # ModelParams adds the zero diagonal of every supply code the file leaves out
+    barriers = _load_barriers(directory / "barriers.csv", supply, {*interception, *yields})
     return ModelParams(S=supply, T=barriers, I=interception, Y=yields)
 
 
@@ -293,10 +367,6 @@ def write_json(path: str | Path, doc: dict) -> None:
     with Path(path).open("w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-# cells per block of write_cells: bounds the writer's memory, not what it writes
-BLOCK_CELLS = 4096
 
 
 def _csv_cell(text: str) -> str:

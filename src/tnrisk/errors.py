@@ -21,6 +21,13 @@ class DuplicateCode(ModelError):
         self.code = code
 
 
+class DuplicatePair(ModelError):
+    def __init__(self, pair: tuple[str, str], first: int, again: int):
+        super().__init__(f"duplicate pair {pair[0]!r},{pair[1]!r} on lines {first} and {again}")
+        self.pair = pair
+        self.lines = (first, again)
+
+
 class AsymmetricDistance(ModelError):
     def __init__(self, origin: str, dest: str):
         super().__init__(f"distance {origin}-{dest} given in both directions with different values")

@@ -9,7 +9,10 @@ exponentials is numerically unsafe.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 BLOCKED = math.inf
 
@@ -33,6 +36,24 @@ def parse_cost(v, name: str = "cost") -> float:
     if math.isnan(value) or value == -math.inf:
         raise ValueError(f"{name} must be a number, 'inf' or 'blocked', got {v!r}")
     return BLOCKED if value >= _BLOCKED_FLOOR else value
+
+
+def parse_costs(cells) -> np.ndarray:
+    """Cells as :func:`parse_cost` reads each one, with NaN where it raises."""
+    try:
+        values = np.array(cells, dtype=float)  # parses each cell as float() does
+    except ValueError:  # a word such as 'blocked', or bad text: cell by cell
+        values = np.array([_cost_or_nan(c) for c in cells], dtype=float)
+    values[values == -math.inf] = math.nan
+    values[values >= _BLOCKED_FLOOR] = BLOCKED
+    return values
+
+
+def _cost_or_nan(cell) -> float:
+    try:
+        return parse_cost(cell)
+    except ValueError:
+        return math.nan
 
 
 def cost_out(value: float) -> float | str:
@@ -81,19 +102,72 @@ DEFAULT_LAMBDA = 0.1
 DEFAULT_Q = 0.002
 
 
+class Barriers(Mapping):
+    """Translocation costs as one code x code matrix, read as a {(origin, dest): cost} mapping.
+
+    ``codes`` is the sorted axis of both the rows (origins) and the columns
+    (destinations).  ``cost`` holds what the solver uses: the listed cost, or
+    BLOCKED for a pair no table lists.  ``listed`` marks the pairs the mapping
+    holds, so a pair listed as blocked ('inf' in barriers.csv) stays apart from
+    a missing one.  Both arrays are read-only; a scenario edits copies.
+    """
+
+    def __init__(self, codes: list[str], cost: np.ndarray, listed: np.ndarray):
+        cost.flags.writeable = listed.flags.writeable = False
+        self.codes = codes
+        self.index = {c: k for k, c in enumerate(codes)}
+        self.cost = cost
+        self.listed = listed
+
+    @classmethod
+    def listing(cls, codes: list[str], rows, cols, values, home: Iterable[int]) -> "Barriers":
+        """Pair k is (codes[rows[k]], codes[cols[k]]) at cost values[k].
+
+        The domestic pair of each ``home`` index that no pair lists costs 0.0.
+        """
+        n = len(codes)
+        rows, cols, home = (np.asarray(a, dtype=np.intp) for a in (rows, cols, list(home)))
+        cost = np.full((n, n), BLOCKED)
+        listed = np.zeros((n, n), dtype=bool)
+        cost[rows, cols] = values
+        listed[rows, cols] = True
+        home = home[~listed[home, home]]
+        cost[home, home] = 0.0
+        listed[home, home] = True
+        return cls(codes, cost, listed)
+
+    def __getitem__(self, pair: tuple[str, str]) -> float:
+        origin, dest = pair
+        at = self.index.get(origin), self.index.get(dest)
+        if None in at or not self.listed[at]:
+            raise KeyError(pair)
+        return float(self.cost[at])
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        rows, cols = np.nonzero(self.listed)
+        return zip(map(self.codes.__getitem__, rows.tolist()),
+                   map(self.codes.__getitem__, cols.tolist()))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.listed))
+
+
 @dataclass
 class ModelParams:
     """Estimated model inputs for the attack-allocation solver.
 
     S: expected plot counts per source country
-    T: translocation cost per (origin, destination); missing pairs are BLOCKED
+    T: translocation cost per (origin, destination); missing pairs are BLOCKED.
+       Given as a dict or as :class:`Barriers`, held as Barriers, whose code
+       axis covers every code of S, I, Y and T when the parameters are made.
+       Each supply code's domestic pair costs 0.0 unless T lists it.
     I: interception cost per target country
     Y: attack yield per target country (non-positive)
     A: abandon yield; BLOCKED disables abandoning
     """
 
     S: dict[str, float]
-    T: dict[tuple[str, str], float]
+    T: Mapping[tuple[str, str], float]
     I: dict[str, float]
     Y: dict[str, float]
     A: float = BLOCKED
@@ -102,10 +176,12 @@ class ModelParams:
     weights_label: str = "default"
 
     def __post_init__(self):
-        # domestic operations carry negligible barriers; the caller's dict is left as passed
-        self.T = dict(self.T)
-        for code in self.S:
-            self.T.setdefault((code, code), 0.0)
+        if not isinstance(self.T, Barriers):  # the caller's dict is left as passed
+            codes = sorted({*self.S, *self.I, *self.Y}.union(*self.T))
+            index = {c: k for k, c in enumerate(codes)}
+            self.T = Barriers.listing(codes, [index[i] for i, _ in self.T],
+                                      [index[j] for _, j in self.T], list(self.T.values()),
+                                      map(index.__getitem__, self.S))
 
     @property
     def sources(self) -> list[str]:
@@ -118,15 +194,11 @@ class ModelParams:
     @property
     def codes(self) -> set[str]:
         """Every country code that any parameter table mentions."""
-        return set(self.S) | set(self.I) | set(self.Y) | {c for pair in self.T for c in pair}
-
-    def barrier(self, origin: str, dest: str) -> float:
-        if origin == dest:
-            return 0.0
-        return self.T.get((origin, dest), BLOCKED)
+        return set(self.T.codes)
 
     def copy(self) -> "ModelParams":
-        return replace(self, S=dict(self.S), T=dict(self.T), I=dict(self.I), Y=dict(self.Y))
+        """A copy whose S, I and Y dicts are its own (T is read-only, so it is shared)."""
+        return replace(self, S=dict(self.S), I=dict(self.I), Y=dict(self.Y))
 
     def echo(self) -> dict:
         """Scalar parameters for reproducibility metadata."""

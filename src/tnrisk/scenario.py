@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyTargets, IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .evader import AttackMatrix
-from .params import BLOCKED, ModelParams, is_blocked, parse_cost, parse_number
+from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_number
 
 
 @dataclass
@@ -65,20 +65,22 @@ class ScenarioSpec:
 
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     """Return a new ModelParams with the scenario's overrides applied, in order."""
-    known = params.codes
     out = params.copy()
-    for origin_pat, dest_pat, cost in spec.barrier_overrides:
-        for pat in (origin_pat, dest_pat):
-            if pat != "*" and pat not in known:
-                raise UnknownCode(pat)
-        origins = sorted(known) if origin_pat == "*" else [origin_pat]
-        dests = sorted(known) if dest_pat == "*" else [dest_pat]
-        for i in origins:
-            for j in dests:
-                # wildcards never touch domestic barriers
-                if i == j and "*" in (origin_pat, dest_pat):
-                    continue
-                out.T[(i, j)] = cost
+    if spec.barrier_overrides:
+        index = params.T.index
+        cost, listed = params.T.cost.copy(), params.T.listed.copy()
+        for origin, dest, value in spec.barrier_overrides:
+            for pat in (origin, dest):
+                if pat != "*" and pat not in index:
+                    raise UnknownCode(pat)
+            cells = tuple(slice(None) if pat == "*" else index[pat] for pat in (origin, dest))
+            home = cost.diagonal().copy(), listed.diagonal().copy()
+            cost[cells] = value
+            listed[cells] = True
+            if "*" in (origin, dest):  # wildcards never touch domestic barriers
+                np.fill_diagonal(cost, home[0])
+                np.fill_diagonal(listed, home[1])
+        out.T = Barriers(params.T.codes, cost, listed)
     for code, v in spec.interception_overrides.items():
         if code not in out.I:
             raise UnknownCode(code)
@@ -106,10 +108,10 @@ def fortress(params: ModelParams, country: str) -> ModelParams:
 
 def homegrown(params: ModelParams) -> ModelParams:
     """Block every transnational path; only domestic attacks remain."""
+    cost = np.full_like(params.T.cost, BLOCKED)
+    np.fill_diagonal(cost, params.T.cost.diagonal())
     out = params.copy()
-    for (i, j) in out.T:
-        if i != j:
-            out.T[(i, j)] = BLOCKED
+    out.T = Barriers(params.T.codes, cost, params.T.listed)
     return out
 
 
@@ -136,8 +138,9 @@ def build_network(params: ModelParams) -> RouteNetwork:
     if not targets:
         raise EmptyTargets("no country has both interception and yield data")
     sources = params.sources
-    barrier = np.array([[params.barrier(i, j) for j in targets] for i in sources],
-                       dtype=float).reshape(len(sources), len(targets))
+    rows, cols = (np.array([params.T.index[c] for c in codes], dtype=np.intp)
+                  for codes in (sources, targets))
+    barrier = params.T.cost[np.ix_(rows, cols)]
     attack = np.array([params.I[j] + params.Y[j] for j in targets])
     # a NaN would make a row's logit all NaN, and a NaN supply drops out of the sources
     if (np.isnan(barrier).any() or np.isnan(attack).any() or math.isnan(params.A)

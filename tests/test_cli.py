@@ -13,7 +13,7 @@ import pytest
 
 import tnrisk
 from tnrisk import fortress, solve
-from tnrisk.cli import main
+from tnrisk.cli import MAX_GRID_POINTS, main
 from tnrisk.dataset import bundled_data_dir
 
 from conftest import cell_dict
@@ -284,24 +284,49 @@ class TestSweep:
     def test_non_finite_grid_exit_2(self, tmp_path, bound):
         """Rejected before the grid is built; run in a child with a time and memory limit,
         since building an unbounded grid never ends."""
-        limit = None
-        if sys.platform != "win32":
-            import resource
-
-            def limit():  # a runaway grid fails on memory rather than filling the host's
-                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        src = Path(tnrisk.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        try:
-            done = subprocess.run([sys.executable, "-m", "tnrisk.cli", "sweep", bound,
-                                   "--out", str(tmp_path / "out")], env=env, preexec_fn=limit,
-                                  capture_output=True, text=True, timeout=20)
-        except subprocess.TimeoutExpired:
-            pytest.fail(f"sweep {bound} still running after 20 s")
+        done = sweep_in_child(tmp_path, bound)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: need finite")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", [("--a-min=1e17", "--a-max=2e17", "--step=1"),
+                                      ("--step=1e-12",), ("--step=1e-320",),
+                                      ("--a-min=0", f"--a-max={MAX_GRID_POINTS}", "--step=1")],
+                             ids=["step-below-spacing", "tiny-step", "subnormal-step",
+                                  "one-point-over"])
+    def test_grid_over_point_limit_exit_2(self, tmp_path, grid):
+        """The point count comes from the bounds: where a + step == a, or the step is tiny,
+        the grid is refused before it is built."""
+        done = sweep_in_child(tmp_path, *grid)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: a grid from") and "points" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_from_point_count(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("sweep", "--out", str(out), "--a-min", "0", "--a-max", "1",
+                   "--step", "0.1") == 0
+        a = [float(r["A"]) for r in read_csv(out / "sweep.csv")]
+        assert a == [round(k * 0.1, 9) for k in range(11)]
+
+
+def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:
+    """``tnrisk sweep`` in a child with a 20 s timeout and a 1 GiB address-space limit."""
+    limit = None
+    if sys.platform != "win32":
+        import resource
+
+        def limit():  # a runaway grid fails on memory rather than filling the host's
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    src = Path(tnrisk.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    try:
+        return subprocess.run([sys.executable, "-m", "tnrisk.cli", "sweep", *grid,
+                               "--out", str(tmp_path / "out")], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"sweep {' '.join(grid)} still running after 20 s")
 
 
 def test_console_script_installed(tmp_path):

@@ -3,9 +3,13 @@ from __future__ import annotations
 import math
 import shutil
 import statistics
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnrisk import (
     BLOCKED,
@@ -15,6 +19,7 @@ from tnrisk import (
     load_country_table,
     load_pair_table,
     load_pre_estimated,
+    solve,
     validate_bundle,
 )
 from tnrisk.dataset import (
@@ -28,10 +33,15 @@ from tnrisk.errors import (
     AsymmetricDistance,
     CodeMismatch,
     DuplicateCode,
+    DuplicatePair,
     MalformedRow,
     MissingFile,
     NegativeValue,
 )
+from tnrisk.estimation import write_params_csv
+from tnrisk.scenario import build_network
+
+from conftest import random_params
 
 HEADER = ",".join(COUNTRY_HEADER)
 
@@ -175,6 +185,50 @@ class TestPreEstimated:
         with pytest.raises(CodeMismatch):
             load_pre_estimated(d)
 
+    def test_unknown_destination(self, tmp_path):
+        barriers = "origin,dest,cost\nAAA,BBB,1.0\nAAA,ZZZ,1.0\n"
+        with pytest.raises(CodeMismatch, match="destination 'ZZZ'"):
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+
+    def test_diagonal_rows_load_as_zero(self, tmp_path):
+        """A diagonal row needs no supply or target data, and costs 0.0 whatever it lists."""
+        p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB,1.0\n"
+                                                     "AAA,AAA,5.0\nZZZ,ZZZ,inf\n"))
+        assert p.T[("AAA", "AAA")] == 0.0 and p.T[("ZZZ", "ZZZ")] == 0.0
+        assert "ZZZ" in p.codes
+
+    def test_full_width_blank_row_skipped(self, tmp_path):
+        p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB,1.0\n"
+                                                     " , , \nAAA,CCC,2.0\n"))
+        assert dict(p.T) == {("AAA", "AAA"): 0.0, ("AAA", "BBB"): 1.0, ("AAA", "CCC"): 2.0}
+
+    def test_bad_cost_after_blank_rows(self, tmp_path):
+        barriers = "origin,dest,cost\n\n , , \nAAA,BBB,1.0\nAAA,CCC,lots\n"
+        with pytest.raises(MalformedRow, match="line 5: cost in barriers.csv") as err:
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+        assert err.value.line == 5
+
+    def test_blocked_word_among_numbers(self, tmp_path):
+        p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB, Blocked \n"
+                                                     "AAA,CCC,1_000\n"))
+        assert p.T[("AAA", "BBB")] == BLOCKED and p.T[("AAA", "CCC")] == 1000.0
+
+    def test_first_failing_row_reported(self, tmp_path):
+        """Of several bad rows the earliest is reported, whichever check it fails."""
+        barriers = "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,-2\nZZZ,BBB,nan\n"
+        with pytest.raises(NegativeValue, match="line 3: barrier AAA,CCC = -2.0"):
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+        barriers = "origin,dest,cost\nAAA,BBB,1.0\nZZZ,CCC,-2\nAAA,BBB,nan\n"
+        with pytest.raises(CodeMismatch, match="origin 'ZZZ'"):
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+
+    @pytest.mark.parametrize("again", ["AAA,BBB,3.0", " AAA , BBB ,1.0"])
+    def test_duplicate_pair(self, tmp_path, again):
+        barriers = f"origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,2.0\n{again}\n"
+        with pytest.raises(DuplicatePair, match="'AAA','BBB' on lines 2 and 4") as err:
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+        assert err.value.pair == ("AAA", "BBB") and err.value.lines == (2, 4)
+
     def test_bundled_medians(self, pre_params):
         offdiag = [v for (i, j), v in pre_params.T.items() if i != j and not is_blocked(v)]
         assert statistics.median(offdiag) == pytest.approx(1.0, abs=0.05)
@@ -182,6 +236,31 @@ class TestPreEstimated:
         assert statistics.median(pre_params.I.values()) == pytest.approx(1.0, abs=0.05)
         assert min(pre_params.I.values()) == 0.0
         assert max(pre_params.Y.values()) == 0.0
+
+
+def pre_tables(d: Path, barriers: str) -> Path:
+    """Supply AAA, targets BBB, CCC and DDD, and the given barriers.csv."""
+    write(d, "supply.csv", "code,supply\nAAA,10\n")
+    write(d, "interception.csv", "code,cost\nBBB,0\nCCC,1\nDDD,2\n")
+    write(d, "yield.csv", "code,yield\nBBB,-1\nCCC,0\nDDD,-2\n")
+    write(d, "barriers.csv", barriers)
+    return d
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_written_tables_load_as_built(seed):
+    """Written and loaded again, parameters built from dicts keep their pairs and their solve."""
+    p = random_params(np.random.default_rng(seed), blocked_fraction=0.3)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_params_csv(p, tmp)
+        q = load_pre_estimated(tmp)
+    q.A, q.lam = p.A, p.lam
+    assert q.T == p.T and list(q.T) == sorted(p.T)
+    assert build_network(q).edges.tobytes() == build_network(p).edges.tobytes()
+    a, b = solve(q), solve(p)
+    for name in ("N", "abandoned", "unroutable"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestValidation:

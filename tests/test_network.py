@@ -89,8 +89,8 @@ class TestLeastCost:
             net = build_network(p)
             costs = least_cost_to_end(net)
             for i in p.sources:
-                options = [p.barrier(i, j) + p.I[j] + p.Y[j] for j in p.targets
-                           if not is_blocked(p.barrier(i, j))]
+                options = [p.T.get((i, j), BLOCKED) + p.I[j] + p.Y[j] for j in p.targets
+                           if not is_blocked(p.T.get((i, j), BLOCKED))]
                 if not is_blocked(p.A):
                     options.append(p.A)
                 expected = min(options) if options else BLOCKED

@@ -41,6 +41,29 @@ class TestApplyScenario:
             barrier_overrides=[("USA", "USA", BLOCKED)]))
         assert is_blocked(out.T[("USA", "USA")])
 
+    def test_explicit_diagonal_override_solved(self, params):
+        """An explicit domestic barrier is solved as given, not as 0."""
+        out = apply_scenario(params, ScenarioSpec(barrier_overrides=[("USA", "USA", "inf")]))
+        base, alt = solve(params), solve(out)
+        usa = base.sources.index("USA"), base.targets.index("USA")
+        assert base.N[usa] > 0 and alt.N[usa] == 0.0
+        assert alt.N[usa[0]].sum() == pytest.approx(base.N[usa[0]].sum())
+
+    def test_diagonal_given_to_constructor_solved(self):
+        p = ModelParams(S={"A": 10.0}, T={("A", "A"): 50.0, ("A", "X"): 1.0},
+                        I={"A": 0.5, "X": 2.0}, Y={"A": -3.0, "X": -1.0}, lam=0.1)
+        u = np.array([50.0 + 0.5 - 3.0, 1.0 + 2.0 - 1.0])  # targets A, X
+        w = np.exp(-0.1 * u)
+        assert solve(p).N[0] == pytest.approx(10.0 * w / w.sum(), rel=1e-12)
+
+    def test_wildcards_keep_the_diagonal(self, params):
+        out = apply_scenario(params, ScenarioSpec(barrier_overrides=[("USA", "USA", 7.0),
+                                                                     ("*", "*", 3.0),
+                                                                     ("USA", "*", BLOCKED)]))
+        assert out.T[("USA", "USA")] == 7.0 and out.T[("FRA", "FRA")] == 0.0
+        assert out.T[("FRA", "USA")] == 3.0 and is_blocked(out.T[("USA", "FRA")])
+        assert homegrown(out).T[("USA", "USA")] == 7.0
+
     def test_a_and_lambda_overrides(self, params):
         out = apply_scenario(params, ScenarioSpec(a_override=-35.0, lambda_override=0.2))
         assert out.A == -35.0 and out.lam == 0.2
@@ -98,8 +121,7 @@ class TestFortress:
             assert alt.N[k].sum() + alt.abandoned[k] == pytest.approx(params.S[i])
 
     def test_unreachable_country_noop(self):
-        p = tiny_params()
-        p.T[("SRC", "FRA")] = BLOCKED
+        p = apply_scenario(tiny_params(), ScenarioSpec(barrier_overrides=[("SRC", "FRA", BLOCKED)]))
         base = solve(p)
         alt = solve(fortress(p, "FRA"))
         assert cell_dict(diff_matrices(base, alt)) == {}
@@ -246,11 +268,11 @@ def test_random_instances_monotone_in_a():
 
 @pytest.mark.parametrize("name", ["S", "T", "I", "Y", "A"])
 def test_nan_parameter_rejected(name):
-    p = ModelParams(S={"A": 1.0, "B": 2.0}, T={("A", "X"): 1.0, ("B", "X"): 2.0},
-                    I={"X": 0.0}, Y={"X": -1.0}, A=-5.0)
+    T = {("A", "X"): math.nan if name == "T" else 1.0, ("B", "X"): 2.0}
+    p = ModelParams(S={"A": 1.0, "B": 2.0}, T=T, I={"X": 0.0}, Y={"X": -1.0}, A=-5.0)
     if name == "A":
         p.A = math.nan
-    else:
+    elif name != "T":  # T is read-only: its NaN is given to the constructor
         table = getattr(p, name)
         table[next(iter(table))] = math.nan
     with pytest.raises(ModelError, match="NaN"):

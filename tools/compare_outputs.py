@@ -1,0 +1,100 @@
+"""Compare what two tnrisk source trees write, byte for byte, over a fixed command list.
+
+Usage (from anywhere):
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
+checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
+each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
+bundled dataset, and a ``bench/synth.py`` dataset (seed 1, 400 x 200).  For
+every command the script prints "identical" or "DIFFERENT" for the exit
+code, standard output, standard error and each file written.
+``run_metadata.json`` is compared with its ``config.data`` path left out.
+Exits 1 if anything differs, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import synth  # noqa: E402
+
+SYNTH_SHAPE = (1, 400, 200)  # seed, sources, targets
+
+BUNDLE_COMMANDS = [
+    ["solve"],
+    ["solve", "--mode", "estimate"],
+    ["solve", "--format", "json"],
+    ["solve", "--abandon", "-20"],
+    ["scenario", "fortress-USA"],
+    ["scenario", "fortress-USA", "--format", "json"],
+    ["scenario", "homegrown"],
+    ["scenario", "homegrown", "--format", "json"],
+    ["sweep", "--step", "0.25"],
+    ["estimate"],
+]
+
+
+def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
+    """Everything one command leaves behind, keyed by name.
+
+    It writes to ``out`` under ``cwd``, so both trees print the same path.
+    """
+    cwd.mkdir(parents=True)
+    out = cwd / "out"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "tnrisk.cli", *argv, "--out", "out"],
+                          cwd=cwd, env=env, capture_output=True, timeout=600)
+    found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
+             "stderr": done.stderr}
+    for path in sorted(out.rglob("*")) if out.is_dir() else []:
+        data = path.read_bytes()
+        if path.name == "run_metadata.json":
+            doc = json.loads(data)
+            doc.get("config", {}).pop("data", None)
+            data = json.dumps(doc, sort_keys=True).encode()
+        found[str(path.relative_to(out))] = data
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in argv)
+    for src in (old_src, new_src):
+        if not (src / "tnrisk" / "cli.py").is_file():
+            print(f"error: no tnrisk package under {src}", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        bundle = work / "bundle"
+        shutil.copytree(new_src / "tnrisk" / "data" / "bundled", bundle)
+        synthetic = work / "synthetic"
+        spec = synth.generate(synthetic, *SYNTH_SHAPE)
+        commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
+        commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
+                     for label, c in (("solve", ["solve"]),
+                                      ("scenario spec.json", ["scenario", str(spec)]))]
+        for k, (label, command) in enumerate(commands):
+            old, new = (_run(src, command, work / side / str(k))
+                        for src, side in ((old_src, "old"), (new_src, "new")))
+            for name in sorted(old.keys() | new.keys()):
+                same = old.get(name) == new.get(name)
+                differ += not same
+                print(f"{'identical' if same else 'DIFFERENT'}  {label}: {name}")
+    print(f"{differ} difference(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
