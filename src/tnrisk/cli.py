@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
@@ -57,25 +57,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                    help="rationality parameter")
     p.add_argument("--abandon", default="inf", help="abandon yield, a number or 'inf'/'blocked'")
-    p.add_argument("--weights", default="default",
-                   help="support weights: default|high|low or r,s,o")
-    p.add_argument("--q", type=float, default=DEFAULT_Q, help="plot-conversion factor")
+    p.add_argument("--weights", help="support weights for estimation: default|high|low or r,s,o")
+    p.add_argument("--q", type=float, help="plot-conversion factor for estimation")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    if not (math.isfinite(args.lam) and args.lam >= 0):
-        raise ValueError(f"--lambda must be finite and non-negative, got {args.lam}")
-    q = parse_number(args.q, +1, "--q")
+    # both scale the estimated supply; the pre-estimated tables carry their own
+    given = [flag for flag, v in (("--q", args.q), ("--weights", args.weights)) if v is not None]
+    if given and args.mode == "pre" and args.command in ("solve", "scenario", "sweep"):
+        raise ValueError(f"{given[0]} applies only to estimation: add --mode estimate")
+    q = parse_number(DEFAULT_Q if args.q is None else args.q, +1, "--q")
     if q == 0:
         raise ValueError("--q must be positive, got 0.0")
-    weights, label = _parse_weights(args.weights)
-    data_dir = Path(args.data) if args.data else dataset.bundled_data_dir()
+    weights, label = _parse_weights(args.weights or "default")
     return RunConfig(
-        data_dir=data_dir,
+        data_dir=Path(args.data) if args.data else dataset.bundled_data_dir(),
         mode=args.mode,
-        lam=args.lam,
+        lam=parse_number(args.lam, +1, "--lambda"),
         abandon=parse_cost(args.abandon, "--abandon"),
         weights=weights,
         weights_label=label,
@@ -85,21 +85,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _estimate(config: RunConfig):
-    return estimation.estimate_params(
-        dataset.load_bundle(config.data_dir), weights=config.weights, q=config.q,
-        abandon_yield=config.abandon, lam=config.lam, weights_label=config.weights_label,
-    )
-
-
 def _load_params(config: RunConfig):
+    """Parameters estimated from the raw tables, or read from the pre-estimated ones."""
     if config.mode == "estimate":
-        return _estimate(config)
-    params = dataset.load_pre_estimated(config.data_dir / "pre_estimated")
-    params.lam = config.lam
-    params.A = config.abandon
-    params.Q = config.q
-    params.weights_label = config.weights_label
+        params = estimation.estimate_params(dataset.load_bundle(config.data_dir),
+                                            config.weights, config.q)
+    else:
+        params = dataset.load_pre_estimated(config.data_dir / "pre_estimated")
+    params.lam, params.A, params.weights_label = config.lam, config.abandon, config.weights_label
     return params
 
 
@@ -123,12 +116,14 @@ def cmd_validate(config: RunConfig) -> int:
     if not config.data_dir.is_dir():
         print(f"error: data directory {config.data_dir} not found", file=sys.stderr)
         return EXIT_USAGE
+    pre_dir = config.data_dir / "pre_estimated"
     try:
         bundle = dataset.load_bundle(config.data_dir)
+        pre = dataset.load_pre_estimated(pre_dir) if pre_dir.is_dir() else None
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    report = dataset.validate_bundle(bundle)
+    report = dataset.validate_bundle(bundle, pre)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.out_dir / "validation_report.txt"
     report_path.write_text("\n".join(report.lines()) + ("\n" if report.entries else ""),
@@ -142,7 +137,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    params = _estimate(config)
+    params = _load_params(replace(config, mode="estimate"))  # the echo keeps the given mode
     config.out_dir.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, config.out_dir)
     dataset.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
@@ -182,14 +177,9 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
+    spec = scn.BUILTIN_SCENARIOS.get(spec_arg) or scn.ScenarioSpec.from_json(spec_arg)
     params = _load_params(config)
-    if spec_arg in scn.BUILTIN_SCENARIOS:
-        alt_params = scn.builtin_scenario(spec_arg, params)
-        name = spec_arg
-    else:
-        spec = scn.ScenarioSpec.from_json(spec_arg)
-        alt_params = scn.apply_scenario(params, spec)
-        name = spec.name
+    alt_params = scn.apply_scenario(params, spec)
     base = _solve_to_dir(params, config, prefix="base_")
     alt = _solve_to_dir(alt_params, config, prefix="alt_")
     delta = scn.diff_matrices(base, alt)
@@ -198,11 +188,11 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
                         ["source", "target", "delta"])
     dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
     dataset.write_json(out / "run_metadata.json", {
-        "config": _echo(config), "scenario": name, "params": params.echo(),
+        "config": _echo(config), "scenario": spec.name, "params": params.echo(),
         "base_unroutable": _unroutable(base), "alt_unroutable": _unroutable(alt),
     })
     top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
-    print(f"scenario {name}: largest per-target change {top[0]} ({top[1]:+.1f})")
+    print(f"scenario {spec.name}: largest per-target change {top[0]} ({top[1]:+.1f})")
     return EXIT_OK
 
 

@@ -87,7 +87,6 @@ class DataBundle:
     countries: list[CountryRecord]
     migration: PairTable
     distances: PairTable
-    pre_estimated: ModelParams | None = None
 
     def by_code(self) -> dict[str, CountryRecord]:
         return {c.code: c for c in self.countries}
@@ -310,8 +309,9 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
     return ModelParams(S=supply, T=barriers, I=interception, Y=yields)
 
 
-def validate_bundle(bundle: DataBundle) -> ValidationReport:
-    """List every invariant violation; an empty report means the bundle is usable."""
+def validate_bundle(bundle: DataBundle,
+                    pre_estimated: ModelParams | None = None) -> ValidationReport:
+    """Every invariant violation of the raw tables and any given parameter tables; none: usable."""
     report = ValidationReport()
     codes = {c.code for c in bundle.countries}
     for c in bundle.countries:
@@ -324,28 +324,21 @@ def validate_bundle(bundle: DataBundle) -> ValidationReport:
     for table, label in ((bundle.migration, "migration"), (bundle.distances, "distances")):
         for code in sorted(table.codes() - codes):
             report.add("UnknownCode", f"{label}:{code}", "pair table references unknown country")
-    if bundle.pre_estimated is not None:
-        for code in sorted(bundle.pre_estimated.codes - codes):
+    if pre_estimated is not None:
+        for code in sorted(pre_estimated.codes - codes):
             report.add("UnknownCode", f"pre_estimated:{code}",
                        "pre-estimated table references unknown country")
     return report
 
 
 def load_bundle(data_dir: str | Path) -> DataBundle:
-    """Load countries + pair tables (and pre-estimated params, if present) from a directory."""
+    """Load the three raw tables (countries and the two pair tables) from a directory."""
     data_dir = Path(data_dir)
-    bundle = DataBundle(
+    return DataBundle(
         countries=load_country_table(data_dir / "countries.csv"),
         migration=load_pair_table(data_dir / "migration.csv", "migration"),
         distances=load_pair_table(data_dir / "distance_km.csv", "distance"),
     )
-    pre_dir = data_dir / "pre_estimated"
-    if pre_dir.is_dir():
-        try:
-            bundle.pre_estimated = load_pre_estimated(pre_dir)
-        except MissingFile:
-            pass
-    return bundle
 
 
 def bundled_data_dir() -> Path:

@@ -17,7 +17,6 @@ from .dataset import CountryRecord, DataBundle, write_csv
 from .errors import DegenerateSpread, EmptyRegion, MissingImputation
 from .params import (
     BLOCKED,
-    DEFAULT_LAMBDA,
     DEFAULT_Q,
     ModelParams,
     SupportWeights,
@@ -188,22 +187,11 @@ def supply_sensitivity(countries: list[CountryRecord],
 
 def estimate_params(bundle: DataBundle,
                     weights: SupportWeights = WEIGHT_PRESETS["default"],
-                    q: float = DEFAULT_Q,
-                    abandon_yield: float = BLOCKED,
-                    lam: float = DEFAULT_LAMBDA,
-                    weights_label: str = "default") -> ModelParams:
-    """Run all four estimators on a bundle."""
+                    q: float = DEFAULT_Q) -> ModelParams:
+    """Run all four estimators on a bundle; A, lambda and the weights label keep their defaults."""
     countries = impute_survey(bundle.countries)
-    return ModelParams(
-        S=estimate_supply(countries, weights, q),
-        T=estimate_barriers(bundle),
-        I=estimate_interception(countries),
-        Y=estimate_yield(countries),
-        A=abandon_yield,
-        lam=lam,
-        Q=q,
-        weights_label=weights_label,
-    )
+    return ModelParams(S=estimate_supply(countries, weights, q), T=estimate_barriers(bundle),
+                       I=estimate_interception(countries), Y=estimate_yield(countries), Q=q)
 
 
 def write_params_csv(params: ModelParams, directory: str | Path) -> None:

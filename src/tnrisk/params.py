@@ -30,7 +30,7 @@ def parse_cost(v, name: str = "cost") -> float:
     Raises ValueError, naming the value, for NaN, -inf or anything else.
     """
     try:
-        value = float(v)
+        value = math.nan if isinstance(v, bool) else float(v)  # JSON true is not 1
     except (TypeError, ValueError):
         value = BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
     if math.isnan(value) or value == -math.inf:
@@ -67,7 +67,7 @@ def parse_number(v, sign: int = 0, name: str = "value") -> float:
     Raises ValueError, naming the value, otherwise.
     """
     try:
-        value = float(v)
+        value = math.nan if isinstance(v, bool) else float(v)  # JSON true is not 1
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value) or value * sign < 0:
@@ -87,9 +87,6 @@ class SupportWeights:
     def __post_init__(self):
         if not (0.0 < self.s_r <= self.s_s <= self.s_o <= 1.0):
             raise ValueError(f"weights must satisfy 0 < s_r <= s_s <= s_o <= 1, got {self}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.s_r, self.s_s, self.s_o)
 
 
 WEIGHT_PRESETS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,9 @@ from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, pars
 
 @dataclass
 class ScenarioSpec:
-    """Overrides, checked on construction: a bad value raises ModelError.
+    """Overrides, checked on construction: a bad value raises ModelError naming its field.
 
+    A spec file is one JSON object whose keys are these fields, each optional.
     Barrier and abandon overrides are costs (a number, 'inf' or 'blocked');
     lambda and interception overrides are finite and >= 0, yields finite and <= 0.
     """
@@ -37,6 +38,17 @@ class ScenarioSpec:
 
     def __post_init__(self):
         try:
+            for key, kind in (("name", str), ("interception_overrides", dict),
+                              ("yield_overrides", dict)):
+                if not isinstance(getattr(self, key), kind):
+                    raise ValueError(f"{key} must be a {'string' if kind is str else 'JSON object'}"
+                                     f", got {getattr(self, key)!r}")
+            if not (isinstance(self.barrier_overrides, (list, tuple)) and all(
+                    isinstance(row, (list, tuple)) and len(row) == 3
+                    and all(isinstance(code, str) for code in row[:2])
+                    for row in self.barrier_overrides)):
+                raise ValueError("barrier_overrides must be a list of [origin, dest, cost], "
+                                 f"got {self.barrier_overrides!r}")
             self.barrier_overrides = [(o, d, parse_cost(v, f"barrier override {o},{d}"))
                                       for o, d, v in self.barrier_overrides]
             if self.a_override is not None:
@@ -52,15 +64,17 @@ class ScenarioSpec:
 
     @staticmethod
     def from_json(path: str | Path) -> "ScenarioSpec":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ScenarioSpec(
-            name=doc.get("name", "unnamed"),
-            barrier_overrides=doc.get("barrier_overrides", []),
-            a_override=doc.get("a_override"),
-            lambda_override=doc.get("lambda_override"),
-            interception_overrides=doc.get("interception_overrides", {}),
-            yield_overrides=doc.get("yield_overrides", {}),
-        )
+        """Read a spec file; a file that is not a valid spec raises ModelError naming it."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError(f"scenario spec must be one JSON object, got {doc!r:.40}")
+            unknown = sorted(doc.keys() - {f.name for f in fields(ScenarioSpec)})
+            if unknown:
+                raise ValueError(f"scenario spec has no key {unknown[0]!r}")
+            return ScenarioSpec(**doc)
+        except (ValueError, ModelError) as e:  # JSONDecodeError is a ValueError
+            raise ModelError(f"{path}: {e}") from None
 
 
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
@@ -96,23 +110,23 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     return out
 
 
+# named scenarios usable directly from the CLI
+BUILTIN_SCENARIOS = {"fortress-USA": ScenarioSpec("fortress-USA", [("*", "USA", BLOCKED)]),
+                     "homegrown": ScenarioSpec("homegrown", [("*", "*", BLOCKED)])}
+
+
+def builtin_scenario(name: str, params: ModelParams) -> ModelParams:
+    return apply_scenario(params, BUILTIN_SCENARIOS[name])
+
+
 def fortress(params: ModelParams, country: str) -> ModelParams:
     """Block every foreign path into one country; its domestic path survives."""
-    if country not in params.codes:
-        raise UnknownCode(country)
-    return apply_scenario(params, ScenarioSpec(
-        name=f"fortress-{country}",
-        barrier_overrides=[("*", country, BLOCKED)],
-    ))
+    return apply_scenario(params, ScenarioSpec(f"fortress-{country}", [("*", country, BLOCKED)]))
 
 
 def homegrown(params: ModelParams) -> ModelParams:
     """Block every transnational path; only domestic attacks remain."""
-    cost = np.full_like(params.T.cost, BLOCKED)
-    np.fill_diagonal(cost, params.T.cost.diagonal())
-    out = params.copy()
-    out.T = Barriers(params.T.codes, cost, params.T.listed)
-    return out
+    return apply_scenario(params, BUILTIN_SCENARIOS["homegrown"])
 
 
 @dataclass
@@ -264,13 +278,3 @@ def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
     return DeltaMatrix(sources=list(base.sources), targets=list(base.targets),
                        delta=alt.N - base.N, target_deltas=target_deltas, ranked_targets=ranked)
 
-
-# named scenarios usable directly from the CLI
-BUILTIN_SCENARIOS = {"fortress-USA": lambda params: fortress(params, "USA"),
-                     "homegrown": homegrown}
-
-
-def builtin_scenario(name: str, params: ModelParams) -> ModelParams:
-    if name not in BUILTIN_SCENARIOS:
-        raise KeyError(f"no built-in scenario named {name!r}")
-    return BUILTIN_SCENARIOS[name](params)

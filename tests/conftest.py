@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tnrisk import BLOCKED, DeltaMatrix, ModelParams, bundled_data_dir, load_bundle
+from tnrisk import (BLOCKED, DeltaMatrix, ModelParams, bundled_data_dir, load_bundle,
+                    load_pre_estimated)
 
 
 @pytest.fixture(scope="session")
@@ -12,8 +13,8 @@ def bundle():
 
 
 @pytest.fixture(scope="session")
-def pre_params(bundle):
-    return bundle.pre_estimated
+def pre_params():
+    return load_pre_estimated(bundled_data_dir() / "pre_estimated")
 
 
 @pytest.fixture()

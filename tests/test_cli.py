@@ -46,6 +46,25 @@ class TestValidate:
         report = (tmp_path / "out" / "validation_report.txt").read_text()
         assert "ZZZ" in report
 
+    def test_incomplete_parameter_tables_exit_1(self, tmp_path, capsys):
+        """validate reads pre_estimated/ as solve does: a missing table is not "ok"."""
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        (data / "pre_estimated" / "yield.csv").unlink()
+        assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        assert "yield.csv" in capsys.readouterr().err
+        assert run("solve", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+
+    def test_unknown_code_in_parameter_tables_exit_1(self, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        for name in ("interception.csv", "yield.csv"):
+            path = data / "pre_estimated" / name
+            path.write_text(path.read_text() + "ZZZ,0.0\n")
+        assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        report = (tmp_path / "out" / "validation_report.txt").read_text()
+        assert "pre_estimated:ZZZ" in report
+
 
 class TestSolve:
     def test_baseline_outputs(self, tmp_path, capsys):
@@ -121,6 +140,39 @@ class TestSolve:
         assert max(ta, key=lambda t: ta[t] if t != "TOTAL" else -1) == \
             max(tb, key=lambda t: tb[t] if t != "TOTAL" else -1)
 
+    def test_estimate_mode_reads_only_raw_tables(self, tmp_path):
+        """A bad parameter table stops pre mode but not estimate mode, which never reads it."""
+        clean, data = tmp_path / "clean", tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        barriers = data / "pre_estimated" / "barriers.csv"
+        barriers.write_text(barriers.read_text() + "AFG,USA,nan\n")
+        assert run("solve", "--data", str(data), "--out", str(tmp_path / "pre")) == 1
+        assert run("solve", "--mode", "estimate", "--out", str(clean)) == 0
+        out = tmp_path / "out"
+        assert run("solve", "--mode", "estimate", "--data", str(data), "--out", str(out)) == 0
+        for name in ("attack_matrix.csv", "attack_matrix.json", "target_totals.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag", ["--q=0.004", "--weights=high"])
+    @pytest.mark.parametrize("command", [["solve"], ["scenario", "homegrown"], ["sweep"]],
+                             ids=["solve", "scenario", "sweep"])
+    def test_estimation_flag_in_pre_mode_exit_2(self, tmp_path, capsys, command, flag):
+        """--q and --weights set the estimated supply; pre mode would ignore them."""
+        out = tmp_path / "out"
+        assert run(*command, flag, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag.split('=')[0]} applies only")
+        assert not out.exists()
+        assert run(*command, "--mode", "estimate", flag, "--out", str(out)) == 0
+
+    def test_q_scales_estimated_supply(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("solve", "--mode", "estimate", "--out", str(a)) == 0
+        assert run("solve", "--mode", "estimate", "--q", "0.004", "--out", str(b)) == 0
+        ta, tb = ({r["target"]: float(r["expected_plots"])
+                   for r in read_csv(d / "target_totals.csv")} for d in (a, b))
+        assert tb == {t: pytest.approx(2 * v, rel=1e-12) for t, v in ta.items()}
+        assert json.loads((b / "run_metadata.json").read_text())["params"]["q"] == 0.004
+
     @pytest.mark.parametrize("q", ["-1", "0", "nan", "inf"])
     def test_bad_q_exit_2(self, tmp_path, capsys, q):
         out = str(tmp_path / "out")
@@ -142,6 +194,13 @@ class TestSolve:
 
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         assert run("solve", "--out", str(tmp_path), "--weights", "0.5,0.25") == 2
+
+    @pytest.mark.parametrize("weights", ["0.5,0.25", "0.5,0.25,0.1", "r,s,o", "medium"])
+    def test_bad_weights_in_estimate_mode_exit_2(self, tmp_path, capsys, weights):
+        out = tmp_path / "out"
+        assert run("solve", "--mode", "estimate", "--weights", weights, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("abandon", ["nan", "-inf"])
     def test_non_finite_abandon_exit_2(self, tmp_path, capsys, abandon):
@@ -192,6 +251,16 @@ class TestEstimate:
         for name in ("supply.csv", "barriers.csv", "interception.csv",
                      "yield.csv", "run_metadata.json"):
             assert (out / name).is_file(), name
+
+    def test_weights_and_q_in_default_mode(self, tmp_path):
+        """The estimate command always estimates, so it takes --q and --weights without --mode."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("estimate", "--out", str(a)) == 0
+        assert run("estimate", "--weights", "low", "--q", "0.004", "--out", str(b)) == 0
+        meta = json.loads((b / "run_metadata.json").read_text())
+        assert (meta["params"]["q"], meta["params"]["weights_preset"]) == (0.004, "low_commitment")
+        assert (a / "supply.csv").read_text() != (b / "supply.csv").read_text()
+        assert (a / "barriers.csv").read_bytes() == (b / "barriers.csv").read_bytes()
 
 
 class TestScenario:
@@ -254,6 +323,28 @@ class TestScenario:
         spec.write_text(json.dumps(doc))
         assert run("scenario", str(spec), "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"barrier_override": [["*", "USA", "inf"]]}', "barrier_override"),
+        ("[1, 2]", None),
+        ('{"name": "cut", "barrier_overrides": [["*", "US', None),
+        ('{"interception_overrides": [["USA", 1]]}', "interception_overrides"),
+        ('{"barrier_overrides": null}', "barrier_overrides"),
+        ('{"barrier_overrides": [["*", "USA"]]}', "barrier_overrides"),
+        ('{"name": 7}', "name"),
+        ('{"lambda_override": true}', "lambda_override"),
+        ('{"yield_overrides": {"USA": false}}', "USA"),
+    ], ids=["misspelled-key", "not-an-object", "truncated", "interception-list", "barriers-null",
+            "barrier-pair", "name-number", "lambda-true", "yield-false"])
+    def test_bad_spec_file_exit_1(self, tmp_path, capsys, text, key):
+        """A file that is not a spec is an error naming it, before any table is read."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run("scenario", str(spec), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ")
+        assert key is None or repr(key) in err or f" {key} " in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_code_exit_1(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -181,6 +181,16 @@ class TestAttackMatrix:
         mass = m.N.sum(axis=1) + m.abandoned + m.unroutable
         assert np.all(np.abs(mass - supply) <= 1e-9 * supply)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_non_negative(self, seed, blocked_fraction, finite_abandon_prob):
+        """Finite inputs, however many routes are blocked, give finite, non-negative outputs."""
+        m = solve(random_params(np.random.default_rng(seed), blocked_fraction=blocked_fraction,
+                                finite_abandon_prob=finite_abandon_prob))
+        for values in (m.N, m.abandoned, m.unroutable):
+            assert np.isfinite(values).all() and (values >= 0.0).all()
+
     @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
     def test_bad_lambda(self, lam):
         with pytest.raises(ValueError):
@@ -208,6 +218,23 @@ class TestOracleTriangle:
                     assert m_cells.get((i, t), 0.0) == pytest.approx(expected, abs=1e-9)
                 assert m.abandoned[k] == pytest.approx(
                     p.S[i] * dist.get(ABANDON_KEY, 0.0), abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_enumeration_property(self, seed):
+        """Criterion 4's instances and bound for any seed: every cell and abandoned total is
+        within 1e-10 times the source's supply of what path enumeration gives."""
+        p = random_params(np.random.default_rng(seed))
+        net, costs, chain = solve_chain(p)
+        m = solve(p)
+        for k, i in enumerate(m.sources):
+            if source(i) in chain.dead:
+                assert m.N[k].sum() == 0.0 and m.abandoned[k] == 0.0
+                continue
+            dist = enumerate_path_distribution(net, costs, source(i), p.lam)
+            for c, t in enumerate(m.targets):
+                assert abs(m.N[k, c] - p.S[i] * dist.get(t, 0.0)) <= 1e-10 * p.S[i]
+            assert abs(m.abandoned[k] - p.S[i] * dist.get(ABANDON_KEY, 0.0)) <= 1e-10 * p.S[i]
 
     def test_fundamental_matrix_matches_exact(self):
         rng = np.random.default_rng(13)

@@ -8,6 +8,7 @@ import pytest
 
 from tnrisk import (
     BLOCKED,
+    AttackMatrix,
     ModelParams,
     ScenarioSpec,
     apply_scenario,
@@ -22,6 +23,7 @@ from tnrisk import (
 )
 from tnrisk.errors import IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from tnrisk import scenario
+from tnrisk.params import Barriers
 from tnrisk.scenario import builtin_scenario
 
 from conftest import cell_dict, random_params, tiny_params
@@ -84,6 +86,15 @@ class TestApplyScenario:
         assert spec.name == "t"
         assert is_blocked(spec.barrier_overrides[0][2])
         assert spec.a_override == -35.0
+
+    def test_from_json_reads_every_field(self, tmp_path):
+        doc = {"name": "all", "barrier_overrides": [["AFG", "FRA", 2.5]], "a_override": "inf",
+               "lambda_override": 0.3, "interception_overrides": {"FRA": 1.0},
+               "yield_overrides": {"FRA": -2.0}}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert ScenarioSpec.from_json(p) == ScenarioSpec(
+            "all", [("AFG", "FRA", 2.5)], BLOCKED, 0.3, {"FRA": 1.0}, {"FRA": -2.0})
 
     def test_empty_spec_is_identity(self, params):
         base = solve(params)
@@ -150,6 +161,50 @@ class TestHomegrown:
         for k, i in enumerate(alt.sources):
             if i not in target_set:
                 assert alt.N[k].sum() == 0.0 and alt.abandoned[k] == 0.0
+
+
+class TestBuiltinsAreSpecs:
+    """fortress and homegrown are specs that apply_scenario applies: pinned, bit for bit,
+    to solving a barrier matrix edited by hand."""
+
+    @staticmethod
+    def solve_edited(p: ModelParams, edit) -> AttackMatrix:
+        cost = p.T.cost.copy()
+        home = cost.diagonal().copy()
+        edit(cost)
+        np.fill_diagonal(cost, home)
+        return solve(ModelParams(S=p.S, T=Barriers(p.T.codes, cost, p.T.listed), I=p.I, Y=p.Y,
+                                 A=p.A, lam=p.lam))
+
+    @staticmethod
+    def assert_same(a: AttackMatrix, b: AttackMatrix) -> None:
+        for name in ("N", "abandoned", "unroutable"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.fixture(params=["bundle", "bundle-abandon", "random"])
+    def instances(self, request, params) -> list[ModelParams]:
+        if request.param == "random":
+            rng = np.random.default_rng(8)
+            return [random_params(rng, blocked_fraction=0.3) for _ in range(10)]
+        params.A = -30.0 if request.param == "bundle-abandon" else BLOCKED
+        return [params]
+
+    def test_homegrown(self, instances):
+        for p in instances:
+            self.assert_same(solve(homegrown(p)), self.solve_edited(p, lambda c: c.fill(BLOCKED)))
+            out = homegrown(p).T
+            assert out.listed[~np.eye(len(out.codes), dtype=bool)].all()
+
+    def test_fortress(self, instances):
+        for p in instances:
+            for code in sorted(p.targets)[:4]:
+                k = p.T.index[code]
+                self.assert_same(solve(fortress(p, code)),
+                                 self.solve_edited(p, lambda c: c[:, k].fill(BLOCKED)))
+
+    def test_unknown_fortress_code(self, params):
+        with pytest.raises(UnknownCode):
+            fortress(params, "ZZZ")
 
 
 class TestSweep:

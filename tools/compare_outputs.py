@@ -7,7 +7,8 @@ Usage (from anywhere):
 OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
-bundled dataset, and a ``bench/synth.py`` dataset (seed 1, 400 x 200).  For
+bundled dataset, with a fortress-USA spec file beside it, and a
+``bench/synth.py`` dataset (seed 1, 400 x 200).  For
 every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
@@ -32,6 +33,7 @@ SYNTH_SHAPE = (1, 400, 200)  # seed, sources, targets
 BUNDLE_COMMANDS = [
     ["solve"],
     ["solve", "--mode", "estimate"],
+    ["solve", "--mode", "estimate", "--weights", "high", "--q", "0.004"],
     ["solve", "--format", "json"],
     ["solve", "--abandon", "-20"],
     ["scenario", "fortress-USA"],
@@ -40,7 +42,12 @@ BUNDLE_COMMANDS = [
     ["scenario", "homegrown", "--format", "json"],
     ["sweep", "--step", "0.25"],
     ["estimate"],
+    ["estimate", "--weights", "low"],
+    ["validate"],
 ]
+
+# a spec file written into the work directory, run on the bundle as `scenario SPEC`
+FORTRESS_SPEC = {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]}
 
 
 def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
@@ -81,7 +88,11 @@ def main(argv: list[str]) -> int:
         shutil.copytree(new_src / "tnrisk" / "data" / "bundled", bundle)
         synthetic = work / "synthetic"
         spec = synth.generate(synthetic, *SYNTH_SHAPE)
+        fortress = work / "fortress-USA.json"
+        fortress.write_text(json.dumps(FORTRESS_SPEC), encoding="utf-8")
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
+        commands.append((f"scenario {fortress.name}", ["scenario", str(fortress), "--data",
+                                                       str(bundle)]))
         commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
                      for label, c in (("solve", ["solve"]),
                                       ("scenario spec.json", ["scenario", str(spec)]))]
