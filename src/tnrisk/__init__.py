@@ -18,13 +18,11 @@ from .dataset import (
     CountryRecord,
     DataBundle,
     PairTable,
-    ValidationReport,
     bundled_data_dir,
     load_bundle,
     load_country_table,
     load_pair_table,
     load_pre_estimated,
-    validate_bundle,
 )
 from .estimation import (
     estimate_barriers,
@@ -35,7 +33,6 @@ from .estimation import (
     impute_survey,
     normalize_min_median,
     raw_barrier,
-    supply_sensitivity,
 )
 from .evader import AttackMatrix, target_totals
 from .scenario import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
-from .errors import ModelError, ThresholdOutOfRange
+from .errors import CodeMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out,
                      parse_cost, parse_number)
 
@@ -113,31 +113,30 @@ def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
 
 
 def cmd_validate(config: RunConfig) -> int:
+    """The commands' loaders; validation_report.txt gets the first failure, as main prints it."""
     if not config.data_dir.is_dir():
         print(f"error: data directory {config.data_dir} not found", file=sys.stderr)
         return EXIT_USAGE
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    report = config.out_dir / "validation_report.txt"
     pre_dir = config.data_dir / "pre_estimated"
     try:
-        bundle = dataset.load_bundle(config.data_dir)
-        pre = dataset.load_pre_estimated(pre_dir) if pre_dir.is_dir() else None
+        codes = {c.code for c in dataset.load_bundle(config.data_dir).countries}
+        if pre_dir.is_dir():
+            unknown = dataset.load_pre_estimated(pre_dir).codes - codes
+            if unknown:
+                raise CodeMismatch(f"pre_estimated:{min(unknown)} is not in countries.csv")
     except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    report = dataset.validate_bundle(bundle, pre)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = config.out_dir / "validation_report.txt"
-    report_path.write_text("\n".join(report.lines()) + ("\n" if report.entries else ""),
-                           encoding="utf-8")
-    if report.ok:
-        print(f"ok: bundle at {config.data_dir} is valid")
-        return EXIT_OK
-    for line in report.lines():
-        print(line)
-    return EXIT_DOMAIN
+        report.write_text(f"error: {e}\n", encoding="utf-8")
+        raise
+    report.write_text("", encoding="utf-8")
+    print(f"ok: bundle at {config.data_dir} is valid")
+    return EXIT_OK
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    params = _load_params(replace(config, mode="estimate"))  # the echo keeps the given mode
+    config = replace(config, mode="estimate")
+    params = _load_params(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, config.out_dir)
     dataset.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
@@ -179,7 +178,10 @@ def cmd_solve(config: RunConfig) -> int:
 def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     spec = scn.BUILTIN_SCENARIOS.get(spec_arg) or scn.ScenarioSpec.from_json(spec_arg)
     params = _load_params(config)
-    alt_params = scn.apply_scenario(params, spec)
+    try:
+        alt_params = scn.apply_scenario(params, spec)
+    except UnknownCode as e:
+        raise ModelError(f"{spec_arg}: {e}") from None
     base = _solve_to_dir(params, config, prefix="base_")
     alt = _solve_to_dir(alt_params, config, prefix="alt_")
     delta = scn.diff_matrices(base, alt)

@@ -75,11 +75,7 @@ class PairTable:
         return self.entries.get((origin, dest))
 
     def codes(self) -> set[str]:
-        out: set[str] = set()
-        for a, b in self.entries:
-            out.add(a)
-            out.add(b)
-        return out
+        return {code for pair in self.entries for code in pair}
 
 
 @dataclass
@@ -90,21 +86,6 @@ class DataBundle:
 
     def by_code(self) -> dict[str, CountryRecord]:
         return {c.code: c for c in self.countries}
-
-
-@dataclass
-class ValidationReport:
-    entries: list[tuple[str, str, str]] = field(default_factory=list)  # (kind, location, message)
-
-    def add(self, kind: str, location: str, message: str) -> None:
-        self.entries.append((kind, location, message))
-
-    @property
-    def ok(self) -> bool:
-        return not self.entries
-
-    def lines(self) -> list[str]:
-        return [f"{kind}\t{loc}\t{msg}" for kind, loc, msg in self.entries]
 
 
 # cells per block of the table reader and of write_cells: bounds their memory, not what they do
@@ -194,6 +175,11 @@ def _parse_flag(cell: str, line: int, name: str) -> bool:
 
 
 def load_country_table(path: str | Path) -> list[CountryRecord]:
+    """The rows of countries.csv; every number is >= 0 and every population > 0.
+
+    A target (``is_target`` set) must give ``sec_fraction``; one without
+    ``gdp_usd`` has no yield, so the model does not treat it as a target.
+    """
     records: list[CountryRecord] = []
     seen: set[str] = set()
     name = Path(path).name
@@ -204,14 +190,19 @@ def load_country_table(path: str | Path) -> list[CountryRecord]:
         seen.add(code)
         # population through sigma_o, in CountryRecord's field order
         numbers = [_parse_float(row[i], line, f"{column} in {name}",
-                                required=column in ("population", "muslim_pop"))
+                                required=column in ("population", "muslim_pop"), sign=+1)
                    for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
+        if numbers[0] == 0:  # raw_barrier divides by it
+            raise MalformedRow(line, f"population in {name} must be > 0, got {row[3]!r}")
         stated = [s for s in numbers[4:] if s is not None]
-        if stated and (any(s < 0 or s > 1 for s in stated) or sum(stated) > 1 + 1e-9):
+        if stated and (max(stated) > 1 or sum(stated) > 1 + 1e-9):
             raise MalformedRow(line, f"survey fractions out of range: {stated}")
+        is_target = _parse_flag(row[12], line, "is_target")
+        if is_target and numbers[2] is None:
+            raise MalformedRow(line, f"{code} is a target in {name} but has no sec_fraction")
         records.append(CountryRecord(code, row[1].strip(), row[2].strip(), *numbers,
                                      is_oecd=_parse_flag(row[11], line, "is_oecd"),
-                                     is_target=_parse_flag(row[12], line, "is_target")))
+                                     is_target=is_target))
     return records
 
 
@@ -219,13 +210,17 @@ def load_pair_table(path: str | Path, kind: str) -> PairTable:
     if kind not in ("migration", "distance"):
         raise ValueError(f"bad pair-table kind {kind!r}")
     table = PairTable(kind=kind)
-    label = f"value in {Path(path).name}"
+    name = Path(path).name
+    label = f"value in {name}"
     for line, row in _rows(path, PAIR_HEADER):
         origin, dest = row[0].strip(), row[1].strip()
         value = _parse_float(row[2], line, label)
         if value < 0:
-            raise NegativeValue(f"line {line}: {origin},{dest} = {value}")
+            raise NegativeValue(f"line {line}: {origin},{dest} in {name} = {value}")
         if kind == "distance":
+            if value == 0 and origin != dest:  # raw_barrier divides by its square
+                raise MalformedRow(line, f"distance {origin},{dest} in {name} must be > 0, "
+                                         f"got {row[2]!r}")
             mirror = table.entries.get((dest, origin))
             if mirror is not None and origin != dest:
                 scale = max(abs(mirror), abs(value), 1e-30)
@@ -309,36 +304,24 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
     return ModelParams(S=supply, T=barriers, I=interception, Y=yields)
 
 
-def validate_bundle(bundle: DataBundle,
-                    pre_estimated: ModelParams | None = None) -> ValidationReport:
-    """Every invariant violation of the raw tables and any given parameter tables; none: usable."""
-    report = ValidationReport()
-    codes = {c.code for c in bundle.countries}
-    for c in bundle.countries:
-        if c.is_target and c.sec_fraction is None:
-            report.add("MissingSecurityData", c.code, "is_target set but sec_fraction missing")
-        if c.population <= 0:
-            report.add("BadPopulation", c.code, f"population {c.population} not positive")
-        if c.muslim_pop < 0:
-            report.add("BadPopulation", c.code, f"muslim_pop {c.muslim_pop} negative")
-    for table, label in ((bundle.migration, "migration"), (bundle.distances, "distances")):
-        for code in sorted(table.codes() - codes):
-            report.add("UnknownCode", f"{label}:{code}", "pair table references unknown country")
-    if pre_estimated is not None:
-        for code in sorted(pre_estimated.codes - codes):
-            report.add("UnknownCode", f"pre_estimated:{code}",
-                       "pre-estimated table references unknown country")
-    return report
-
-
 def load_bundle(data_dir: str | Path) -> DataBundle:
-    """Load the three raw tables (countries and the two pair tables) from a directory."""
+    """Load the three raw tables (countries and the two pair tables) from a directory.
+
+    Every code of a pair table must be in countries.csv.
+    """
     data_dir = Path(data_dir)
-    return DataBundle(
+    bundle = DataBundle(
         countries=load_country_table(data_dir / "countries.csv"),
         migration=load_pair_table(data_dir / "migration.csv", "migration"),
         distances=load_pair_table(data_dir / "distance_km.csv", "distance"),
     )
+    codes = {c.code for c in bundle.countries}
+    for name, table in (("migration.csv", bundle.migration),
+                        ("distance_km.csv", bundle.distances)):
+        unknown = table.codes() - codes
+        if unknown:
+            raise CodeMismatch(f"{name} names {min(unknown)!r}, which is not in countries.csv")
+    return bundle
 
 
 def bundled_data_dir() -> Path:
@@ -451,17 +434,3 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
         if js:
             js.write(("\n  }" if wrote else "}") + tail + "\n")
 
-
-def write_country_table(records: list[CountryRecord], path: str | Path) -> None:
-    write_csv(path, COUNTRY_HEADER, (
-        [c.code, c.name, c.region, c.population, c.gdp, c.sec_fraction, c.muslim_pop,
-         c.sigma_n, c.sigma_r, c.sigma_s, c.sigma_o, int(c.is_oecd), int(c.is_target)]
-        for c in sorted(records, key=lambda r: r.code)))
-
-
-def write_pair_table(table: PairTable, path: str | Path) -> None:
-    entries = table.entries
-    if table.kind == "distance":
-        # one direction per unordered pair
-        entries = {k: v for k, v in entries.items() if k[0] <= k[1]}
-    write_csv(path, PAIR_HEADER, ((a, b, v) for (a, b), v in sorted(entries.items())))

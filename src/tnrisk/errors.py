@@ -71,9 +71,10 @@ class EmptyTargets(ModelError):
 
 
 class UnknownCode(ModelError):
-    def __init__(self, code: str):
-        super().__init__(f"unknown country code {code!r}")
+    def __init__(self, code: str, key: str):
+        super().__init__(f"scenario {key} names unknown country code {code!r}")
         self.code = code
+        self.key = key
 
 
 class IndexMismatch(ModelError):

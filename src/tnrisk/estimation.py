@@ -149,7 +149,7 @@ def estimate_barriers(bundle: DataBundle) -> dict[tuple[str, str], float]:
 
 def estimate_interception(countries: list[CountryRecord]) -> dict[str, float]:
     """Interception cost per target from security spending as a GDP fraction."""
-    targets = [c for c in countries if c.is_target and c.sec_fraction is not None]
+    targets = [c for c in countries if c.is_target]  # the loader requires their sec_fraction
     if len(targets) < 2:
         raise DegenerateSpread("need at least two target countries with security data")
     normalized = normalize_min_median([c.sec_fraction for c in targets], "cost")
@@ -163,26 +163,6 @@ def estimate_yield(countries: list[CountryRecord]) -> dict[str, float]:
         raise DegenerateSpread("need at least two target countries with GDP")
     normalized = normalize_min_median([c.gdp for c in targets], "yield")
     return {c.code: v for c, v in zip(targets, normalized)}
-
-
-def supply_sensitivity(countries: list[CountryRecord],
-                       presets: list[SupportWeights] | None = None,
-                       q: float = DEFAULT_Q) -> dict[str, tuple[float, list[float]]]:
-    """Baseline supply plus percent change under each alternative weighting.
-
-    The percent changes are ratios of weighted support sums, so they do not
-    depend on q or on the Muslim population.
-    """
-    if presets is None:
-        presets = [WEIGHT_PRESETS["high_commitment"], WEIGHT_PRESETS["low_commitment"]]
-    base = estimate_supply(countries, WEIGHT_PRESETS["default"], q)
-    alts = [estimate_supply(countries, w, q) for w in presets]
-    table: dict[str, tuple[float, list[float]]] = {}
-    for code, s in base.items():
-        if s == 0:
-            continue
-        table[code] = (s, [100.0 * (alt[code] / s - 1.0) for alt in alts])
-    return table
 
 
 def estimate_params(bundle: DataBundle,

@@ -78,15 +78,22 @@ class ScenarioSpec:
 
 
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
-    """Return a new ModelParams with the scenario's overrides applied, in order."""
+    """Return a new ModelParams with the scenario's overrides applied, in order.
+
+    A code the parameters do not have raises UnknownCode naming the spec field.
+    """
+    index = params.T.index
+    barrier_codes = [c for row in spec.barrier_overrides for c in row[:2] if c != "*"]
+    for key, codes, known in (("barrier_overrides", barrier_codes, index),
+                              ("interception_overrides", spec.interception_overrides, params.I),
+                              ("yield_overrides", spec.yield_overrides, params.Y)):
+        for code in codes:
+            if code not in known:
+                raise UnknownCode(code, key)
     out = params.copy()
     if spec.barrier_overrides:
-        index = params.T.index
         cost, listed = params.T.cost.copy(), params.T.listed.copy()
         for origin, dest, value in spec.barrier_overrides:
-            for pat in (origin, dest):
-                if pat != "*" and pat not in index:
-                    raise UnknownCode(pat)
             cells = tuple(slice(None) if pat == "*" else index[pat] for pat in (origin, dest))
             home = cost.diagonal().copy(), listed.diagonal().copy()
             cost[cells] = value
@@ -95,14 +102,8 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
                 np.fill_diagonal(cost, home[0])
                 np.fill_diagonal(listed, home[1])
         out.T = Barriers(params.T.codes, cost, listed)
-    for code, v in spec.interception_overrides.items():
-        if code not in out.I:
-            raise UnknownCode(code)
-        out.I[code] = v
-    for code, v in spec.yield_overrides.items():
-        if code not in out.Y:
-            raise UnknownCode(code)
-        out.Y[code] = v
+    out.I.update(spec.interception_overrides)
+    out.Y.update(spec.yield_overrides)
     if spec.a_override is not None:
         out.A = spec.a_override
     if spec.lambda_override is not None:

@@ -15,6 +15,7 @@ import pytest
 
 from tnrisk import (
     BLOCKED,
+    WEIGHT_PRESETS,
     ModelParams,
     deterrence_sweep,
     diff_matrices,
@@ -26,7 +27,7 @@ from tnrisk import (
     solve,
     target_totals,
 )
-from tnrisk.estimation import impute_survey, supply_sensitivity
+from tnrisk.estimation import estimate_supply, impute_survey
 
 from conftest import cell_dict, random_params
 from oracle import (
@@ -42,6 +43,14 @@ from oracle import (
 
 def report(n: int, detail: str) -> None:
     print(f"criterion {n}: PASS — {detail}")
+
+
+def percent_change(countries) -> dict[str, tuple[float, float]]:
+    """Per country with supply, its percent change under the high and low presets."""
+    base, high, low = (estimate_supply(countries, WEIGHT_PRESETS[k])
+                       for k in ("default", "high_commitment", "low_commitment"))
+    return {c: (100.0 * (high[c] / s - 1.0), 100.0 * (low[c] / s - 1.0))
+            for c, s in base.items() if s}
 
 
 def test_criterion_01_normalization_fidelity(bundle, pre_params):
@@ -219,17 +228,15 @@ def test_criterion_09_estimation_properties(bundle):
                         gdp=None, sec_fraction=None, muslim_pop=1e6,
                         sigma_n=0.4, sigma_r=0.2, sigma_s=0.2, sigma_o=0.2,
                         is_oecd=False, is_target=False)
-    table = supply_sensitivity([rec])
-    high, low = table["EQQ"][1]
+    high, low = percent_change([rec])["EQQ"]
     assert abs(high - equal) <= 0.1
 
     # Indonesia row from the bundled survey fractions
-    countries = impute_survey(bundle.countries)
-    idn = supply_sensitivity(countries)["IDN"]
-    assert abs(idn[1][0] - (-46.2)) <= 0.1
-    assert abs(idn[1][1] - 24.6) <= 0.1
+    idn = percent_change(impute_survey(bundle.countries))["IDN"]
+    assert abs(idn[0] - (-46.2)) <= 0.1
+    assert abs(idn[1] - 24.6) <= 0.1
     report(9, f"scale invariance exact to 1e-9; equal-sigma high preset {high:.1f}%; "
-              f"IDN row ({idn[1][0]:.1f}%, {idn[1][1]:+.1f}%) vs (-46.2%, +24.6%)")
+              f"IDN row ({idn[0]:.1f}%, {idn[1]:+.1f}%) vs (-46.2%, +24.6%)")
 
 
 def test_criterion_10_determinism(tmp_path):

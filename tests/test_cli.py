@@ -66,6 +66,54 @@ class TestValidate:
         assert "pre_estimated:ZZZ" in report
 
 
+def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str]) -> Path:
+    """A copy of the bundled data with edits (file, row prefix, cell, value) made in order.
+
+    An edit with no row prefix appends its value as a new line.
+    """
+    data = tmp_path / "data"
+    shutil.copytree(bundled_data_dir(), data)
+    for name, row, cell, value in edits:
+        path = data / name
+        lines = path.read_text().splitlines()
+        if row is None:
+            lines.append(value)
+        else:
+            k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
+            cells = lines[k].split(",")
+            cells[cell] = value
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("name, edits", [
+    ("countries.csv", [("countries.csv", "AFG,", 6, "-2.81e+07")]),
+    ("countries.csv", [("countries.csv", "FRA,", 5, "")]),
+    ("countries.csv", [("countries.csv", "AFG,", 3, "0")]),
+    ("countries.csv", [("countries.csv", "AFG,", 3, "-5")]),
+    ("countries.csv", [("countries.csv", "AUS,", 4, "-6.33e+11")]),
+    ("migration.csv", [("migration.csv", None, 0, "ZZZ,USA,500"),
+                       ("distance_km.csv", None, 0, "ZZZ,USA,10000")]),
+    ("distance_km.csv", [("distance_km.csv", None, 0, "ZZZ,USA,10000")]),
+    ("distance_km.csv", [("distance_km.csv", "AFG,AUS,", 2, "0")]),
+    ("migration.csv", [("migration.csv", "AFG,AUS,", 2, "-5")]),
+], ids=["muslim-pop-negative", "target-without-sec-fraction", "population-zero",
+        "population-negative", "gdp-negative", "unknown-code-in-both-pair-tables",
+        "unknown-code-in-distances", "zero-distance", "migration-negative"])
+def test_raw_table_rule_fails_every_command(tmp_path, capsys, name, edits):
+    """validate, estimate and solve --mode estimate stop at one loader error naming the file."""
+    data = str(bundle_copy(tmp_path, *edits))
+    out = tmp_path / "out"
+    errors = []
+    for command in (["validate"], ["estimate"], ["solve", "--mode", "estimate"]):
+        assert run(*command, "--data", data, "--out", str(out)) == 1, command
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and name in errors[0]
+    assert errors == [errors[0]] * 3
+    assert (out / "validation_report.txt").read_text() == errors[0]
+
+
 class TestSolve:
     def test_baseline_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -262,6 +310,13 @@ class TestEstimate:
         assert (a / "supply.csv").read_text() != (b / "supply.csv").read_text()
         assert (a / "barriers.csv").read_bytes() == (b / "barriers.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags", [[], ["--weights", "low"]])
+    def test_metadata_echoes_estimate_mode(self, tmp_path, flags):
+        """The command always estimates, whatever --mode says."""
+        assert run("estimate", *flags, "--out", str(tmp_path)) == 0
+        meta = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert meta["config"]["mode"] == "estimate"
+
 
 class TestScenario:
     def test_fortress_builtin(self, tmp_path, capsys):
@@ -350,6 +405,18 @@ class TestScenario:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"barrier_overrides": [["*", "ZZZ", "inf"]]}))
         assert run("scenario", str(spec), "--out", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"barrier_overrides": [["*", "ZZZ", "inf"]]}, "barrier_overrides"),
+        ({"interception_overrides": {"ZZZ": 1.0}}, "interception_overrides"),
+        ({"yield_overrides": {"USA": -1.0, "ZZZ": -1.0}}, "yield_overrides"),
+    ], ids=["barrier", "interception", "yield"])
+    def test_unknown_code_names_spec_and_field(self, tmp_path, capsys, doc, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run("scenario", str(spec), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ") and key in err and "'ZZZ'" in err
 
     def test_missing_spec_exit_2(self, tmp_path):
         assert run("scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2

@@ -20,15 +20,8 @@ from tnrisk import (
     load_pair_table,
     load_pre_estimated,
     solve,
-    validate_bundle,
 )
-from tnrisk.dataset import (
-    COUNTRY_HEADER,
-    DataBundle,
-    PairTable,
-    write_country_table,
-    write_pair_table,
-)
+from tnrisk.dataset import COUNTRY_HEADER
 from tnrisk.errors import (
     AsymmetricDistance,
     CodeMismatch,
@@ -87,6 +80,23 @@ class TestCountryTable:
         with pytest.raises(MalformedRow):
             load_country_table(p)
 
+    @pytest.mark.parametrize("cells", [
+        "-5,,,1e5,,,,", "0,,,1e5,,,,", "1e6,-1,,1e5,,,,", "1e6,,-0.1,1e5,,,,",
+        "1e6,,,-1e5,,,,", "1e6,,,1e5,0.5,-0.1,0.1,0.1",
+    ], ids=["population-negative", "population-zero", "gdp-negative", "sec-fraction-negative",
+            "muslim-pop-negative", "sigma-negative"])
+    def test_sign_rules(self, tmp_path, cells):
+        p = write(tmp_path, "c.csv", HEADER + f"\nXXA,Nowhere,Europe,{cells},0,0\n")
+        with pytest.raises(MalformedRow, match="line 2: .* in c.csv must be"):
+            load_country_table(p)
+
+    def test_target_without_gdp_is_not_a_target(self, tmp_path):
+        """It loads, and has no yield, so the estimators leave it out of the targets."""
+        p = write(tmp_path, "c.csv", HEADER + "\n"
+                  "ISL,Iceland,Europe,3e5,,0.01,0,,,,,1,1\n")
+        r = load_country_table(p)[0]
+        assert r.is_target and r.gdp is None and r.sec_fraction == 0.01
+
     def test_bad_header(self, tmp_path):
         p = write(tmp_path, "c.csv", "code,name\nUSA,United States\n")
         with pytest.raises(MalformedRow):
@@ -104,6 +114,11 @@ class TestPairTable:
         p = write(tmp_path, "d.csv", "origin,dest,value\nUSA,USA,0\n")
         t = load_pair_table(p, "distance")
         assert t.get("USA", "USA") == 0.0
+
+    def test_zero_distance_between_countries(self, tmp_path):
+        p = write(tmp_path, "d.csv", "origin,dest,value\nFRA,DEU,500\nFRA,ITA,0\n")
+        with pytest.raises(MalformedRow, match="line 3: distance FRA,ITA in d.csv must be > 0"):
+            load_pair_table(p, "distance")
 
     def test_asymmetric_distance(self, tmp_path):
         p = write(tmp_path, "d.csv", "origin,dest,value\nFRA,DEU,500\nDEU,FRA,600\n")
@@ -264,45 +279,26 @@ def test_written_tables_load_as_built(seed):
 
 
 class TestValidation:
+    """The loaders hold every raw-table rule; validate runs them."""
+
     def test_bundled_is_clean(self, bundle):
-        assert validate_bundle(bundle).ok
+        codes = {c.code for c in bundle.countries}
+        assert bundle.migration.codes() <= codes and bundle.distances.codes() <= codes
 
-    def test_unknown_code_in_pairs(self, bundle):
-        bad = DataBundle(
-            countries=bundle.countries,
-            migration=PairTable("migration", {("ZZZ", "USA"): 5.0}),
-            distances=bundle.distances,
-        )
-        report = validate_bundle(bad)
-        assert any(kind == "UnknownCode" for kind, _, _ in report.entries)
+    def test_unknown_code_in_pairs(self, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        mig = data / "migration.csv"
+        mig.write_text(mig.read_text() + "ZZZ,USA,500\n")
+        with pytest.raises(CodeMismatch, match="migration.csv names 'ZZZ'"):
+            load_bundle(data)
 
-    def test_target_without_security_data(self, bundle, tmp_path):
-        import dataclasses
-        countries = list(bundle.countries)
-        idx = next(k for k, c in enumerate(countries) if c.code == "AUS")
-        countries[idx] = dataclasses.replace(countries[idx], sec_fraction=None)
-        bad = DataBundle(countries=countries, migration=bundle.migration,
-                         distances=bundle.distances)
-        report = validate_bundle(bad)
-        assert any(kind == "MissingSecurityData" and loc == "AUS"
-                   for kind, loc, _ in report.entries)
-
-
-class TestRoundTrip:
-    def test_country_table_idempotent(self, bundle, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_country_table(bundle.countries, a)
-        write_country_table(load_country_table(a), b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_pair_tables_idempotent(self, bundle, tmp_path):
-        for table, kind in ((bundle.migration, "migration"), (bundle.distances, "distance")):
-            a = tmp_path / f"{kind}_a.csv"
-            b = tmp_path / f"{kind}_b.csv"
-            write_pair_table(table, a)
-            write_pair_table(load_pair_table(a, kind), b)
-            assert a.read_bytes() == b.read_bytes()
+    def test_target_without_security_data(self, tmp_path):
+        p = write(tmp_path, "c.csv", HEADER + "\n"
+                  "AUS,Australia,Oceania,2.2e7,6.33e11,,0,,,,,1,1\n")
+        with pytest.raises(MalformedRow, match="line 2: AUS is a target in c.csv") as err:
+            load_country_table(p)
+        assert err.value.line == 2
 
 
 TABLES = ["countries.csv", "migration.csv", "distance_km.csv", "pre_estimated/supply.csv",

@@ -22,7 +22,6 @@ from tnrisk.estimation import (
     estimate_yield,
     impute_survey,
     raw_barrier,
-    supply_sensitivity,
     write_params_csv,
 )
 from tnrisk.params import WEIGHT_PRESETS
@@ -129,21 +128,6 @@ class TestSupply:
         for c in countries:
             if c.muslim_pop == 0:
                 assert supply[c.code] == 0.0
-
-    def test_sensitivity_sign_pattern(self, bundle):
-        countries = impute_survey(bundle.countries)
-        table = supply_sensitivity(countries)
-        for code, (s, (high, low)) in table.items():
-            assert s > 0
-            assert high <= 1e-9    # stricter weights never add plots
-            assert low >= -1e-9    # looser weights never remove plots
-
-    def test_sensitivity_q_invariant(self, bundle):
-        countries = impute_survey(bundle.countries)
-        a = supply_sensitivity(countries, q=0.002)
-        b = supply_sensitivity(countries, q=0.2)
-        for code in a:
-            assert a[code][1] == pytest.approx(b[code][1])
 
 
 class TestBarriers:

@@ -8,7 +8,10 @@ OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, with a fortress-USA spec file beside it, and a
-``bench/synth.py`` dataset (seed 1, 400 x 200).  For
+``bench/synth.py`` dataset (seed 1, 400 x 200).  Three commands take
+error paths: ``validate`` and ``solve --mode estimate`` on a copy of the
+bundle whose AFG ``muslim_pop`` is negative, and ``scenario`` with a spec
+file naming an unknown code.  For
 every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
@@ -46,8 +49,12 @@ BUNDLE_COMMANDS = [
     ["validate"],
 ]
 
-# a spec file written into the work directory, run on the bundle as `scenario SPEC`
-FORTRESS_SPEC = {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]}
+# spec files written into the work directory, run on the bundle as `scenario SPEC`
+SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]},
+         "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]}}
+
+# run on a bundle copy whose AFG muslim_pop is negative: each must fail
+BAD_BUNDLE_COMMANDS = [["validate"], ["solve", "--mode", "estimate"]]
 
 
 def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
@@ -88,11 +95,22 @@ def main(argv: list[str]) -> int:
         shutil.copytree(new_src / "tnrisk" / "data" / "bundled", bundle)
         synthetic = work / "synthetic"
         spec = synth.generate(synthetic, *SYNTH_SHAPE)
-        fortress = work / "fortress-USA.json"
-        fortress.write_text(json.dumps(FORTRESS_SPEC), encoding="utf-8")
+        bad_bundle = work / "bad-bundle"
+        shutil.copytree(bundle, bad_bundle)
+        countries = bad_bundle / "countries.csv"
+        lines = countries.read_text(encoding="utf-8").splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("AFG,"))
+        cells = lines[k].split(",")
+        cells[6] = f"-{cells[6]}"  # muslim_pop
+        lines[k] = ",".join(cells)
+        countries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name, doc in SPECS.items():
+            (work / name).write_text(json.dumps(doc), encoding="utf-8")
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
-        commands.append((f"scenario {fortress.name}", ["scenario", str(fortress), "--data",
-                                                       str(bundle)]))
+        commands += [(f"scenario {name}", ["scenario", str(work / name), "--data", str(bundle)])
+                     for name in SPECS]
+        commands += [(f"bad-bundle {' '.join(c)}", [*c, "--data", str(bad_bundle)])
+                     for c in BAD_BUNDLE_COMMANDS]
         commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
                      for label, c in (("solve", ["solve"]),
                                       ("scenario spec.json", ["scenario", str(spec)]))]
