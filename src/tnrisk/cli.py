@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
@@ -50,23 +50,30 @@ def _parse_weights(text: str) -> tuple[SupportWeights, str]:
     return w, text
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", default=None, help="data directory (default: bundled dataset)")
-    p.add_argument("--mode", choices=["estimate", "pre"], default="pre",
-                   help="estimate parameters from raw tables, or load pre-estimated ones")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                   help="rationality parameter")
-    p.add_argument("--abandon", default="inf", help="abandon yield, a number or 'inf'/'blocked'")
-    p.add_argument("--weights", help="support weights for estimation: default|high|low or r,s,o")
-    p.add_argument("--q", type=float, help="plot-conversion factor for estimation")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+# every argument, declared once, in the groups a command takes whole
+IO_FLAGS = {"--data": dict(help="data directory (default: bundled dataset)"),
+            "--out": dict(help="output directory")}
+ESTIMATION_FLAGS = {
+    "--weights": dict(help="support weights for estimation: default|high|low or r,s,o"),
+    "--q": dict(type=float, help="plot-conversion factor for estimation")}
+MODEL_FLAGS = {
+    "--mode": dict(choices=["estimate", "pre"],
+                   help="estimate parameters from raw tables, or load pre-estimated ones"),
+    "--lambda": dict(dest="lam", type=float, help="rationality parameter")}
+ABANDON_FLAG = {"--abandon": dict(help="abandon yield, a number or 'inf'/'blocked'")}
+FORMAT_FLAG = {"--format": dict(choices=["csv", "json"])}
+SPEC_ARG = {"spec": dict(help=f"built-in name ({', '.join(scn.BUILTIN_SCENARIOS)}) or a JSON file")}
+GRID_FLAGS = {"--a-min": dict(type=float, default=-60.0), "--a-max": dict(type=float, default=10.0),
+              "--step": dict(type=float, default=1.0)}
+# every flag's default; a command that does not take a flag runs, and echoes, this value
+FLAG_DEFAULTS = dict(data=None, out="out", weights=None, q=None, mode="pre",
+                     lam=DEFAULT_LAMBDA, abandon="inf", format="csv")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
     # both scale the estimated supply; the pre-estimated tables carry their own
     given = [flag for flag, v in (("--q", args.q), ("--weights", args.weights)) if v is not None]
-    if given and args.mode == "pre" and args.command in ("solve", "scenario", "sweep"):
+    if given and args.mode == "pre":
         raise ValueError(f"{given[0]} applies only to estimation: add --mode estimate")
     q = parse_number(DEFAULT_Q if args.q is None else args.q, +1, "--q")
     if q == 0:
@@ -135,7 +142,6 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    config = replace(config, mode="estimate")
     params = _load_params(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, config.out_dir)
@@ -215,18 +221,17 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
     out.mkdir(parents=True, exist_ok=True)
     dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
                       zip(curve.a_values, curve.totals, *curve.per_target.values()))
-    fraction = 0.5
     status = EXIT_OK
     try:
-        threshold = scn.find_threshold(curve, fraction)
-        print(f"threshold A* = {threshold:.2f} (fraction {fraction})")
+        threshold = scn.find_threshold(curve)
+        print(f"threshold A* = {threshold:.2f} (fraction {scn.THRESHOLD_FRACTION})")
     except ThresholdOutOfRange as e:
         threshold = None
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_DOMAIN
     dataset.write_json(out / "run_metadata.json", {
         "config": _echo(config), "params": params.echo(),
-        "threshold": threshold, "threshold_fraction": fraction,
+        "threshold": threshold, "threshold_fraction": scn.THRESHOLD_FRACTION,
         "grid": {"min": a_min, "max": a_max, "step": step},
     })
     return status
@@ -238,52 +243,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate and solve the transnational attack-allocation model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("validate", "check a data directory against the input schemas"),
-        ("estimate", "derive the four parameter tables from raw data"),
-        ("solve", "compute the baseline attack matrix"),
-        ("scenario", "compare a counterfactual against the baseline"),
-        ("sweep", "sweep the abandon yield and locate the deterrence threshold"),
+    # each command takes only the flags it reads: argparse rejects any other (exit 2)
+    solving = IO_FLAGS | ESTIMATION_FLAGS | MODEL_FLAGS
+    for name, doc, arguments in [
+        ("validate", "check a data directory against the input schemas", IO_FLAGS),
+        ("estimate", "derive the four parameter tables from raw data",
+         IO_FLAGS | ESTIMATION_FLAGS),
+        ("solve", "compute the baseline attack matrix", solving | ABANDON_FLAG),
+        ("scenario", "compare a counterfactual against the baseline",
+         solving | ABANDON_FLAG | FORMAT_FLAG | SPEC_ARG),
+        ("sweep", "sweep the abandon yield and locate the deterrence threshold",
+         solving | GRID_FLAGS),
     ]:
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "scenario":
-            p.add_argument("spec", help=f"built-in name ({', '.join(scn.BUILTIN_SCENARIOS)})"
-                                        " or a JSON file")
-        if name == "sweep":
-            p.add_argument("--a-min", type=float, default=-60.0)
-            p.add_argument("--a-max", type=float, default=10.0)
-            p.add_argument("--step", type=float, default=1.0)
+        p.set_defaults(**FLAG_DEFAULTS)
+        for argument, settings in arguments.items():
+            p.add_argument(argument, **settings)
+        if name == "estimate":
+            p.set_defaults(mode="estimate")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _config(args)
     except (ValueError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    run = {
+        "validate": lambda: cmd_validate(config),
+        "estimate": lambda: cmd_estimate(config),
+        "solve": lambda: cmd_solve(config),
+        "scenario": lambda: cmd_scenario(config, args.spec),
+        "sweep": lambda: cmd_sweep(config, args.a_min, args.a_max, args.step),
+    }[args.command]
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "estimate":
-            return cmd_estimate(config)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "scenario":
-            return cmd_scenario(config, args.spec)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.a_min, args.a_max, args.step)
+        return run()
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -181,13 +181,12 @@ def load_country_table(path: str | Path) -> list[CountryRecord]:
     ``gdp_usd`` has no yield, so the model does not treat it as a target.
     """
     records: list[CountryRecord] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # code -> its line
     name = Path(path).name
     for line, row in _rows(path, COUNTRY_HEADER):
         code = row[0].strip()
-        if code in seen:
-            raise DuplicateCode(code)
-        seen.add(code)
+        if seen.setdefault(code, line) != line:
+            raise DuplicateCode(code, name, seen[code], line)
         # population through sigma_o, in CountryRecord's field order
         numbers = [_parse_float(row[i], line, f"{column} in {name}",
                                 required=column in ("population", "muslim_pop"), sign=+1)
@@ -235,11 +234,12 @@ def load_pair_table(path: str | Path, kind: str) -> PairTable:
 
 def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
     out: dict[str, float] = {}
+    seen: dict[str, int] = {}  # code -> its line
     label = f"{value_name} in {path.name}"
     for line, row in _rows(path, ["code", value_name]):
         code = row[0].strip()
-        if code in out:
-            raise DuplicateCode(code)
+        if seen.setdefault(code, line) != line:
+            raise DuplicateCode(code, path.name, seen[code], line)
         out[code] = _parse_float(row[1], line, label, sign=sign)
     return out
 
@@ -307,7 +307,8 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
 def load_bundle(data_dir: str | Path) -> DataBundle:
     """Load the three raw tables (countries and the two pair tables) from a directory.
 
-    Every code of a pair table must be in countries.csv.
+    Every code of a pair table must be in countries.csv, and every migration
+    pair between two countries needs a distance, given in either direction.
     """
     data_dir = Path(data_dir)
     bundle = DataBundle(
@@ -321,6 +322,9 @@ def load_bundle(data_dir: str | Path) -> DataBundle:
         unknown = table.codes() - codes
         if unknown:
             raise CodeMismatch(f"{name} names {min(unknown)!r}, which is not in countries.csv")
+    for origin, dest in bundle.migration.entries:
+        if origin != dest and (origin, dest) not in bundle.distances.entries:
+            raise CodeMismatch(f"migration.csv pair {origin},{dest} has no row in distance_km.csv")
     return bundle
 
 

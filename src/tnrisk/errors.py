@@ -16,9 +16,10 @@ class MalformedRow(ModelError):
 
 
 class DuplicateCode(ModelError):
-    def __init__(self, code: str):
-        super().__init__(f"duplicate country code {code!r}")
+    def __init__(self, code: str, file: str, first: int, again: int):
+        super().__init__(f"duplicate country code {code!r} in {file} on lines {first} and {again}")
         self.code = code
+        self.lines = (first, again)
 
 
 class DuplicatePair(ModelError):

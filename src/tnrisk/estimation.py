@@ -120,15 +120,9 @@ def estimate_barriers(bundle: DataBundle) -> dict[tuple[str, str], float]:
     downstream.  Domestic barriers are zero by assumption.
     """
     by_code = bundle.by_code()
-    raw: dict[tuple[str, str], float] = {}
-    for (i, j), m in bundle.migration.entries.items():
-        if i == j:
-            continue
-        d = bundle.distances.get(i, j)
-        if d is None:
-            logger.warning("no distance for pair %s-%s; skipping", i, j)
-            continue
-        raw[(i, j)] = raw_barrier(by_code[i].population, by_code[j].population, d, m)
+    raw = {(i, j): raw_barrier(by_code[i].population, by_code[j].population,
+                               bundle.distances.get(i, j), m)
+           for (i, j), m in bundle.migration.entries.items() if i != j}
     finite_keys = [k for k, v in raw.items() if not is_blocked(v)]
     if len(finite_keys) < 2:
         raise DegenerateSpread("fewer than two observed migration pairs")

@@ -240,24 +240,23 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
                       supply_total=sum(net.supply.tolist()))
 
 
-def find_threshold(curve: SweepCurve, fraction: float = 0.5) -> float:
-    """Smallest A where the total reaches fraction * max, linearly interpolated."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+# the share of the curve's maximum whose crossing find_threshold locates
+THRESHOLD_FRACTION = 0.5
+
+
+def find_threshold(curve: SweepCurve) -> float:
+    """Smallest A where the total reaches THRESHOLD_FRACTION * max, linearly interpolated."""
     if not curve.totals or max(curve.totals) <= 0.0:
         raise ThresholdOutOfRange("curve carries no attack mass anywhere on the grid")
-    peak = max(curve.totals)
-    target = fraction * peak
-    if curve.totals and curve.totals[0] >= target:
+    target = THRESHOLD_FRACTION * max(curve.totals)
+    if curve.totals[0] >= target:
         return curve.a_values[0]
     for k in range(1, len(curve.totals)):
         if curve.totals[k] >= target:
             a0, a1 = curve.a_values[k - 1], curve.a_values[k]
             t0, t1 = curve.totals[k - 1], curve.totals[k]
-            if t1 == t0:
-                return a1
             return a0 + (target - t0) * (a1 - a0) / (t1 - t0)
-    raise ThresholdOutOfRange(f"total never reaches {fraction:.0%} of its maximum")
+    raise ThresholdOutOfRange(f"total never reaches {THRESHOLD_FRACTION:.0%} of its maximum")
 
 
 @dataclass

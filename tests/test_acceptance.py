@@ -190,7 +190,7 @@ def test_criterion_08_deterrence_curve(pre_params):
     peak_k = int(np.argmax(diffs))
     assert (np.diff(diffs[:peak_k + 1]) >= -1e-9).all()
     assert (np.diff(diffs[peak_k:]) <= 1e-9).all()
-    a_star = find_threshold(curve, 0.5)
+    a_star = find_threshold(curve)
     assert -54.0 < a_star < -6.8
 
     # synthetic single-source fixture against the closed-form logistic midpoint
@@ -199,7 +199,7 @@ def test_criterion_08_deterrence_curve(pre_params):
                          I={"USA": 1.5}, Y={"USA": -54.0}, lam=0.1)
     sgrid = [float(a) for a in range(-80, 0)]
     scurve = deterrence_sweep(single, sgrid)
-    s_star = find_threshold(scurve, 0.5)
+    s_star = find_threshold(scurve)
     half = 0.5 * max(scurve.totals)
     analytic = c - math.log(100.0 / half - 1.0) / 0.1
     assert abs(s_star - analytic) <= 1.0

@@ -13,7 +13,7 @@ import pytest
 
 import tnrisk
 from tnrisk import fortress, solve
-from tnrisk.cli import MAX_GRID_POINTS, main
+from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_POINTS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
 from conftest import cell_dict
@@ -66,10 +66,11 @@ class TestValidate:
         assert "pre_estimated:ZZZ" in report
 
 
-def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str]) -> Path:
+def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None]) -> Path:
     """A copy of the bundled data with edits (file, row prefix, cell, value) made in order.
 
-    An edit with no row prefix appends its value as a new line.
+    An edit with no row prefix appends its value as a new line; one with no
+    value deletes the row.
     """
     data = tmp_path / "data"
     shutil.copytree(bundled_data_dir(), data)
@@ -80,9 +81,12 @@ def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str]) -> Pat
             lines.append(value)
         else:
             k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
-            cells = lines[k].split(",")
-            cells[cell] = value
-            lines[k] = ",".join(cells)
+            if value is None:
+                del lines[k]
+            else:
+                cells = lines[k].split(",")
+                cells[cell] = value
+                lines[k] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
     return data
 
@@ -98,9 +102,12 @@ def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str]) -> Pat
     ("distance_km.csv", [("distance_km.csv", None, 0, "ZZZ,USA,10000")]),
     ("distance_km.csv", [("distance_km.csv", "AFG,AUS,", 2, "0")]),
     ("migration.csv", [("migration.csv", "AFG,AUS,", 2, "-5")]),
+    ("migration.csv pair AFG,AUS has no row in distance_km.csv",
+     [("distance_km.csv", "AFG,AUS,", 0, None)]),
 ], ids=["muslim-pop-negative", "target-without-sec-fraction", "population-zero",
         "population-negative", "gdp-negative", "unknown-code-in-both-pair-tables",
-        "unknown-code-in-distances", "zero-distance", "migration-negative"])
+        "unknown-code-in-distances", "zero-distance", "migration-negative",
+        "migration-pair-without-distance"])
 def test_raw_table_rule_fails_every_command(tmp_path, capsys, name, edits):
     """validate, estimate and solve --mode estimate stop at one loader error naming the file."""
     data = str(bundle_copy(tmp_path, *edits))
@@ -112,6 +119,54 @@ def test_raw_table_rule_fails_every_command(tmp_path, capsys, name, edits):
     assert errors[0].startswith("error: ") and name in errors[0]
     assert errors == [errors[0]] * 3
     assert (out / "validation_report.txt").read_text() == errors[0]
+
+
+# a valid value of each flag the commands share, and the flags each command takes
+FLAG_VALUES = {"--data": str(bundled_data_dir()), "--out": "out", "--weights": "high",
+               "--q": "0.004", "--mode": "estimate", "--lambda": "0.2", "--abandon": "-20",
+               "--format": "json"}
+FLAGS_TAKEN = {
+    "validate": ["--data", "--out"],
+    "estimate": ["--data", "--out", "--weights", "--q"],
+    "sweep": ["--data", "--out", "--weights", "--q", "--mode", "--lambda"],
+    "solve": ["--data", "--out", "--weights", "--q", "--mode", "--lambda", "--abandon"],
+    "scenario": list(FLAG_VALUES),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, taken in FLAGS_TAKEN.items()
+                                           for f in FLAG_VALUES if f not in taken])
+def test_flag_the_command_would_ignore_exit_2(tmp_path, capsys, command, flag):
+    """A flag a command does not read is a usage error, not a value echoed in the metadata."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as done:
+        run(command, flag, FLAG_VALUES[flag], "--out", str(out))
+    assert done.value.code == 2
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(FLAGS_TAKEN))
+def test_command_takes_its_flags(command):
+    """Each flag in FLAGS_TAKEN parses, so the test above leaves out only flags a command
+    does not take; every command still holds a value for all eight."""
+    spec = ["homegrown"] if command == "scenario" else []
+    flags = [x for f in FLAGS_TAKEN[command] for x in (f, FLAG_VALUES[f])]
+    args = vars(build_parser().parse_args([command, *spec, *flags]))
+    assert FLAG_DEFAULTS.keys() <= args.keys()
+
+
+@pytest.mark.parametrize("name", ["countries.csv", "pre_estimated/supply.csv",
+                                  "pre_estimated/interception.csv", "pre_estimated/yield.csv"])
+def test_duplicate_code_names_file_and_lines(tmp_path, capsys, name):
+    data = bundle_copy(tmp_path)
+    path = data / name
+    lines = path.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if ln.startswith("USA,"))
+    path.write_text("\n".join([*lines, lines[k]]) + "\n")
+    assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (f"error: duplicate country code 'USA' in {path.name} "
+                                       f"on lines {k + 1} and {len(lines) + 1}\n")
 
 
 class TestSolve:
@@ -163,7 +218,6 @@ class TestSolve:
         """Every file of solve and scenario, in both formats, is the same run to run."""
         for k, (argv, some) in enumerate([
             (["solve"], {"attack_matrix.csv", "attack_matrix.json", "plot_data.csv"}),
-            (["solve", "--format", "json"], {"attack_matrix.json", "plot_data.csv"}),
             (["scenario", "fortress-USA"], {"base_attack_matrix.csv", "alt_attack_matrix.csv",
                                             "delta.csv", "ranked_gainers.csv"}),
             (["scenario", "homegrown", "--format", "json"],
@@ -309,6 +363,15 @@ class TestEstimate:
         assert (meta["params"]["q"], meta["params"]["weights_preset"]) == (0.004, "low_commitment")
         assert (a / "supply.csv").read_text() != (b / "supply.csv").read_text()
         assert (a / "barriers.csv").read_bytes() == (b / "barriers.csv").read_bytes()
+
+    def test_explicit_weights_triple(self, tmp_path):
+        """--weights r,s,o estimates what the preset with those weights does."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("estimate", "--weights", "high", "--out", str(a)) == 0
+        assert run("estimate", "--weights", "0.1,0.2,1.0", "--out", str(b)) == 0
+        assert (a / "supply.csv").read_bytes() == (b / "supply.csv").read_bytes()
+        meta = json.loads((b / "run_metadata.json").read_text())
+        assert meta["config"]["weights"] == "0.1,0.2,1.0"
 
     @pytest.mark.parametrize("flags", [[], ["--weights", "low"]])
     def test_metadata_echoes_estimate_mode(self, tmp_path, flags):

@@ -91,6 +91,19 @@ class TestImputation:
             if c.muslim_pop > 0:
                 assert filled[c.code].has_survey
 
+    def test_unsurveyed_country_gets_regional_mean(self, bundle):
+        """Each fraction is the unweighted mean over the region's surveyed countries."""
+        import dataclasses
+        surveyed = [c for c in bundle.countries if c.has_survey]
+        region = max({c.region for c in surveyed},
+                     key=lambda r: sum(c.region == r for c in surveyed))
+        peers = [c for c in surveyed if c.region == region]
+        assert len(peers) > 1
+        gap = dataclasses.replace(peers[0], code="XXD", muslim_pop=1000.0,
+                                  sigma_r=None, sigma_s=None, sigma_o=None)
+        filled = impute_survey([*bundle.countries, gap])[-1]
+        assert filled.sigma == tuple(sum(f) / len(peers) for f in zip(*(c.sigma for c in peers)))
+
     def test_surveyed_rows_untouched(self, bundle):
         before = {c.code: c for c in bundle.countries if c.has_survey}
         after = {c.code: c for c in impute_survey(bundle.countries)}

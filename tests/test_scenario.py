@@ -254,7 +254,7 @@ class TestSweep:
             expected = 100.0 / (1.0 + math.exp(-lam * (a - c)))
             assert total == pytest.approx(expected, abs=1e-9)
         # 50%-of-max threshold sits at the analytic crossing, within a grid step
-        a_star = find_threshold(curve, 0.5)
+        a_star = find_threshold(curve)
         half = 0.5 * max(curve.totals)
         analytic = c - math.log(100.0 / half - 1.0) / lam
         assert abs(a_star - analytic) <= 1.0
@@ -263,7 +263,7 @@ class TestSweep:
     def test_flat_curve_first_grid_point(self):
         p = tiny_params()
         curve = deterrence_sweep(p, [5.0, 6.0, 7.0])
-        assert find_threshold(curve, 0.5) == 5.0
+        assert find_threshold(curve) == 5.0
 
     def test_threshold_out_of_range(self):
         # a source with no traversable attack option never generates attack mass
@@ -272,7 +272,7 @@ class TestSweep:
         curve = deterrence_sweep(p, [-10.0, 0.0, 10.0])
         assert curve.totals == [0.0, 0.0, 0.0]
         with pytest.raises(ThresholdOutOfRange):
-            find_threshold(curve, 0.5)
+            find_threshold(curve)
 
     def test_deterministic(self, params):
         grid = [-40.0, -20.0, 0.0]

@@ -11,9 +11,10 @@ bundled dataset, with a fortress-USA spec file beside it, and a
 ``bench/synth.py`` dataset (seed 1, 400 x 200).  Three commands take
 error paths: ``validate`` and ``solve --mode estimate`` on a copy of the
 bundle whose AFG ``muslim_pop`` is negative, and ``scenario`` with a spec
-file naming an unknown code.  For
-every command the script prints "identical" or "DIFFERENT" for the exit
-code, standard output, standard error and each file written.
+file naming an unknown code.  Four give a command a flag it does not take,
+which is a usage error.  For every command the script prints "identical"
+or "DIFFERENT" for the exit code, standard output, standard error and each
+file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
 Exits 1 if anything differs, else 0.
 """
@@ -37,7 +38,6 @@ BUNDLE_COMMANDS = [
     ["solve"],
     ["solve", "--mode", "estimate"],
     ["solve", "--mode", "estimate", "--weights", "high", "--q", "0.004"],
-    ["solve", "--format", "json"],
     ["solve", "--abandon", "-20"],
     ["scenario", "fortress-USA"],
     ["scenario", "fortress-USA", "--format", "json"],
@@ -47,6 +47,11 @@ BUNDLE_COMMANDS = [
     ["estimate"],
     ["estimate", "--weights", "low"],
     ["validate"],
+    # a flag the command does not take: a usage error
+    ["solve", "--format", "json"],
+    ["sweep", "--abandon", "-20"],
+    ["estimate", "--lambda", "5"],
+    ["validate", "--q", "0.004"],
 ]
 
 # spec files written into the work directory, run on the bundle as `scenario SPEC`
