@@ -17,11 +17,9 @@ from .params import (
 from .dataset import (
     CountryRecord,
     DataBundle,
-    PairTable,
     bundled_data_dir,
     load_bundle,
     load_country_table,
-    load_pair_table,
     load_pre_estimated,
 )
 from .estimation import (

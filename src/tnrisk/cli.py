@@ -121,9 +121,6 @@ def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
 
 def cmd_validate(config: RunConfig) -> int:
     """The commands' loaders; validation_report.txt gets the first failure, as main prints it."""
-    if not config.data_dir.is_dir():
-        print(f"error: data directory {config.data_dir} not found", file=sys.stderr)
-        return EXIT_USAGE
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report = config.out_dir / "validation_report.txt"
     pre_dir = config.data_dir / "pre_estimated"
@@ -270,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         config = _config(args)
     except (ValueError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    if not config.data_dir.is_dir():
+        print(f"error: data directory {config.data_dir} not found", file=sys.stderr)
         return EXIT_USAGE
     run = {
         "validate": lambda: cmd_validate(config),

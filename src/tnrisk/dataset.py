@@ -12,7 +12,7 @@ import io
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -28,13 +28,13 @@ from .errors import (
     MissingFile,
     NegativeValue,
 )
-from .params import Barriers, ModelParams, parse_cost, parse_costs, parse_number
+from .params import (BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_floats,
+                     parse_number)
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
     "muslim_pop", "sigma_n", "sigma_r", "sigma_s", "sigma_o", "is_oecd", "is_target",
 ]
-PAIR_HEADER = ["origin", "dest", "value"]
 
 
 @dataclass(frozen=True)
@@ -65,27 +65,15 @@ class CountryRecord:
 
 
 @dataclass
-class PairTable:
-    kind: str  # "migration" | "distance"
-    entries: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def get(self, origin: str, dest: str) -> float | None:
-        if self.kind == "distance" and origin == dest:
-            return 0.0
-        return self.entries.get((origin, dest))
-
-    def codes(self) -> set[str]:
-        return {code for pair in self.entries for code in pair}
-
-
-@dataclass
 class DataBundle:
-    countries: list[CountryRecord]
-    migration: PairTable
-    distances: PairTable
+    """The raw tables.  Both matrices are indexed [origin, dest] on the sorted ``codes``:
+    ``migration`` is NaN where no row is listed, and ``distance`` is mirrored, 0.0 on
+    the diagonal and NaN where neither direction is listed."""
 
-    def by_code(self) -> dict[str, CountryRecord]:
-        return {c.code: c for c in self.countries}
+    countries: list[CountryRecord]
+    codes: list[str]
+    migration: np.ndarray
+    distance: np.ndarray
 
 
 # cells per block of the table reader and of write_cells: bounds their memory, not what they do
@@ -205,31 +193,71 @@ def load_country_table(path: str | Path) -> list[CountryRecord]:
     return records
 
 
-def load_pair_table(path: str | Path, kind: str) -> PairTable:
-    if kind not in ("migration", "distance"):
-        raise ValueError(f"bad pair-table kind {kind!r}")
-    table = PairTable(kind=kind)
-    name = Path(path).name
-    label = f"value in {name}"
-    for line, row in _rows(path, PAIR_HEADER):
-        origin, dest = row[0].strip(), row[1].strip()
-        value = _parse_float(row[2], line, label)
-        if value < 0:
-            raise NegativeValue(f"line {line}: {origin},{dest} in {name} = {value}")
-        if kind == "distance":
-            if value == 0 and origin != dest:  # raw_barrier divides by its square
-                raise MalformedRow(line, f"distance {origin},{dest} in {name} must be > 0, "
-                                         f"got {row[2]!r}")
-            mirror = table.entries.get((dest, origin))
-            if mirror is not None and origin != dest:
-                scale = max(abs(mirror), abs(value), 1e-30)
-                if abs(mirror - value) / scale > 1e-6:
-                    raise AsymmetricDistance(origin, dest)
-            table.entries[(origin, dest)] = value
-            table.entries[(dest, origin)] = value
-        else:
-            table.entries[(origin, dest)] = value
-    return table
+def _pair_table(path: Path, value: str, codes: Iterable[str]
+                ) -> tuple[list[str], Sequence[int], np.ndarray, np.ndarray, list[str]]:
+    """(axis, lines, rows, cols, cells): lines[k] lists (axis[rows[k]], axis[cols[k]], cells[k])."""
+    lines, (origins, dests, cells) = _table(path, ["origin", "dest", value])
+    cells_of_codes = {*origins, *dests}  # each distinct cell is stripped and indexed once
+    axis = sorted({*codes, *map(str.strip, cells_of_codes)})  # with the table's own codes
+    index = {c: k for k, c in enumerate(axis)}
+    at = {cell: index[cell.strip()] for cell in cells_of_codes}
+    rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
+                  for column in (origins, dests))
+    return axis, lines, rows, cols, cells
+
+
+def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.ndarray,
+                   cols: np.ndarray) -> None:
+    """A pair :func:`_pair_table` read twice is a DuplicatePair error naming both lines."""
+    _, first, pair = np.unique(rows * len(axis) + cols, return_index=True, return_inverse=True)
+    again = np.flatnonzero(first[pair] != np.arange(len(rows)))  # rows repeating an earlier one
+    if again.size:
+        k = int(again[0])
+        raise DuplicatePair((axis[rows[k]], axis[cols[k]]), path.name, lines[first[pair[k]]],
+                            lines[k])
+
+
+def _raw_pairs(path: Path, codes: list[str]
+               ) -> tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """(lines, rows, cols, values, cells) of a raw pair table: each pair once, values >= 0."""
+    axis, lines, rows, cols, cells = _pair_table(path, "value", codes)
+    values = parse_floats(cells)
+    bad = ~np.isfinite(values) | (values < 0)
+    if bad.any():
+        k = int(bad.argmax())
+        _parse_float(cells[k], lines[k], f"value in {path.name}")  # raises if not finite
+        raise NegativeValue(f"line {lines[k]}: {axis[rows[k]]},{axis[cols[k]]} in {path.name} "
+                            f"= {float(values[k])}")
+    _check_repeats(path, axis, lines, rows, cols)
+    unknown = set(axis).difference(codes)
+    if unknown:
+        raise CodeMismatch(f"{path.name} names {min(unknown)!r}, which is not in countries.csv")
+    return lines, rows, cols, values, cells
+
+
+def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
+    """distance_km.csv as :attr:`DataBundle.distance`."""
+    lines, rows, cols, values, cells = _raw_pairs(path, codes)
+    with np.errstate(over="ignore"):  # raw_barrier divides by the square: not 0, not inf
+        bad = (values * values == 0) | (values >= 1e154)
+    bad &= rows != cols
+    if bad.any():
+        k = int(bad.argmax())
+        raise MalformedRow(lines[k], f"distance {codes[rows[k]]},{codes[cols[k]]} in {path.name} "
+                                     f"must be {'> 0' if values[k] < 1 else '< 1e154'}, "
+                                     f"got {cells[k]!r}")
+    at = np.full((len(codes),) * 2, -1)  # the row listing each pair; -1 picks the NaN appended
+    at[rows, cols] = np.arange(len(rows))
+    values = np.append(values, np.nan)
+    given, later = values[at], np.maximum(at, at.T)  # the later row holds both ways
+    scale = np.maximum(np.maximum(given, given.T), 1e-30)  # every value is >= 0
+    asymmetric = abs(given - given.T) / scale > 1e-6  # False where a direction is unlisted
+    if asymmetric.any():
+        k = int(later[asymmetric].min())
+        raise AsymmetricDistance(codes[rows[k]], codes[cols[k]])
+    distance = values[later]
+    np.fill_diagonal(distance, 0.0)
+    return distance
 
 
 def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
@@ -251,26 +279,21 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
     interception or yield data.  A diagonal row loads as 0.0, as does each
     supply code's domestic pair the file leaves out.  Each check runs once over
     whole columns; where rows fail several, the first failing row is reported,
-    for the first check it fails in the order origin, destination, cost, sign.
+    for the first check it fails in the order origin, destination, cost, sign;
+    a pair listed twice is reported after these.
     """
-    lines, (origins, dests, cells) = _table(path, ["origin", "dest", "cost"])
-    cells_of_codes = {*origins, *dests}  # each distinct cell is stripped and indexed once
-    codes = sorted({*supply, *targets, *map(str.strip, cells_of_codes)})
-    index = {c: k for k, c in enumerate(codes)}
-    at = {cell: index[cell.strip()] for cell in cells_of_codes}
-    rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
-                  for column in (origins, dests))
-    in_supply, in_targets = np.zeros((2, len(codes)), dtype=bool)
-    in_supply[[index[c] for c in supply]] = True
-    in_targets[[index[c] for c in targets]] = True
-    values = parse_costs(cells)
+    codes, lines, rows, cols, cells = _pair_table(path, "cost", {*supply, *targets})
+    in_supply = np.array([c in supply for c in codes], dtype=bool)
+    in_targets = np.array([c in targets for c in codes], dtype=bool)
+    values = parse_floats(cells, parse_cost)
+    values[is_blocked(values)] = BLOCKED  # as parse_cost folds them
     foreign = rows != cols
     # row-major: the earliest row first, then the earliest check in that row
     faults = np.column_stack([foreign & ~in_supply[rows], foreign & ~in_targets[cols],
-                              np.isnan(values), values < 0])
+                              np.isnan(values) | (values == -np.inf), values < 0])
     if faults.any():
         k, check = divmod(int(faults.argmax()), faults.shape[1])
-        origin, dest, line = origins[k].strip(), dests[k].strip(), lines[k]
+        origin, dest, line = codes[rows[k]], codes[cols[k]], lines[k]
         if check == 0:
             raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
         if check == 1:
@@ -281,17 +304,9 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
             except ValueError as e:
                 raise MalformedRow(line, str(e)) from None
         raise NegativeValue(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
-    pairs = rows * len(codes) + cols
-    seen = np.zeros(len(codes) ** 2, dtype=bool)
-    seen[pairs] = True
-    if np.count_nonzero(seen) < len(pairs):
-        first: dict[int, int] = {}
-        for k, pair in enumerate(pairs.tolist()):
-            if first.setdefault(pair, k) != k:
-                raise DuplicatePair((origins[k].strip(), dests[k].strip()),
-                                    lines[first[pair]], lines[k])
+    _check_repeats(path, codes, lines, rows, cols)
     values[~foreign] = 0.0
-    return Barriers.listing(codes, rows, cols, values, map(index.__getitem__, supply))
+    return Barriers.listing(codes, rows, cols, values, np.flatnonzero(in_supply))
 
 
 def load_pre_estimated(directory: str | Path) -> ModelParams:
@@ -305,27 +320,20 @@ def load_pre_estimated(directory: str | Path) -> ModelParams:
 
 
 def load_bundle(data_dir: str | Path) -> DataBundle:
-    """Load the three raw tables (countries and the two pair tables) from a directory.
-
-    Every code of a pair table must be in countries.csv, and every migration
-    pair between two countries needs a distance, given in either direction.
-    """
+    """Load the three raw tables; every migration pair needs a distance, in either direction."""
     data_dir = Path(data_dir)
-    bundle = DataBundle(
-        countries=load_country_table(data_dir / "countries.csv"),
-        migration=load_pair_table(data_dir / "migration.csv", "migration"),
-        distances=load_pair_table(data_dir / "distance_km.csv", "distance"),
-    )
-    codes = {c.code for c in bundle.countries}
-    for name, table in (("migration.csv", bundle.migration),
-                        ("distance_km.csv", bundle.distances)):
-        unknown = table.codes() - codes
-        if unknown:
-            raise CodeMismatch(f"{name} names {min(unknown)!r}, which is not in countries.csv")
-    for origin, dest in bundle.migration.entries:
-        if origin != dest and (origin, dest) not in bundle.distances.entries:
-            raise CodeMismatch(f"migration.csv pair {origin},{dest} has no row in distance_km.csv")
-    return bundle
+    countries = load_country_table(data_dir / "countries.csv")
+    codes = sorted(c.code for c in countries)
+    _, rows, cols, values, _ = _raw_pairs(data_dir / "migration.csv", codes)
+    distance = _load_distances(data_dir / "distance_km.csv", codes)
+    unmeasured = np.isnan(distance[rows, cols])
+    if unmeasured.any():
+        k = int(unmeasured.argmax())
+        raise CodeMismatch(f"migration.csv pair {codes[rows[k]]},{codes[cols[k]]} "
+                           "has no row in distance_km.csv")
+    migration = np.full(distance.shape, np.nan)
+    migration[rows, cols] = values
+    return DataBundle(countries, codes, migration, distance)
 
 
 def bundled_data_dir() -> Path:

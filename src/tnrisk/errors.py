@@ -23,8 +23,9 @@ class DuplicateCode(ModelError):
 
 
 class DuplicatePair(ModelError):
-    def __init__(self, pair: tuple[str, str], first: int, again: int):
-        super().__init__(f"duplicate pair {pair[0]!r},{pair[1]!r} on lines {first} and {again}")
+    def __init__(self, pair: tuple[str, str], file: str, first: int, again: int):
+        super().__init__(f"duplicate pair {pair[0]!r},{pair[1]!r} in {file} "
+                         f"on lines {first} and {again}")
         self.pair = pair
         self.lines = (first, again)
 

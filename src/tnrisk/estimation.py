@@ -13,11 +13,14 @@ import statistics
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import CountryRecord, DataBundle, write_csv
 from .errors import DegenerateSpread, EmptyRegion, MissingImputation
 from .params import (
     BLOCKED,
     DEFAULT_Q,
+    Barriers,
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
@@ -99,46 +102,37 @@ def estimate_supply(countries: list[CountryRecord],
     return supply
 
 
-def raw_barrier(p_i: float, p_j: float, d_ij: float, m_ij: float | None) -> float:
-    """Gravity-law migration shortfall: (p_i * p_j / d_ij^2) / m_ij.
+def raw_barrier(p_i, p_j, d_ij, m_ij):
+    """Gravity-law migration shortfall (p_i * p_j / d_ij^2) / m_ij, over floats or arrays."""
+    # d_ij * d_ij is rounded once, as an array's d_ij**2 is; a float's ** goes through libm pow
+    return p_i * p_j / (d_ij * d_ij) / m_ij
 
-    No observed migration means no usable channel: BLOCKED.
+
+def estimate_barriers(bundle: DataBundle) -> Barriers:
+    """Translocation cost per listed (origin, destination) migration pair, on the bundle's axis.
+
+    A zero migration lists its pair as BLOCKED; a pair with no migration row is not
+    listed, so it is BLOCKED downstream.  Domestic barriers are zero by assumption.
     """
-    if p_i <= 0 or p_j <= 0 or d_ij <= 0:
-        raise ValueError("populations and distance must be positive")
-    if m_ij is None or m_ij == 0:
-        return BLOCKED
-    if m_ij < 0:
-        raise ValueError("migration must be non-negative")
-    return (p_i * p_j / d_ij**2) / m_ij
-
-
-def estimate_barriers(bundle: DataBundle) -> dict[tuple[str, str], float]:
-    """Translocation cost per observed (origin, destination) migration pair.
-
-    Pairs with no migration data stay out of the map and are treated as BLOCKED
-    downstream.  Domestic barriers are zero by assumption.
-    """
-    by_code = bundle.by_code()
-    raw = {(i, j): raw_barrier(by_code[i].population, by_code[j].population,
-                               bundle.distances.get(i, j), m)
-           for (i, j), m in bundle.migration.entries.items() if i != j}
-    finite_keys = [k for k, v in raw.items() if not is_blocked(v)]
-    if len(finite_keys) < 2:
+    at = np.searchsorted(bundle.codes, [c.code for c in bundle.countries])  # each one's place
+    pop = np.empty(len(at))
+    pop[at] = [c.population for c in bundle.countries]
+    listed = ~np.isnan(bundle.migration)
+    with np.errstate(divide="ignore"):  # zero migration, and the diagonal's zero distance: inf
+        raw = raw_barrier(pop[:, None], pop, bundle.distance, bundle.migration)
+    observed = listed & ~is_blocked(raw)  # never on the diagonal
+    if np.count_nonzero(observed) < 2:
         raise DegenerateSpread("fewer than two observed migration pairs")
-    normalized = normalize_min_median([raw[k] for k in finite_keys], "cost")
-    barriers = {k: v for k, v in zip(finite_keys, normalized)}
-    for k, v in raw.items():
-        if is_blocked(v):
-            barriers[k] = BLOCKED
-    for c in bundle.countries:
-        barriers[(c.code, c.code)] = 0.0
+    cost = np.full(raw.shape, BLOCKED)
+    cost[observed] = normalize_min_median(raw[observed].tolist(), "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
-    origins_with_channel = {i for (i, j), v in barriers.items() if i != j and not is_blocked(v)}
-    for c in bundle.countries:
-        if c.muslim_pop > 0 and c.code not in origins_with_channel:
+    channel = (~is_blocked(cost)).any(axis=1)  # the diagonal is still BLOCKED here
+    for c, k in zip(bundle.countries, at.tolist()):
+        if c.muslim_pop > 0 and not channel[k]:
             logger.warning("source %s has no traversable outbound barrier", c.code)
-    return barriers
+    np.fill_diagonal(cost, 0.0)
+    np.fill_diagonal(listed, True)  # a listed domestic migration row changes nothing
+    return Barriers(bundle.codes, cost, listed)
 
 
 def estimate_interception(countries: list[CountryRecord]) -> dict[str, float]:

@@ -38,20 +38,17 @@ def parse_cost(v, name: str = "cost") -> float:
     return BLOCKED if value >= _BLOCKED_FLOOR else value
 
 
-def parse_costs(cells) -> np.ndarray:
-    """Cells as :func:`parse_cost` reads each one, with NaN where it raises."""
+def parse_floats(cells, parse=float) -> np.ndarray:
+    """Cells as ``parse`` reads each one, with NaN where it raises ValueError."""
     try:
-        values = np.array(cells, dtype=float)  # parses each cell as float() does
+        return np.array(cells, dtype=float)  # parses each cell as float() does
     except ValueError:  # a word such as 'blocked', or bad text: cell by cell
-        values = np.array([_cost_or_nan(c) for c in cells], dtype=float)
-    values[values == -math.inf] = math.nan
-    values[values >= _BLOCKED_FLOOR] = BLOCKED
-    return values
+        return np.array([_or_nan(parse, c) for c in cells], dtype=float)
 
 
-def _cost_or_nan(cell) -> float:
+def _or_nan(parse, cell) -> float:
     try:
-        return parse_cost(cell)
+        return parse(cell)
     except ValueError:
         return math.nan
 

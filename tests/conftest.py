@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tnrisk import (BLOCKED, DeltaMatrix, ModelParams, bundled_data_dir, load_bundle,
                     load_pre_estimated)
+from tnrisk.dataset import COUNTRY_HEADER
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +66,24 @@ def random_params(rng: np.random.Generator,
     A = float(rng.uniform(-60.0, 5.0)) if rng.random() < finite_abandon_prob else BLOCKED
     S = {i: float(rng.uniform(1.0, 1000.0)) for i in sources}
     return ModelParams(S=S, T=T, I=I, Y=Y, A=A, lam=float(rng.uniform(0.0, 1.0)))
+
+
+# code -> (population, muslim_pop)
+RAW_COUNTRIES = {"DEU": (8.3e7, 5.5e6), "FRA": (6.7e7, 5.7e6), "ITA": (5.9e7, 2.7e6),
+                 "USA": (3.3e8, 3.5e6)}
+
+
+def raw_tables(directory: Path, migration: str, distance: str,
+               countries: dict[str, tuple[float, float]] = RAW_COUNTRIES) -> Path:
+    """countries.csv, migration.csv and distance_km.csv in ``directory``.
+
+    Each country is code -> (population, muslim_pop); ``migration`` and
+    ``distance`` are the pair tables' rows, written after their header.
+    """
+    rows = [f"{c},{c},Europe,{pop!r},,,{muslim!r},,,,,0,0"
+            for c, (pop, muslim) in countries.items()]
+    (directory / "countries.csv").write_text("\n".join([",".join(COUNTRY_HEADER), *rows]) + "\n",
+                                             encoding="utf-8")
+    for name, text in (("migration.csv", migration), ("distance_km.csv", distance)):
+        (directory / name).write_text("origin,dest,value\n" + text, encoding="utf-8")
+    return directory

@@ -1,0 +1,61 @@
+"""Test-only oracle for barrier estimation: the per-pair estimator the array path replaces.
+
+The pair tables are read into dicts, one entry per listed pair, with each
+distance row entered in both directions, so a pair listed both ways holds the
+later row's value.  Each migration pair gets its own gravity-law barrier, and
+the finite ones are min-median normalised over a plain list.  It reads valid
+tables only and checks nothing, so ``estimate_barriers`` must give the same
+listed pairs with the same bits, and warn of the same sources.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import statistics
+from pathlib import Path
+
+from tnrisk import load_country_table
+from tnrisk.errors import DegenerateSpread
+
+BLOCKED = math.inf
+
+
+def read_pairs(path: Path, both_ways: bool) -> dict[tuple[str, str], float]:
+    entries: dict[tuple[str, str], float] = {}
+    with path.open(newline="", encoding="utf-8") as f:
+        for origin, dest, value in list(csv.reader(f))[1:]:
+            entries[(origin, dest)] = float(value)
+            if both_ways:
+                entries[(dest, origin)] = float(value)
+    return entries
+
+
+def raw_barrier(p_i: float, p_j: float, d_ij: float, m_ij: float) -> float:
+    """No observed migration means no usable channel: BLOCKED."""
+    if m_ij == 0:
+        return BLOCKED
+    return (p_i * p_j / (d_ij * d_ij)) / m_ij  # d * d: Python's d ** 2 is libm pow
+
+
+def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], list[str]]:
+    """(barriers, sources warned of having no open channel), countries in file order."""
+    countries = load_country_table(data_dir / "countries.csv")
+    population = {c.code: c.population for c in countries}
+    migration = read_pairs(data_dir / "migration.csv", both_ways=False)
+    distance = read_pairs(data_dir / "distance_km.csv", both_ways=True)
+    raw = {(i, j): raw_barrier(population[i], population[j], distance[(i, j)], m)
+           for (i, j), m in migration.items() if i != j}
+    finite = [k for k, v in raw.items() if v < 1e100]
+    if len(finite) < 2:
+        raise DegenerateSpread("fewer than two observed migration pairs")
+    values = [raw[k] for k in finite]
+    lo, med = min(values), statistics.median(values)
+    if med == lo:
+        raise DegenerateSpread(f"median equals minimum ({lo})")
+    barriers = {k: (v - lo) / (med - lo) for k, v in zip(finite, values)}
+    barriers.update((k, BLOCKED) for k, v in raw.items() if v >= 1e100)
+    barriers.update(((c.code, c.code), 0.0) for c in countries)
+    open_origins = {i for (i, j), v in barriers.items() if i != j and v < 1e100}
+    warned = [c.code for c in countries if c.muslim_pop > 0 and c.code not in open_origins]
+    return barriers, warned

@@ -34,9 +34,6 @@ class TestValidate:
         assert (tmp_path / "validation_report.txt").read_text() == ""
         assert "ok" in capsys.readouterr().out
 
-    def test_missing_dir_exit_2(self, tmp_path, capsys):
-        assert run("validate", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)) == 2
-
     def test_broken_bundle_exit_1(self, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(bundled_data_dir(), data)
@@ -167,6 +164,33 @@ def test_duplicate_code_names_file_and_lines(tmp_path, capsys, name):
     assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == (f"error: duplicate country code 'USA' in {path.name} "
                                        f"on lines {k + 1} and {len(lines) + 1}\n")
+
+
+@pytest.mark.parametrize("name", ["migration.csv", "distance_km.csv",
+                                  "pre_estimated/barriers.csv"])
+def test_duplicate_pair_names_file_and_lines(tmp_path, capsys, name):
+    """A pair listed again, here with another value, fails whichever table it is in."""
+    data = bundle_copy(tmp_path)
+    path = data / name
+    lines = path.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if ln.startswith("AFG,AUS,"))
+    path.write_text("\n".join([*lines, "AFG,AUS,1"]) + "\n")
+    command = ["solve"] if name.startswith("pre_estimated/") else ["solve", "--mode", "estimate"]
+    for argv in (["validate"], command):
+        assert run(*argv, "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (f"error: duplicate pair 'AFG','AUS' in {path.name} "
+                                           f"on lines {k + 1} and {len(lines) + 1}\n")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["estimate"], ["solve"],
+                                     ["scenario", "homegrown"], ["sweep"]],
+                         ids=lambda command: command[0])
+def test_missing_data_dir_exit_2(tmp_path, capsys, command):
+    """Every command checks --data once, before reading anything: an I/O error."""
+    missing, out = tmp_path / "nope", tmp_path / "out"
+    assert run(*command, "--data", str(missing), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: data directory {missing} not found\n"
+    assert not out.exists()
 
 
 class TestSolve:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 import shutil
 import statistics
@@ -17,7 +18,6 @@ from tnrisk import (
     is_blocked,
     load_bundle,
     load_country_table,
-    load_pair_table,
     load_pre_estimated,
     solve,
 )
@@ -34,7 +34,7 @@ from tnrisk.errors import (
 from tnrisk.estimation import write_params_csv
 from tnrisk.scenario import build_network
 
-from conftest import random_params
+from conftest import random_params, raw_tables
 
 HEADER = ",".join(COUNTRY_HEADER)
 
@@ -103,43 +103,78 @@ class TestCountryTable:
             load_country_table(p)
 
 
+def pair_cell(bundle, table: str, origin: str, dest: str) -> float:
+    """The (origin, dest) cell of the bundle's migration or distance matrix."""
+    at = {c: k for k, c in enumerate(bundle.codes)}
+    return float(getattr(bundle, table)[at[origin], at[dest]])
+
+
 class TestPairTable:
+    """The rules of migration.csv and distance_km.csv, as load_bundle reads them."""
+
     def test_distance_mirrors(self, tmp_path):
-        p = write(tmp_path, "d.csv", "origin,dest,value\nFRA,DEU,500\n")
-        t = load_pair_table(p, "distance")
-        assert t.get("DEU", "FRA") == 500
-        assert t.get("FRA", "FRA") == 0.0
+        b = load_bundle(raw_tables(tmp_path, "FRA,DEU,3\n", "FRA,DEU,500\n"))
+        assert pair_cell(b, "distance", "DEU", "FRA") == 500
+        assert pair_cell(b, "distance", "FRA", "FRA") == 0.0
+        assert math.isnan(pair_cell(b, "distance", "FRA", "ITA"))
 
     def test_self_distance_zero_accepted(self, tmp_path):
-        p = write(tmp_path, "d.csv", "origin,dest,value\nUSA,USA,0\n")
-        t = load_pair_table(p, "distance")
-        assert t.get("USA", "USA") == 0.0
+        b = load_bundle(raw_tables(tmp_path, "", "USA,USA,0\nFRA,FRA,7\n"))
+        assert pair_cell(b, "distance", "USA", "USA") == 0.0
+        assert pair_cell(b, "distance", "FRA", "FRA") == 0.0
 
     def test_zero_distance_between_countries(self, tmp_path):
-        p = write(tmp_path, "d.csv", "origin,dest,value\nFRA,DEU,500\nFRA,ITA,0\n")
-        with pytest.raises(MalformedRow, match="line 3: distance FRA,ITA in d.csv must be > 0"):
-            load_pair_table(p, "distance")
+        d = raw_tables(tmp_path, "", "FRA,DEU,500\nFRA,ITA,0\n")
+        with pytest.raises(MalformedRow,
+                           match="line 3: distance FRA,ITA in distance_km.csv must be > 0"):
+            load_bundle(d)
+
+    @pytest.mark.parametrize("km, rule", [("1e-170", "> 0"), ("1e200", "< 1e154")])
+    def test_distance_whose_square_is_not_finite_and_positive(self, tmp_path, km, rule):
+        """A distance whose square underflows to 0 or overflows is rejected, not blocked."""
+        d = raw_tables(tmp_path, "FRA,DEU,3\n", f"FRA,FRA,1e200\nFRA,DEU,{km}\n")
+        with pytest.raises(MalformedRow, match=f"line 3: distance FRA,DEU in distance_km.csv "
+                                               f"must be {rule}, got '{km}'"):
+            load_bundle(d)
 
     def test_asymmetric_distance(self, tmp_path):
-        p = write(tmp_path, "d.csv", "origin,dest,value\nFRA,DEU,500\nDEU,FRA,600\n")
-        with pytest.raises(AsymmetricDistance):
-            load_pair_table(p, "distance")
+        d = raw_tables(tmp_path, "", "FRA,DEU,500\nFRA,ITA,900\nDEU,FRA,600\n")
+        with pytest.raises(AsymmetricDistance, match="DEU-FRA"):
+            load_bundle(d)
+
+    def test_both_directions_within_tolerance(self, tmp_path):
+        """Both directions may be listed if they agree to 1e-6; the later row holds both ways."""
+        b = load_bundle(raw_tables(tmp_path, "", "FRA,DEU,500\nDEU,FRA,500.0001\n"))
+        assert pair_cell(b, "distance", "FRA", "DEU") == 500.0001
+        assert pair_cell(b, "distance", "DEU", "FRA") == 500.0001
 
     def test_negative_value(self, tmp_path):
-        p = write(tmp_path, "m.csv", "origin,dest,value\nFRA,DEU,-3\n")
-        with pytest.raises(NegativeValue):
-            load_pair_table(p, "migration")
+        d = raw_tables(tmp_path, "FRA,DEU,-3\n", "FRA,DEU,500\n")
+        with pytest.raises(NegativeValue, match="line 2: FRA,DEU in migration.csv = -3.0"):
+            load_bundle(d)
 
     def test_wrong_cell_count(self, tmp_path):
-        p = write(tmp_path, "m.csv", "origin,dest,value\nFRA,DEU,3\nFRA,ITA\n")
-        with pytest.raises(MalformedRow, match="line 3: expected 3 cells in m.csv, got 2"):
-            load_pair_table(p, "migration")
+        d = raw_tables(tmp_path, "FRA,DEU,3\nFRA,ITA\n", "FRA,DEU,500\n")
+        with pytest.raises(MalformedRow, match="line 3: expected 3 cells in migration.csv, got 2"):
+            load_bundle(d)
 
     def test_migration_missing_pair_distinct_from_zero(self, tmp_path):
-        p = write(tmp_path, "m.csv", "origin,dest,value\nFRA,DEU,0\n")
-        t = load_pair_table(p, "migration")
-        assert t.get("FRA", "DEU") == 0.0
-        assert t.get("DEU", "FRA") is None
+        b = load_bundle(raw_tables(tmp_path, "FRA,DEU,0\n", "FRA,DEU,500\n"))
+        assert pair_cell(b, "migration", "FRA", "DEU") == 0.0
+        assert math.isnan(pair_cell(b, "migration", "DEU", "FRA"))
+
+    @pytest.mark.parametrize("table, again", [
+        ("migration.csv", "FRA,DEU,1"), ("migration.csv", " FRA , DEU ,3"),
+        ("distance_km.csv", "FRA,DEU,700"), ("distance_km.csv", "FRA,DEU,500"),
+    ], ids=["migration", "migration-same-value", "distance", "distance-same-value"])
+    def test_repeated_pair(self, tmp_path, table, again):
+        """A pair listed twice in the same direction is an error, whatever the two values."""
+        rows = {"migration.csv": "FRA,DEU,3\nFRA,ITA,4\n",
+                "distance_km.csv": "FRA,DEU,500\nFRA,ITA,900\n"}
+        rows[table] += again + "\n"
+        d = raw_tables(tmp_path, rows["migration.csv"], rows["distance_km.csv"])
+        with pytest.raises(DuplicatePair, match=f"'FRA','DEU' in {table} on lines 2 and 4"):
+            load_bundle(d)
 
 
 class TestPreEstimated:
@@ -240,7 +275,8 @@ class TestPreEstimated:
     @pytest.mark.parametrize("again", ["AAA,BBB,3.0", " AAA , BBB ,1.0"])
     def test_duplicate_pair(self, tmp_path, again):
         barriers = f"origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,2.0\n{again}\n"
-        with pytest.raises(DuplicatePair, match="'AAA','BBB' on lines 2 and 4") as err:
+        with pytest.raises(DuplicatePair,
+                           match="'AAA','BBB' in barriers.csv on lines 2 and 4") as err:
             load_pre_estimated(pre_tables(tmp_path, barriers))
         assert err.value.pair == ("AAA", "BBB") and err.value.lines == (2, 4)
 
@@ -283,7 +319,11 @@ class TestValidation:
 
     def test_bundled_is_clean(self, bundle):
         codes = {c.code for c in bundle.countries}
-        assert bundle.migration.codes() <= codes and bundle.distances.codes() <= codes
+        for name in ("migration.csv", "distance_km.csv"):
+            with (bundled_data_dir() / name).open(newline="", encoding="utf-8") as f:
+                assert {c for row in list(csv.reader(f))[1:] for c in row[:2]} <= codes
+        assert bundle.codes == sorted(codes)
+        assert bundle.migration.shape == bundle.distance.shape == (len(codes), len(codes))
 
     def test_unknown_code_in_pairs(self, tmp_path):
         data = tmp_path / "data"

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +15,9 @@ from hypothesis import strategies as st
 from tnrisk import (
     BLOCKED,
     estimate_params,
+    estimation,
     is_blocked,
+    load_bundle,
     normalize_min_median,
 )
 from tnrisk.dataset import load_pre_estimated
@@ -25,6 +32,9 @@ from tnrisk.estimation import (
     write_params_csv,
 )
 from tnrisk.params import WEIGHT_PRESETS
+
+import estimation_oracle
+from conftest import raw_tables
 
 
 finite_lists = st.lists(
@@ -153,9 +163,13 @@ class TestBarriers:
         v = raw_barrier(p_i, p_j, d, m)
         assert v == pytest.approx((p_i * p_j / d**2) / m)
 
-    def test_raw_barrier_blocked(self):
-        assert is_blocked(raw_barrier(1e6, 1e6, 100.0, None))
-        assert is_blocked(raw_barrier(1e6, 1e6, 100.0, 0.0))
+    def test_raw_barrier_blocked(self, tmp_path):
+        """A zero-migration row lists its pair as BLOCKED; a pair with no row is not listed."""
+        d = raw_tables(tmp_path, "FRA,DEU,0\nFRA,ITA,5\nDEU,ITA,7\nITA,FRA,9\n",
+                       "FRA,DEU,500\nFRA,ITA,900\nDEU,ITA,700\n")
+        barriers = estimate_barriers(load_bundle(d))
+        assert barriers[("FRA", "DEU")] == BLOCKED
+        assert ("DEU", "FRA") not in barriers and ("USA", "USA") in barriers
 
     def test_estimated_diagonal_zero(self, bundle):
         barriers = estimate_barriers(bundle)
@@ -206,3 +220,60 @@ class TestRoundTripAgainstBundled:
         assert reloaded.I == params.I
         assert reloaded.Y == params.Y
         assert reloaded.T == params.T
+
+
+def random_raw_tables(rng: np.random.Generator, directory: Path) -> Path:
+    """Raw tables of 3 to 8 countries, in shuffled order, with zero and near-zero
+    migrations, pairs without migration, distances given one way or both, and a
+    source, C00, whose every migration row is zero."""
+    codes = [f"C{k:02d}" for k in range(int(rng.integers(3, 9)))]
+    countries = {c: (float(rng.uniform(1e3, 1e9)),
+                     0.0 if c != "C00" and rng.random() < 0.3 else float(rng.uniform(1.0, 1e7)))
+                 for c in rng.permutation(codes).tolist()}
+    migration, distance = [], []
+    for i in codes:
+        for j in codes:
+            if rng.random() < 0.4:
+                continue
+            r = rng.random()
+            if i == "C00" or r < 0.2:
+                m = 0.0
+            elif r < 0.3:  # a channel so thin that its barrier folds into BLOCKED
+                m = 10.0 ** float(rng.uniform(-95, -80))
+            else:
+                m = float(rng.uniform(1e-3, 1e7))
+            migration.append((i, j, m))
+    for k, i in enumerate(codes):
+        for j in codes[k + 1:]:
+            if rng.random() < 0.2 and not any({o, d} == {i, j} for o, d, _ in migration):
+                continue
+            km = float(rng.uniform(1.0, 2e4))
+            pair = [(i, j), (j, i)][int(rng.integers(2))]
+            distance.append((*pair, km))
+            if rng.random() < 0.3:  # the other way too, within the 1e-6 tolerance
+                distance.append((*pair[::-1], km * (1 + float(rng.uniform(-1e-7, 1e-7)))))
+        if rng.random() < 0.3:
+            distance.append((i, i, float(rng.uniform(0.0, 10.0))))
+    rows = [[f"{o},{d},{v!r}\n" for o, d, v in table] for table in (migration, distance)]
+    for table in rows:
+        rng.shuffle(table)
+    return raw_tables(directory, "".join(rows[0]), "".join(rows[1]), countries)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_barriers_match_per_pair_oracle(seed):
+    """The array path lists the oracle's pairs with the same bits and warns of the same sources."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = random_raw_tables(np.random.default_rng(seed), Path(tmp))
+        bundle = load_bundle(data)
+        try:
+            expected, warned = estimation_oracle.estimate_barriers(data)
+        except DegenerateSpread as e:
+            with pytest.raises(DegenerateSpread, match=re.escape(str(e))):
+                estimate_barriers(bundle)
+            return
+    with mock.patch.object(estimation.logger, "warning") as warning:
+        barriers = estimate_barriers(bundle)
+    assert {k: v.hex() for k, v in barriers.items()} == {k: v.hex() for k, v in expected.items()}
+    assert [call.args[1] for call in warning.call_args_list] == warned

@@ -8,13 +8,16 @@ OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, with a fortress-USA spec file beside it, and a
-``bench/synth.py`` dataset (seed 1, 400 x 200).  Three commands take
-error paths: ``validate`` and ``solve --mode estimate`` on a copy of the
-bundle whose AFG ``muslim_pop`` is negative, and ``scenario`` with a spec
-file naming an unknown code.  Four give a command a flag it does not take,
-which is a usage error.  For every command the script prints "identical"
-or "DIFFERENT" for the exit code, standard output, standard error and each
-file written.
+``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate`` and
+``solve --mode estimate`` also run on bundle copies with one raw-table edit
+each (``BUNDLE_EDITS``): six break a rule (a negative ``muslim_pop``, a
+reverse distance with another value, a zero distance, an unknown code in
+``migration.csv``, a migration pair with no distance, a negative migration)
+and one is valid (a zero migration, which blocks its pair).  ``scenario``
+with a spec file naming an unknown code takes an error path too, and four
+commands get a flag they do not take, which is a usage error.  For every
+command the script prints "identical" or "DIFFERENT" for the exit code,
+standard output, standard error and each file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
 Exits 1 if anything differs, else 0.
 """
@@ -58,8 +61,37 @@ BUNDLE_COMMANDS = [
 SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]},
          "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]}}
 
-# run on a bundle copy whose AFG muslim_pop is negative: each must fail
-BAD_BUNDLE_COMMANDS = [["validate"], ["solve", "--mode", "estimate"]]
+# bundle copies, each with one edit to a raw table: (table, row prefix, cell, value); an
+# edit with no row prefix appends its value as a new row, and one with no value deletes the row
+BUNDLE_EDITS = {
+    "negative-muslim-pop": ("countries.csv", "AFG,", 6, "-2.81e+07"),
+    "reverse-distance-differs": ("distance_km.csv", None, 0, "AUS,AFG,9999"),
+    "zero-distance": ("distance_km.csv", "AFG,AUS,", 2, "0"),
+    "unknown-migration-code": ("migration.csv", None, 0, "ZZZ,USA,500"),
+    "migration-without-distance": ("distance_km.csv", "AFG,AUS,", 0, None),
+    "negative-migration": ("migration.csv", "AFG,AUS,", 2, "-5"),
+    "zero-migration": ("migration.csv", "AFG,AUS,", 2, "0"),  # valid: a blocked pair
+}
+EDITED_BUNDLE_COMMANDS = [["validate"], ["solve", "--mode", "estimate"]]
+
+
+def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: int,
+                 value: str | None) -> Path:
+    shutil.copytree(bundle, copy)
+    path = copy / table
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if row is None:
+        lines.append(value)
+    else:
+        k = next(k for k, line in enumerate(lines) if line.startswith(row))
+        if value is None:
+            del lines[k]
+        else:
+            cells = lines[k].split(",")
+            cells[cell] = value
+            lines[k] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return copy
 
 
 def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
@@ -100,22 +132,15 @@ def main(argv: list[str]) -> int:
         shutil.copytree(new_src / "tnrisk" / "data" / "bundled", bundle)
         synthetic = work / "synthetic"
         spec = synth.generate(synthetic, *SYNTH_SHAPE)
-        bad_bundle = work / "bad-bundle"
-        shutil.copytree(bundle, bad_bundle)
-        countries = bad_bundle / "countries.csv"
-        lines = countries.read_text(encoding="utf-8").splitlines()
-        k = next(k for k, line in enumerate(lines) if line.startswith("AFG,"))
-        cells = lines[k].split(",")
-        cells[6] = f"-{cells[6]}"  # muslim_pop
-        lines[k] = ",".join(cells)
-        countries.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for name, doc in SPECS.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
         commands += [(f"scenario {name}", ["scenario", str(work / name), "--data", str(bundle)])
                      for name in SPECS]
-        commands += [(f"bad-bundle {' '.join(c)}", [*c, "--data", str(bad_bundle)])
-                     for c in BAD_BUNDLE_COMMANDS]
+        for name, edit in BUNDLE_EDITS.items():
+            copy = _edited_copy(bundle, work / name, *edit)
+            commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
+                         for c in EDITED_BUNDLE_COMMANDS]
         commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
                      for label, c in (("solve", ["solve"]),
                                       ("scenario spec.json", ["scenario", str(spec)]))]
