@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataset, estimation, evader, scenario as scn
@@ -23,19 +22,6 @@ EXIT_USAGE = 2
 
 # the most points a sweep grid may have; its per-target table is this many rows
 MAX_GRID_POINTS = 10**6
-
-
-@dataclass
-class RunConfig:
-    data_dir: Path
-    mode: str  # "estimate" | "pre"
-    lam: float
-    abandon: float
-    weights: SupportWeights
-    weights_label: str
-    q: float
-    out_dir: Path
-    fmt: str
 
 
 def _parse_weights(text: str) -> tuple[SupportWeights, str]:
@@ -70,48 +56,41 @@ FLAG_DEFAULTS = dict(data=None, out="out", weights=None, q=None, mode="pre",
                      lam=DEFAULT_LAMBDA, abandon="inf", format="csv")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace) -> None:
+    """Check the flags and convert each to the value the commands read, on ``args`` itself."""
     # both scale the estimated supply; the pre-estimated tables carry their own
     given = [flag for flag, v in (("--q", args.q), ("--weights", args.weights)) if v is not None]
     if given and args.mode == "pre":
         raise ValueError(f"{given[0]} applies only to estimation: add --mode estimate")
-    q = parse_number(DEFAULT_Q if args.q is None else args.q, +1, "--q")
-    if q == 0:
+    args.q = parse_number(DEFAULT_Q if args.q is None else args.q, +1, "--q")
+    if args.q == 0:
         raise ValueError("--q must be positive, got 0.0")
-    weights, label = _parse_weights(args.weights or "default")
-    return RunConfig(
-        data_dir=Path(args.data) if args.data else dataset.bundled_data_dir(),
-        mode=args.mode,
-        lam=parse_number(args.lam, +1, "--lambda"),
-        abandon=parse_cost(args.abandon, "--abandon"),
-        weights=weights,
-        weights_label=label,
-        q=q,
-        out_dir=Path(args.out),
-        fmt=args.format,
-    )
+    args.weights, args.weights_label = _parse_weights(args.weights or "default")
+    args.data = Path(args.data) if args.data else dataset.bundled_data_dir()
+    args.lam = parse_number(args.lam, +1, "--lambda")
+    args.abandon = parse_cost(args.abandon, "--abandon")
+    args.out = Path(args.out)
 
 
-def _load_params(config: RunConfig):
+def _load_params(args: argparse.Namespace):
     """Parameters estimated from the raw tables, or read from the pre-estimated ones."""
-    if config.mode == "estimate":
-        params = estimation.estimate_params(dataset.load_bundle(config.data_dir),
-                                            config.weights, config.q)
+    if args.mode == "estimate":
+        params = estimation.estimate_params(dataset.load_bundle(args.data), args.weights, args.q)
     else:
-        params = dataset.load_pre_estimated(config.data_dir / "pre_estimated")
-    params.lam, params.A, params.weights_label = config.lam, config.abandon, config.weights_label
+        params = dataset.load_pre_estimated(args.data / "pre_estimated")
+    params.lam, params.A, params.weights_label = args.lam, args.abandon, args.weights_label
     return params
 
 
-def _echo(config: RunConfig) -> dict:
+def _echo(args: argparse.Namespace) -> dict:
     return {
-        "data": str(config.data_dir),
-        "mode": config.mode,
-        "lambda": config.lam,
-        "abandon": cost_out(config.abandon),
-        "weights": config.weights_label,
-        "q": config.q,
-        "format": config.fmt,
+        "data": str(args.data),
+        "mode": args.mode,
+        "lambda": args.lam,
+        "abandon": cost_out(args.abandon),
+        "weights": args.weights_label,
+        "q": args.q,
+        "format": args.format,
     }
 
 
@@ -119,13 +98,13 @@ def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
     return {i: v for i, v in zip(matrix.sources, matrix.unroutable.tolist()) if v}
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """The commands' loaders; validation_report.txt gets the first failure, as main prints it."""
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report = config.out_dir / "validation_report.txt"
-    pre_dir = config.data_dir / "pre_estimated"
+    args.out.mkdir(parents=True, exist_ok=True)
+    report = args.out / "validation_report.txt"
+    pre_dir = args.data / "pre_estimated"
     try:
-        codes = {c.code for c in dataset.load_bundle(config.data_dir).countries}
+        codes = {c.code for c in dataset.load_bundle(args.data).countries}
         if pre_dir.is_dir():
             unknown = dataset.load_pre_estimated(pre_dir).codes - codes
             if unknown:
@@ -134,26 +113,26 @@ def cmd_validate(config: RunConfig) -> int:
         report.write_text(f"error: {e}\n", encoding="utf-8")
         raise
     report.write_text("", encoding="utf-8")
-    print(f"ok: bundle at {config.data_dir} is valid")
+    print(f"ok: bundle at {args.data} is valid")
     return EXIT_OK
 
 
-def cmd_estimate(config: RunConfig) -> int:
-    params = _load_params(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    estimation.write_params_csv(params, config.out_dir)
-    dataset.write_json(config.out_dir / "run_metadata.json", {"config": _echo(config),
-                                                              "params": params.echo()})
-    print(f"wrote estimated parameter tables to {config.out_dir}")
+def cmd_estimate(args: argparse.Namespace) -> int:
+    params = _load_params(args)
+    args.out.mkdir(parents=True, exist_ok=True)
+    estimation.write_params_csv(params, args.out)
+    dataset.write_json(args.out / "run_metadata.json", {"config": _echo(args),
+                                                        "params": params.echo()})
+    print(f"wrote estimated parameter tables to {args.out}")
     return EXIT_OK
 
 
-def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.AttackMatrix":
+def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader.AttackMatrix":
     """Solve and write the matrix files; with no prefix (``solve``) also the JSON and plot data."""
     matrix = scn.solve(params)
-    out = config.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    with_json = config.fmt == "json" or not prefix
+    with_json = args.format == "json" or not prefix
     evader.write_matrix_csv(
         matrix, out / f"{prefix}attack_matrix.csv",
         json_path=out / f"{prefix}attack_matrix.json" if with_json else None,
@@ -166,11 +145,11 @@ def _solve_to_dir(params, config: RunConfig, prefix: str = "") -> "evader.Attack
     return matrix
 
 
-def cmd_solve(config: RunConfig) -> int:
-    params = _load_params(config)
-    matrix = _solve_to_dir(params, config)
-    dataset.write_json(config.out_dir / "run_metadata.json", {
-        "config": _echo(config), "params": params.echo(), "unroutable": _unroutable(matrix),
+def cmd_solve(args: argparse.Namespace) -> int:
+    params = _load_params(args)
+    matrix = _solve_to_dir(params, args)
+    dataset.write_json(args.out / "run_metadata.json", {
+        "config": _echo(args), "params": params.echo(), "unroutable": _unroutable(matrix),
     })
     totals, grand = evader.target_totals(matrix)
     top = max(totals.items(), key=lambda kv: kv[1]) if totals else ("-", 0.0)
@@ -178,22 +157,22 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
-    spec = scn.BUILTIN_SCENARIOS.get(spec_arg) or scn.ScenarioSpec.from_json(spec_arg)
-    params = _load_params(config)
+def cmd_scenario(args: argparse.Namespace) -> int:
+    spec = scn.BUILTIN_SCENARIOS.get(args.spec) or scn.ScenarioSpec.from_json(args.spec)
+    params = _load_params(args)
     try:
         alt_params = scn.apply_scenario(params, spec)
     except UnknownCode as e:
-        raise ModelError(f"{spec_arg}: {e}") from None
-    base = _solve_to_dir(params, config, prefix="base_")
-    alt = _solve_to_dir(alt_params, config, prefix="alt_")
+        raise ModelError(f"{args.spec}: {e}") from None
+    base = _solve_to_dir(params, args, prefix="base_")
+    alt = _solve_to_dir(alt_params, args, prefix="alt_")
     delta = scn.diff_matrices(base, alt)
-    out = config.out_dir
+    out = args.out
     dataset.write_cells(delta.delta, delta.sources, delta.targets, out / "delta.csv",
                         ["source", "target", "delta"])
     dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
     dataset.write_json(out / "run_metadata.json", {
-        "config": _echo(config), "scenario": spec.name, "params": params.echo(),
+        "config": _echo(args), "scenario": spec.name, "params": params.echo(),
         "base_unroutable": _unroutable(base), "alt_unroutable": _unroutable(alt),
     })
     top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
@@ -201,7 +180,8 @@ def cmd_scenario(config: RunConfig, spec_arg: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    a_min, a_max, step = args.a_min, args.a_max, args.step
     if not (all(map(math.isfinite, (a_min, a_max, step))) and a_min < a_max and step > 0):
         print("error: need finite a_min < a_max and step > 0", file=sys.stderr)
         return EXIT_USAGE
@@ -211,10 +191,10 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
         print(f"error: a grid from {a_min} to {a_max} by {step} has more than "
               f"{MAX_GRID_POINTS} points", file=sys.stderr)
         return EXIT_USAGE
-    params = _load_params(config)
+    params = _load_params(args)
     grid = [round(a_min + k * step, 9) for k in range(int(points))]
     curve = scn.deterrence_sweep(params, grid)
-    out = config.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
                       zip(curve.a_values, curve.totals, *curve.per_target.values()))
@@ -227,7 +207,7 @@ def cmd_sweep(config: RunConfig, a_min: float, a_max: float, step: float) -> int
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_DOMAIN
     dataset.write_json(out / "run_metadata.json", {
-        "config": _echo(config), "params": params.echo(),
+        "config": _echo(args), "params": params.echo(),
         "threshold": threshold, "threshold_fraction": scn.THRESHOLD_FRACTION,
         "grid": {"min": a_min, "max": a_max, "step": step},
     })
@@ -242,18 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each command takes only the flags it reads: argparse rejects any other (exit 2)
     solving = IO_FLAGS | ESTIMATION_FLAGS | MODEL_FLAGS
-    for name, doc, arguments in [
-        ("validate", "check a data directory against the input schemas", IO_FLAGS),
-        ("estimate", "derive the four parameter tables from raw data",
+    for name, run, doc, arguments in [
+        ("validate", cmd_validate, "check a data directory against the input schemas", IO_FLAGS),
+        ("estimate", cmd_estimate, "derive the four parameter tables from raw data",
          IO_FLAGS | ESTIMATION_FLAGS),
-        ("solve", "compute the baseline attack matrix", solving | ABANDON_FLAG),
-        ("scenario", "compare a counterfactual against the baseline",
+        ("solve", cmd_solve, "compute the baseline attack matrix", solving | ABANDON_FLAG),
+        ("scenario", cmd_scenario, "compare a counterfactual against the baseline",
          solving | ABANDON_FLAG | FORMAT_FLAG | SPEC_ARG),
-        ("sweep", "sweep the abandon yield and locate the deterrence threshold",
+        ("sweep", cmd_sweep, "sweep the abandon yield and locate the deterrence threshold",
          solving | GRID_FLAGS),
     ]:
         p = sub.add_parser(name, help=doc)
-        p.set_defaults(**FLAG_DEFAULTS)
+        p.set_defaults(**FLAG_DEFAULTS, run=run)
         for argument, settings in arguments.items():
             p.add_argument(argument, **settings)
         if name == "estimate":
@@ -264,22 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config(args)
+        _config(args)
     except (ValueError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if not config.data_dir.is_dir():
-        print(f"error: data directory {config.data_dir} not found", file=sys.stderr)
+    if not args.data.is_dir():
+        print(f"error: data directory {args.data} not found", file=sys.stderr)
         return EXIT_USAGE
-    run = {
-        "validate": lambda: cmd_validate(config),
-        "estimate": lambda: cmd_estimate(config),
-        "solve": lambda: cmd_solve(config),
-        "scenario": lambda: cmd_scenario(config, args.spec),
-        "sweep": lambda: cmd_sweep(config, args.a_min, args.a_max, args.step),
-    }[args.command]
     try:
-        return run()
+        return args.run(args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

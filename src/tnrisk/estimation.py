@@ -9,14 +9,13 @@ sign).  The normalization is scale invariant, so the raw units never matter.
 from __future__ import annotations
 
 import logging
-import statistics
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import CountryRecord, DataBundle, write_csv
-from .errors import DegenerateSpread, EmptyRegion, MissingImputation
+from .errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from .params import (
     BLOCKED,
     DEFAULT_Q,
@@ -24,37 +23,34 @@ from .params import (
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
-    cost_out,
     is_blocked,
 )
 
 logger = logging.getLogger(__name__)
 
 
-def normalize_min_median(values: list[float], sign: str = "cost") -> list[float]:
-    """Min-median normalization; BLOCKED entries pass through untouched.
+def normalize_min_median(values, sign: str = "cost") -> np.ndarray:
+    """Min-median normalization of finite values, as an array; ModelError if it overflows.
 
     cost mode:  (v - min) / (median - min)   -> min 0, median 1
     yield mode: (min - v) / (median - min)   -> max 0, median -1
     """
     if sign not in ("cost", "yield"):
         raise ValueError(f"bad sign {sign!r}")
-    finite = [v for v in values if not is_blocked(v)]
-    if len(finite) < 2:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ModelError("min-median normalization needs finite values")
+    if values.size < 2:
         raise DegenerateSpread("need at least two finite values")
-    lo = min(finite)
-    med = statistics.median(finite)
-    if med == lo:
-        raise DegenerateSpread(f"median equals minimum ({lo})")
-    span = med - lo
-    out = []
-    for v in values:
-        if is_blocked(v):
-            out.append(v)
-        elif sign == "cost":
-            out.append((v - lo) / span)
-        else:
-            out.append((lo - v) / span)
+    lo = float(values[values.argmin()])  # the first of equal minima, as min() takes 0.0 or -0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        med = float(np.median(values))
+        if med == lo:
+            raise DegenerateSpread(f"median equals minimum ({lo})")
+        out = (values - lo) / (med - lo) if sign == "cost" else (lo - values) / (med - lo)
+    if not np.isfinite(out).all():  # no parameter table could hold the result
+        raise ModelError(f"min-median normalization overflows: values up to {values.max()} "
+                         f"for a median - minimum of {med - lo}")
     return out
 
 
@@ -124,7 +120,7 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     if np.count_nonzero(observed) < 2:
         raise DegenerateSpread("fewer than two observed migration pairs")
     cost = np.full(raw.shape, BLOCKED)
-    cost[observed] = normalize_min_median(raw[observed].tolist(), "cost")
+    cost[observed] = normalize_min_median(raw[observed], "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
     channel = (~is_blocked(cost)).any(axis=1)  # the diagonal is still BLOCKED here
     for c, k in zip(bundle.countries, at.tolist()):
@@ -141,7 +137,7 @@ def estimate_interception(countries: list[CountryRecord]) -> dict[str, float]:
     if len(targets) < 2:
         raise DegenerateSpread("need at least two target countries with security data")
     normalized = normalize_min_median([c.sec_fraction for c in targets], "cost")
-    return {c.code: v for c, v in zip(targets, normalized)}
+    return {c.code: v for c, v in zip(targets, normalized.tolist())}
 
 
 def estimate_yield(countries: list[CountryRecord]) -> dict[str, float]:
@@ -150,7 +146,7 @@ def estimate_yield(countries: list[CountryRecord]) -> dict[str, float]:
     if len(targets) < 2:
         raise DegenerateSpread("need at least two target countries with GDP")
     normalized = normalize_min_median([c.gdp for c in targets], "yield")
-    return {c.code: v for c, v in zip(targets, normalized)}
+    return {c.code: v for c, v in zip(targets, normalized.tolist())}
 
 
 def estimate_params(bundle: DataBundle,
@@ -170,5 +166,10 @@ def write_params_csv(params: ModelParams, directory: str | Path) -> None:
                                ("interception.csv", "cost", params.I),
                                ("yield.csv", "yield", params.Y)):
         write_csv(directory / name, ["code", column], sorted(data.items()))
+    T = params.T
+    rows, cols = np.nonzero(T.listed)  # row-major on the sorted axis: sorted pair order
+    cost = T.cost[rows, cols]
+    cost[is_blocked(cost)] = BLOCKED  # written as inf
     write_csv(directory / "barriers.csv", ["origin", "dest", "cost"],
-              ((i, j, cost_out(v)) for (i, j), v in sorted(params.T.items())))
+              zip(map(T.codes.__getitem__, rows.tolist()), map(T.codes.__getitem__, cols.tolist()),
+                  cost.tolist()))

@@ -3,7 +3,8 @@
 The pair tables are read into dicts, one entry per listed pair, with each
 distance row entered in both directions, so a pair listed both ways holds the
 later row's value.  Each migration pair gets its own gravity-law barrier, and
-the finite ones are min-median normalised over a plain list.  It reads valid
+the finite ones are min-median normalised over a plain list, by the reference
+``normalize_min_median`` the array normaliser is also tested against.  It reads valid
 tables only and checks nothing, so ``estimate_barriers`` must give the same
 listed pairs with the same bits, and warn of the same sources.
 """
@@ -38,6 +39,14 @@ def raw_barrier(p_i: float, p_j: float, d_ij: float, m_ij: float) -> float:
     return (p_i * p_j / (d_ij * d_ij)) / m_ij  # d * d: Python's d ** 2 is libm pow
 
 
+def normalize_min_median(values: list[float], sign: str = "cost") -> list[float]:
+    """min, statistics.median and the per-value formula over a plain list."""
+    lo, med = min(values), statistics.median(values)
+    if med == lo:
+        raise DegenerateSpread(f"median equals minimum ({lo})")
+    return [(v - lo) / (med - lo) if sign == "cost" else (lo - v) / (med - lo) for v in values]
+
+
 def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], list[str]]:
     """(barriers, sources warned of having no open channel), countries in file order."""
     countries = load_country_table(data_dir / "countries.csv")
@@ -49,11 +58,7 @@ def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], lis
     finite = [k for k, v in raw.items() if v < 1e100]
     if len(finite) < 2:
         raise DegenerateSpread("fewer than two observed migration pairs")
-    values = [raw[k] for k in finite]
-    lo, med = min(values), statistics.median(values)
-    if med == lo:
-        raise DegenerateSpread(f"median equals minimum ({lo})")
-    barriers = {k: (v - lo) / (med - lo) for k, v in zip(finite, values)}
+    barriers = dict(zip(finite, normalize_min_median([raw[k] for k in finite])))
     barriers.update((k, BLOCKED) for k, v in raw.items() if v >= 1e100)
     barriers.update(((c.code, c.code), 0.0) for c in countries)
     open_origins = {i for (i, j), v in barriers.items() if i != j and v < 1e100}

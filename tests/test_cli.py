@@ -397,6 +397,29 @@ class TestEstimate:
         meta = json.loads((b / "run_metadata.json").read_text())
         assert meta["config"]["weights"] == "0.1,0.2,1.0"
 
+    def test_huge_gdp_is_a_non_positive_yield(self, tmp_path, capsys):
+        """A GDP of 1e150 is normalised like any other: estimate writes a yield <= 0, and
+        solve on the written tables prints what solve --mode estimate prints."""
+        data = bundle_copy(tmp_path, ("countries.csv", "USA,", 4, "1e150"))
+        assert run("estimate", "--data", str(data), "--out", str(data / "pre_estimated")) == 0
+        yields = {r["code"]: float(r["yield"]) for r in read_csv(data / "pre_estimated/yield.csv")}
+        assert yields["USA"] <= 0
+        capsys.readouterr()
+        for mode in ("estimate", "pre"):
+            assert run("solve", "--mode", mode, "--data", str(data),
+                       "--out", str(tmp_path / mode)) == 0
+        estimated, pre = capsys.readouterr().out.splitlines()
+        assert pre == estimated
+
+    def test_overflowing_normalisation_exit_1(self, tmp_path, capsys):
+        """A sec_fraction of 1e307 normalises past the largest float: an error, not an
+        interception cost of inf that solve could not read back."""
+        data = str(bundle_copy(tmp_path, ("countries.csv", "USA,", 5, "1e307")))
+        for command in (["estimate"], ["solve", "--mode", "estimate"]):
+            assert run(*command, "--data", data, "--out", str(tmp_path / "out")) == 1
+            assert "min-median normalization overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [[], ["--weights", "low"]])
     def test_metadata_echoes_estimate_mode(self, tmp_path, flags):
         """The command always estimates, whatever --mode says."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tnrisk import (
     BLOCKED,
+    ModelParams,
     bundled_data_dir,
     is_blocked,
     load_bundle,
@@ -312,6 +313,17 @@ def test_written_tables_load_as_built(seed):
     a, b = solve(q), solve(p)
     for name in ("N", "abandoned", "unroutable"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_written_barriers_in_pair_order_with_huge_costs_as_inf(tmp_path):
+    """barriers.csv lists the pairs in sorted order, the domestic ones too, and writes a
+    cost >= 1e100 as inf, as the loader would fold it."""
+    p = ModelParams(S={"B": 1.0, "A": 2.0},
+                    T={("B", "C"): 1e150, ("A", "C"): 0.5, ("B", "A"): BLOCKED},
+                    I={"C": 0.0, "A": 1.0}, Y={"C": -1.0, "A": -1.0})
+    write_params_csv(p, tmp_path)
+    assert (tmp_path / "barriers.csv").read_text().splitlines() == [
+        "origin,dest,cost", "A,A,0.0", "A,C,0.5", "B,A,inf", "B,B,0.0", "B,C,inf"]
 
 
 class TestValidation:

@@ -21,7 +21,7 @@ from tnrisk import (
     normalize_min_median,
 )
 from tnrisk.dataset import load_pre_estimated
-from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation
+from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from tnrisk.estimation import (
     estimate_barriers,
     estimate_interception,
@@ -42,6 +42,17 @@ finite_lists = st.lists(
     min_size=3, max_size=40,
 )
 
+# both signs, repeats, subnormals and spreads that overflow; and lists whose least
+# value is 0.0 or -0.0, given in either order, where the minimum's sign reaches the output
+edge_lists = st.one_of(
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 3.0,
+                                        1e300, -1e300, 1.7976931348623157e308,
+                                        -1.7976931348623157e308])),
+             min_size=2, max_size=30),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 3.0]), min_size=2, max_size=30),
+)
+
 
 class TestNormalize:
     def test_cost_anchors(self):
@@ -55,10 +66,30 @@ class TestNormalize:
         assert out[0] == 0.0 and out[1] == -1.0
         assert max(out) == 0.0
 
-    def test_blocked_passthrough(self):
-        out = normalize_min_median([1.0, BLOCKED, 3.0, 5.0], "cost")
-        assert is_blocked(out[1])
-        assert out[0] == 0.0 and out[2] == 1.0
+    @pytest.mark.parametrize("bad", [BLOCKED, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        """The normaliser takes finite values only: no BLOCKED pass-through."""
+        with pytest.raises(ModelError, match="finite"):
+            normalize_min_median([1.0, bad, 3.0, 5.0], "cost")
+
+    @given(edge_lists, st.sampled_from(["cost", "yield"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_reference(self, values, sign):
+        """The array expression gives the bits of the oracle's normaliser over a plain list
+        (min, statistics.median, the per-value formula), signed zeros included; where that
+        overflows, it raises."""
+        try:
+            want = estimation_oracle.normalize_min_median(values, sign)
+        except DegenerateSpread:
+            with pytest.raises(DegenerateSpread):
+                normalize_min_median(np.array(values), sign)
+            return
+        if not all(map(math.isfinite, want)):  # an overflow is an error, not a parameter
+            with pytest.raises(ModelError, match="overflows"):
+                normalize_min_median(np.array(values), sign)
+            return
+        got = normalize_min_median(np.array(values), sign)
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSpread):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tnrisk import BLOCKED, ModelParams, fortress, homegrown, solve, target_totals
 from tnrisk.errors import EmptyTargets
 from tnrisk.evader import write_matrix_csv
+from tnrisk.params import is_blocked
 
 from conftest import cell_dict, random_params, tiny_params
 from oracle import (
@@ -326,3 +327,56 @@ class TestOracleTriangle:
             enumerate_path_distribution(net, costs, source("A"), p.lam)
         with pytest.raises(DeadSource):
             sample_paths(chain, source("A"), n=10, seed=0)
+
+
+def limit_shares(params, lam):
+    """Each source's route shares at a limit of lambda, from the oracle's route costs.
+
+    A route is open when the oracle's cost to End through it is not BLOCKED.  At
+    lambda = 0 a source splits evenly over its open routes; at large lambda it
+    splits evenly over the open routes of least cost (the deterministic model).
+    """
+    net = build_network(params)
+    costs = least_cost_to_end(net)
+    shares = {}
+    for i in params.sources:
+        routes = {ABANDON_KEY if v == ABANDON_NODE else v.code: net.weight(source(i), v) + costs[v]
+                  for v in net.successors(source(i)) if not is_blocked(costs[v])}
+        if lam > 0:
+            routes = {k: c for k, c in routes.items() if c == min(routes.values())}
+        shares[i] = {k: 1.0 / len(routes) for k in routes}
+    return shares
+
+
+class TestLambdaLimits:
+    """The logit at its two limits: uniform over open routes, and the least-cost assignment."""
+
+    @staticmethod
+    def cases(pre_params):
+        for a in (BLOCKED, -20.0):
+            p = pre_params.copy()
+            p.A = a
+            yield p
+        rng = np.random.default_rng(4)  # the instances of acceptance criterion 4
+        yield from (random_params(rng) for _ in range(50))
+        # an exact tie between a target (2.0 + 0.0 - 2.5) and abandoning
+        yield ModelParams(S={"A": 3.0}, T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                          I={"X": 0.5, "Z": 0.0}, Y={"X": -1.0, "Z": -2.5}, A=-0.5)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e6])
+    def test_limit_matches_oracle(self, pre_params, lam):
+        for p in self.cases(pre_params):
+            p.lam = lam
+            m = solve(p)
+            shares = limit_shares(p, lam)
+            for k, i in enumerate(m.sources):
+                share = shares[i]
+                for c, t in enumerate(m.targets):
+                    assert abs(m.N[k, c] - p.S[i] * share.get(t, 0.0)) <= 1e-9 * p.S[i], (i, t)
+                assert abs(m.abandoned[k] - p.S[i] * share.get(ABANDON_KEY, 0.0)) <= 1e-9 * p.S[i]
+
+    def test_limits_are_not_trivial(self, pre_params):
+        """The cases include a split over several routes at each limit, and a finite abandon."""
+        cases = list(self.cases(pre_params))
+        assert any(len(s) > 1 for s in limit_shares(cases[-1], 1e6).values())
+        assert ABANDON_KEY in limit_shares(cases[1], 0.0)["AFG"]

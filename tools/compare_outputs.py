@@ -8,12 +8,14 @@ OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, with a fortress-USA spec file beside it, and a
-``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate`` and
-``solve --mode estimate`` also run on bundle copies with one raw-table edit
-each (``BUNDLE_EDITS``): six break a rule (a negative ``muslim_pop``, a
+``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate``, ``estimate``
+and ``solve --mode estimate`` also run on bundle copies with one raw-table
+edit each (``BUNDLE_EDITS``): six break a rule (a negative ``muslim_pop``, a
 reverse distance with another value, a zero distance, an unknown code in
-``migration.csv``, a migration pair with no distance, a negative migration)
-and one is valid (a zero migration, which blocks its pair).  ``scenario``
+``migration.csv``, a migration pair with no distance, a negative migration),
+one passes the rules but overflows the normalisation (a ``sec_fraction`` of
+1e307) and three are valid (a zero migration, which blocks its pair; a USA
+``gdp_usd`` of 1e150; a ``sec_fraction`` of -0, the signed zero).  ``scenario``
 with a spec file naming an unknown code takes an error path too, and four
 commands get a flag they do not take, which is a usage error.  For every
 command the script prints "identical" or "DIFFERENT" for the exit code,
@@ -70,9 +72,13 @@ BUNDLE_EDITS = {
     "unknown-migration-code": ("migration.csv", None, 0, "ZZZ,USA,500"),
     "migration-without-distance": ("distance_km.csv", "AFG,AUS,", 0, None),
     "negative-migration": ("migration.csv", "AFG,AUS,", 2, "-5"),
-    "zero-migration": ("migration.csv", "AFG,AUS,", 2, "0"),  # valid: a blocked pair
+    "overflowing-security": ("countries.csv", "USA,", 5, "1e307"),
+    # valid edits: a blocked pair, a yield far below the others, the least security at -0
+    "zero-migration": ("migration.csv", "AFG,AUS,", 2, "0"),
+    "huge-gdp": ("countries.csv", "USA,", 4, "1e150"),
+    "negative-zero-security": ("countries.csv", "AUS,", 5, "-0"),
 }
-EDITED_BUNDLE_COMMANDS = [["validate"], ["solve", "--mode", "estimate"]]
+EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
 
 def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: int,
