@@ -15,7 +15,7 @@ from .params import (
     is_blocked,
 )
 from .dataset import (
-    CountryRecord,
+    CountryTable,
     DataBundle,
     bundled_data_dir,
     load_bundle,

@@ -20,8 +20,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-# the most points a sweep grid may have; its per-target table is this many rows
-MAX_GRID_POINTS = 10**6
+# the most cells, points x targets, of a sweep's per-target table: 80 MB of floats
+MAX_GRID_CELLS = 10**7
 
 
 def _parse_weights(text: str) -> tuple[SupportWeights, str]:
@@ -104,7 +104,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = args.out / "validation_report.txt"
     pre_dir = args.data / "pre_estimated"
     try:
-        codes = {c.code for c in dataset.load_bundle(args.data).countries}
+        codes = set(dataset.load_bundle(args.data).codes)
         if pre_dir.is_dir():
             unknown = dataset.load_pre_estimated(pre_dir).codes - codes
             if unknown:
@@ -185,13 +185,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (all(map(math.isfinite, (a_min, a_max, step))) and a_min < a_max and step > 0):
         print("error: need finite a_min < a_max and step > 0", file=sys.stderr)
         return EXIT_USAGE
+    params = _load_params(args)
     # a point up to 1e-9 past a_max is kept, so rounding cannot drop the last one
     points = (a_max - a_min + 1e-9) / step + 1
-    if points > MAX_GRID_POINTS:
+    columns = max(len(params.targets), 1)  # with no targets, the grid itself still counts
+    if points * columns > MAX_GRID_CELLS:
         print(f"error: a grid from {a_min} to {a_max} by {step} has more than "
-              f"{MAX_GRID_POINTS} points", file=sys.stderr)
+              f"{MAX_GRID_CELLS // columns} points for {len(params.targets)} targets",
+              file=sys.stderr)
         return EXIT_USAGE
-    params = _load_params(args)
     grid = [round(a_min + k * step, 9) for k in range(int(points))]
     curve = scn.deterrence_sweep(params, grid)
     out = args.out

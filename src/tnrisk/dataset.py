@@ -38,30 +38,18 @@ COUNTRY_HEADER = [
 
 
 @dataclass(frozen=True)
-class CountryRecord:
-    code: str
-    name: str
-    region: str
-    population: float
-    gdp: float | None
-    sec_fraction: float | None
-    muslim_pop: float
-    sigma_n: float | None
-    sigma_r: float | None
-    sigma_s: float | None
-    sigma_o: float | None
-    is_oecd: bool
-    is_target: bool
+class CountryTable:
+    """countries.csv as columns in file row order, NaN where an optional number is blank;
+    ``sigma`` is rows x 3: the rarely, sometimes and often survey fractions."""
 
-    @property
-    def has_survey(self) -> bool:
-        return None not in (self.sigma_r, self.sigma_s, self.sigma_o)
-
-    @property
-    def sigma(self) -> tuple[float, float, float]:
-        if not self.has_survey:
-            raise ValueError(f"{self.code} has no survey data")
-        return (self.sigma_r, self.sigma_s, self.sigma_o)
+    codes: list[str]
+    regions: list[str]
+    population: np.ndarray
+    gdp: np.ndarray
+    sec_fraction: np.ndarray
+    muslim_pop: np.ndarray
+    sigma: np.ndarray
+    is_target: np.ndarray
 
 
 @dataclass
@@ -70,7 +58,7 @@ class DataBundle:
     ``migration`` is NaN where no row is listed, and ``distance`` is mirrored, 0.0 on
     the diagonal and NaN where neither direction is listed."""
 
-    countries: list[CountryRecord]
+    countries: CountryTable
     codes: list[str]
     migration: np.ndarray
     distance: np.ndarray
@@ -162,35 +150,39 @@ def _parse_flag(cell: str, line: int, name: str) -> bool:
     raise MalformedRow(line, f"bad flag {name}: {cell!r}")
 
 
-def load_country_table(path: str | Path) -> list[CountryRecord]:
-    """The rows of countries.csv; every number is >= 0 and every population > 0.
+def load_country_table(path: str | Path) -> CountryTable:
+    """countries.csv; every number is >= 0, every population > 0 and every sec_fraction <= 1.
 
     A target (``is_target`` set) must give ``sec_fraction``; one without
     ``gdp_usd`` has no yield, so the model does not treat it as a target.
     """
-    records: list[CountryRecord] = []
-    seen: dict[str, int] = {}  # code -> its line
+    seen: dict[str, int] = {}  # code -> its line, in row order
+    regions: list[str] = []
+    numbers: list[list] = []  # population through sigma_o, then is_target
     name = Path(path).name
     for line, row in _rows(path, COUNTRY_HEADER):
         code = row[0].strip()
         if seen.setdefault(code, line) != line:
             raise DuplicateCode(code, name, seen[code], line)
-        # population through sigma_o, in CountryRecord's field order
-        numbers = [_parse_float(row[i], line, f"{column} in {name}",
-                                required=column in ("population", "muslim_pop"), sign=+1)
-                   for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
-        if numbers[0] == 0:  # raw_barrier divides by it
+        values = [_parse_float(row[i], line, f"{column} in {name}",
+                               required=column in ("population", "muslim_pop"), sign=+1)
+                  for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
+        if values[0] == 0:  # raw_barrier divides by it
             raise MalformedRow(line, f"population in {name} must be > 0, got {row[3]!r}")
-        stated = [s for s in numbers[4:] if s is not None]
+        if values[2] is not None and values[2] > 1:  # a share of GDP
+            raise MalformedRow(line, f"sec_fraction in {name} must be <= 1, got {row[5]!r}")
+        stated = [s for s in values[4:] if s is not None]
         if stated and (max(stated) > 1 or sum(stated) > 1 + 1e-9):
             raise MalformedRow(line, f"survey fractions out of range: {stated}")
-        is_target = _parse_flag(row[12], line, "is_target")
-        if is_target and numbers[2] is None:
+        target = _parse_flag(row[12], line, "is_target")
+        if target and values[2] is None:
             raise MalformedRow(line, f"{code} is a target in {name} but has no sec_fraction")
-        records.append(CountryRecord(code, row[1].strip(), row[2].strip(), *numbers,
-                                     is_oecd=_parse_flag(row[11], line, "is_oecd"),
-                                     is_target=is_target))
-    return records
+        _parse_flag(row[11], line, "is_oecd")  # checked; name, sigma_n and is_oecd are not held
+        regions.append(row[2].strip())
+        numbers.append([*values, target])
+    columns = np.array(numbers, dtype=float).reshape(-1, 9)  # None, a blank cell, is NaN
+    return CountryTable(list(seen), regions, *columns[:, :4].T, sigma=columns[:, 5:8],
+                        is_target=columns[:, 8] == 1)
 
 
 def _pair_table(path: Path, value: str, codes: Iterable[str]
@@ -323,7 +315,7 @@ def load_bundle(data_dir: str | Path) -> DataBundle:
     """Load the three raw tables; every migration pair needs a distance, in either direction."""
     data_dir = Path(data_dir)
     countries = load_country_table(data_dir / "countries.csv")
-    codes = sorted(c.code for c in countries)
+    codes = sorted(countries.codes)
     _, rows, cols, values, _ = _raw_pairs(data_dir / "migration.csv", codes)
     distance = _load_distances(data_dir / "distance_km.csv", codes)
     unmeasured = np.isnan(distance[rows, cols])

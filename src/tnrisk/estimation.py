@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CountryRecord, DataBundle, write_csv
+from .dataset import CountryTable, DataBundle, write_csv
 from .errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from .params import (
     BLOCKED,
@@ -54,48 +54,41 @@ def normalize_min_median(values, sign: str = "cost") -> np.ndarray:
     return out
 
 
-def impute_survey(countries: list[CountryRecord]) -> list[CountryRecord]:
+def impute_survey(countries: CountryTable) -> CountryTable:
     """Fill missing survey fractions with the unweighted regional mean.
 
-    Countries with no Muslim population contribute no plots and are left as-is.
-    Idempotent: surveyed countries are never modified.
+    A row with Muslim population and a fraction missing gets all three means of its
+    region's surveyed rows; the other rows are left as-is.  Idempotent.
     """
-    by_region: dict[str, list[CountryRecord]] = {}
-    for c in countries:
-        if c.has_survey:
-            by_region.setdefault(c.region, []).append(c)
-    out = []
-    for c in countries:
-        if c.has_survey or c.muslim_pop == 0:
-            out.append(c)
-            continue
-        peers = by_region.get(c.region)
-        if not peers:
-            raise EmptyRegion(c.region)
-        n = len(peers)
-        out.append(replace(
-            c,
-            sigma_r=sum(p.sigma_r for p in peers) / n,
-            sigma_s=sum(p.sigma_s for p in peers) / n,
-            sigma_o=sum(p.sigma_o for p in peers) / n,
-        ))
-    return out
+    sigma = countries.sigma
+    surveyed = ~np.isnan(sigma).any(axis=1)
+    gap = ~surveyed & (countries.muslim_pop > 0)
+    if not gap.any():
+        return countries
+    names, region = np.unique(countries.regions, return_inverse=True)
+    peers = np.bincount(region[surveyed], minlength=len(names))[region]  # per row, its region's
+    lonely = gap & (peers == 0)
+    if lonely.any():
+        raise EmptyRegion(countries.regions[int(lonely.argmax())])
+    # bincount adds in row order from 0.0, as a left-to-right sum over the peers does
+    sums = [np.bincount(region[surveyed], f, len(names))[region[gap]] for f in sigma[surveyed].T]
+    filled = sigma.copy()
+    filled[gap] = np.column_stack(sums) / peers[gap, None]
+    return replace(countries, sigma=filled)
 
 
-def estimate_supply(countries: list[CountryRecord],
+def estimate_supply(countries: CountryTable,
                     weights: SupportWeights = WEIGHT_PRESETS["default"],
                     q: float = DEFAULT_Q) -> dict[str, float]:
     """Expected plots per country: q * muslim_pop * weighted support fraction."""
-    supply: dict[str, float] = {}
-    for c in countries:
-        if c.muslim_pop == 0:
-            supply[c.code] = 0.0
-            continue
-        if not c.has_survey:
-            raise MissingImputation(c.code)
-        r, s, o = c.sigma
-        supply[c.code] = q * c.muslim_pop * (weights.s_r * r + weights.s_s * s + weights.s_o * o)
-    return supply
+    muslim_pop, (r, s, o) = countries.muslim_pop, countries.sigma.T
+    missing = (muslim_pop > 0) & np.isnan(countries.sigma).any(axis=1)
+    if missing.any():
+        raise MissingImputation(countries.codes[int(missing.argmax())])
+    with np.errstate(all="ignore"):  # as Python's float arithmetic: inf and NaN, no warning
+        supply = np.where(muslim_pop == 0, 0.0,
+                          q * muslim_pop * (weights.s_r * r + weights.s_s * s + weights.s_o * o))
+    return dict(zip(countries.codes, supply.tolist()))
 
 
 def raw_barrier(p_i, p_j, d_ij, m_ij):
@@ -110,9 +103,10 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     A zero migration lists its pair as BLOCKED; a pair with no migration row is not
     listed, so it is BLOCKED downstream.  Domestic barriers are zero by assumption.
     """
-    at = np.searchsorted(bundle.codes, [c.code for c in bundle.countries])  # each one's place
+    countries = bundle.countries
+    at = np.searchsorted(bundle.codes, countries.codes)  # each row's place on the axis
     pop = np.empty(len(at))
-    pop[at] = [c.population for c in bundle.countries]
+    pop[at] = countries.population
     listed = ~np.isnan(bundle.migration)
     with np.errstate(divide="ignore"):  # zero migration, and the diagonal's zero distance: inf
         raw = raw_barrier(pop[:, None], pop, bundle.distance, bundle.migration)
@@ -123,30 +117,30 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     cost[observed] = normalize_min_median(raw[observed], "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
     channel = (~is_blocked(cost)).any(axis=1)  # the diagonal is still BLOCKED here
-    for c, k in zip(bundle.countries, at.tolist()):
-        if c.muslim_pop > 0 and not channel[k]:
-            logger.warning("source %s has no traversable outbound barrier", c.code)
+    for k in np.flatnonzero((countries.muslim_pop > 0) & ~channel[at]).tolist():
+        logger.warning("source %s has no traversable outbound barrier", countries.codes[k])
     np.fill_diagonal(cost, 0.0)
     np.fill_diagonal(listed, True)  # a listed domestic migration row changes nothing
     return Barriers(bundle.codes, cost, listed)
 
 
-def estimate_interception(countries: list[CountryRecord]) -> dict[str, float]:
+def _per_target(countries: CountryTable, values, sign: str, what: str) -> dict[str, float]:
+    """The targets' ``values``, where given, min-median normalised, by code in row order."""
+    targets = np.flatnonzero(countries.is_target & ~np.isnan(values))
+    if len(targets) < 2:
+        raise DegenerateSpread(f"need at least two target countries with {what}")
+    codes = map(countries.codes.__getitem__, targets.tolist())
+    return dict(zip(codes, normalize_min_median(values[targets], sign).tolist()))
+
+
+def estimate_interception(countries: CountryTable) -> dict[str, float]:
     """Interception cost per target from security spending as a GDP fraction."""
-    targets = [c for c in countries if c.is_target]  # the loader requires their sec_fraction
-    if len(targets) < 2:
-        raise DegenerateSpread("need at least two target countries with security data")
-    normalized = normalize_min_median([c.sec_fraction for c in targets], "cost")
-    return {c.code: v for c, v in zip(targets, normalized.tolist())}
+    return _per_target(countries, countries.sec_fraction, "cost", "security data")
 
 
-def estimate_yield(countries: list[CountryRecord]) -> dict[str, float]:
+def estimate_yield(countries: CountryTable) -> dict[str, float]:
     """Attack yield per target from GDP; non-positive with median -1."""
-    targets = [c for c in countries if c.is_target and c.gdp is not None]
-    if len(targets) < 2:
-        raise DegenerateSpread("need at least two target countries with GDP")
-    normalized = normalize_min_median([c.gdp for c in targets], "yield")
-    return {c.code: v for c, v in zip(targets, normalized.tolist())}
+    return _per_target(countries, countries.gdp, "yield", "GDP")
 
 
 def estimate_params(bundle: DataBundle,

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tnrisk import (BLOCKED, DeltaMatrix, ModelParams, bundled_data_dir, load_bundle,
-                    load_pre_estimated)
+from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
+                    load_bundle, load_country_table, load_pre_estimated)
 from tnrisk.dataset import COUNTRY_HEADER
 
 
@@ -87,3 +87,17 @@ def raw_tables(directory: Path, migration: str, distance: str,
     for name, text in (("migration.csv", migration), ("distance_km.csv", distance)):
         (directory / name).write_text("origin,dest,value\n" + text, encoding="utf-8")
     return directory
+
+
+def bundled_countries_with(directory: Path, *rows: str) -> CountryTable:
+    """The bundled countries.csv with ``rows`` appended, as load_country_table reads it."""
+    path = directory / "countries.csv"
+    text = (bundled_data_dir() / "countries.csv").read_text(encoding="utf-8")
+    path.write_text(text + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+    return load_country_table(path)
+
+
+def same_table(a: CountryTable, b: CountryTable) -> bool:
+    """Column by column, NaN equal to NaN: == on a dataclass holding arrays is ambiguous."""
+    return all(np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(vars(a).values(), vars(b).values()))

@@ -1,4 +1,8 @@
-"""Test-only oracle for barrier estimation: the per-pair estimator the array path replaces.
+"""Test-only oracle for estimation: the per-row and per-pair estimators the array path replaces.
+
+countries.csv is read as one dict per row, and survey imputation and supply
+loop over those rows, so the column estimators ``impute_survey`` and
+``estimate_supply`` must give the same bits and raise the same errors.
 
 The pair tables are read into dicts, one entry per listed pair, with each
 distance row entered in both directions, so a pair listed both ways holds the
@@ -16,10 +20,65 @@ import math
 import statistics
 from pathlib import Path
 
-from tnrisk import load_country_table
-from tnrisk.errors import DegenerateSpread
+from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation
+from tnrisk.params import SupportWeights
 
 BLOCKED = math.inf
+SIGMA = ("sigma_r", "sigma_s", "sigma_o")
+
+
+def read_countries(path: Path) -> list[dict]:
+    """countries.csv's rows: code and region, then population, muslim_pop and the survey
+    fractions as floats, None where blank."""
+    with path.open(newline="", encoding="utf-8") as f:
+        return [{"code": row["code"], "region": row["region"],
+                 **{k: float(row[k]) if row[k] else None
+                    for k in ("population", "muslim_pop", *SIGMA)}}
+                for row in csv.DictReader(f)]
+
+
+def has_survey(row: dict) -> bool:
+    return None not in (row[k] for k in SIGMA)
+
+
+def left_sum(values) -> float:
+    """Left to right from 0.0, as sum() adds floats before Python 3.12, which compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def impute_survey(rows: list[dict]) -> list[dict]:
+    """An unsurveyed row with Muslim population gets its region's surveyed rows' means."""
+    by_region: dict[str, list[dict]] = {}
+    for row in rows:
+        if has_survey(row):
+            by_region.setdefault(row["region"], []).append(row)
+    out = []
+    for row in rows:
+        if has_survey(row) or row["muslim_pop"] == 0:
+            out.append(row)
+            continue
+        peers = by_region.get(row["region"])
+        if not peers:
+            raise EmptyRegion(row["region"])
+        out.append({**row, **{k: left_sum(p[k] for p in peers) / len(peers) for k in SIGMA}})
+    return out
+
+
+def estimate_supply(rows: list[dict], weights: SupportWeights, q: float) -> dict[str, float]:
+    supply: dict[str, float] = {}
+    for row in rows:
+        if row["muslim_pop"] == 0:
+            supply[row["code"]] = 0.0
+            continue
+        if not has_survey(row):
+            raise MissingImputation(row["code"])
+        r, s, o = (row[k] for k in SIGMA)
+        supply[row["code"]] = q * row["muslim_pop"] * (weights.s_r * r + weights.s_s * s
+                                                       + weights.s_o * o)
+    return supply
 
 
 def read_pairs(path: Path, both_ways: bool) -> dict[tuple[str, str], float]:
@@ -49,8 +108,8 @@ def normalize_min_median(values: list[float], sign: str = "cost") -> list[float]
 
 def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], list[str]]:
     """(barriers, sources warned of having no open channel), countries in file order."""
-    countries = load_country_table(data_dir / "countries.csv")
-    population = {c.code: c.population for c in countries}
+    countries = read_countries(data_dir / "countries.csv")
+    population = {c["code"]: c["population"] for c in countries}
     migration = read_pairs(data_dir / "migration.csv", both_ways=False)
     distance = read_pairs(data_dir / "distance_km.csv", both_ways=True)
     raw = {(i, j): raw_barrier(population[i], population[j], distance[(i, j)], m)
@@ -60,7 +119,8 @@ def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], lis
         raise DegenerateSpread("fewer than two observed migration pairs")
     barriers = dict(zip(finite, normalize_min_median([raw[k] for k in finite])))
     barriers.update((k, BLOCKED) for k, v in raw.items() if v >= 1e100)
-    barriers.update(((c.code, c.code), 0.0) for c in countries)
+    barriers.update(((c["code"], c["code"]), 0.0) for c in countries)
     open_origins = {i for (i, j), v in barriers.items() if i != j and v < 1e100}
-    warned = [c.code for c in countries if c.muslim_pop > 0 and c.code not in open_origins]
+    warned = [c["code"] for c in countries
+              if c["muslim_pop"] > 0 and c["code"] not in open_origins]
     return barriers, warned

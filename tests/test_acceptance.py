@@ -207,7 +207,7 @@ def test_criterion_08_deterrence_curve(pre_params):
               f"in (-54, -6.8); synthetic midpoint error {abs(s_star - analytic):.3f} <= 1 step")
 
 
-def test_criterion_09_estimation_properties(bundle):
+def test_criterion_09_estimation_properties(bundle, tmp_path):
     # scale invariance of the normalizer
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -223,12 +223,11 @@ def test_criterion_09_estimation_properties(bundle):
     # equal support fractions: high-commitment preset scales supply by 1.3/1.75
     equal = 100.0 * (1.3 / 1.75 - 1.0)
     assert abs(equal - (-25.714285714285715)) <= 0.1
-    from tnrisk.dataset import CountryRecord
-    rec = CountryRecord(code="EQQ", name="Equal", region="X", population=1e6,
-                        gdp=None, sec_fraction=None, muslim_pop=1e6,
-                        sigma_n=0.4, sigma_r=0.2, sigma_s=0.2, sigma_o=0.2,
-                        is_oecd=False, is_target=False)
-    high, low = percent_change([rec])["EQQ"]
+    from tnrisk.dataset import COUNTRY_HEADER, load_country_table
+    path = tmp_path / "countries.csv"
+    path.write_text(f"{','.join(COUNTRY_HEADER)}\nEQQ,Equal,X,1e6,,,1e6,0.4,0.2,0.2,0.2,0,0\n",
+                    encoding="utf-8")
+    high, low = percent_change(load_country_table(path))["EQQ"]
     assert abs(high - equal) <= 0.1
 
     # Indonesia row from the bundled survey fractions

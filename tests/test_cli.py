@@ -13,7 +13,7 @@ import pytest
 
 import tnrisk
 from tnrisk import fortress, solve
-from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_POINTS, build_parser, main
+from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
 from conftest import cell_dict
@@ -101,10 +101,11 @@ def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None])
     ("migration.csv", [("migration.csv", "AFG,AUS,", 2, "-5")]),
     ("migration.csv pair AFG,AUS has no row in distance_km.csv",
      [("distance_km.csv", "AFG,AUS,", 0, None)]),
+    ("sec_fraction in countries.csv must be <= 1, got '2'", [("countries.csv", "USA,", 5, "2")]),
 ], ids=["muslim-pop-negative", "target-without-sec-fraction", "population-zero",
         "population-negative", "gdp-negative", "unknown-code-in-both-pair-tables",
         "unknown-code-in-distances", "zero-distance", "migration-negative",
-        "migration-pair-without-distance"])
+        "migration-pair-without-distance", "sec-fraction-above-one"])
 def test_raw_table_rule_fails_every_command(tmp_path, capsys, name, edits):
     """validate, estimate and solve --mode estimate stop at one loader error naming the file."""
     data = str(bundle_copy(tmp_path, *edits))
@@ -412,9 +413,15 @@ class TestEstimate:
         assert pre == estimated
 
     def test_overflowing_normalisation_exit_1(self, tmp_path, capsys):
-        """A sec_fraction of 1e307 normalises past the largest float: an error, not an
-        interception cost of inf that solve could not read back."""
-        data = str(bundle_copy(tmp_path, ("countries.csv", "USA,", 5, "1e307")))
+        """Security shares whose median is one subnormal above the least normalise past the
+        largest float: an error, not an interception cost of inf that solve could not read
+        back.  Of the bundle's 30 targets, 14 spend 0 and 2 spend 5e-324: the median."""
+        with (bundled_data_dir() / "countries.csv").open(newline="", encoding="utf-8") as f:
+            targets = [row["code"] for row in csv.DictReader(f) if row["is_target"] == "1"]
+        assert len(targets) == 30
+        data = str(bundle_copy(tmp_path, *[("countries.csv", f"{code},", 5,
+                                            "0" if k < 14 else "5e-324")
+                                           for k, code in enumerate(targets[:16])]))
         for command in (["estimate"], ["solve", "--mode", "estimate"]):
             assert run(*command, "--data", data, "--out", str(tmp_path / "out")) == 1
             assert "min-median normalization overflows" in capsys.readouterr().err
@@ -559,16 +566,28 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid", [("--a-min=1e17", "--a-max=2e17", "--step=1"),
                                       ("--step=1e-12",), ("--step=1e-320",),
-                                      ("--a-min=0", f"--a-max={MAX_GRID_POINTS}", "--step=1")],
+                                      ("--a-min=0", f"--a-max={MAX_GRID_CELLS // 26}",
+                                       "--step=1")],
                              ids=["step-below-spacing", "tiny-step", "subnormal-step",
                                   "one-point-over"])
     def test_grid_over_point_limit_exit_2(self, tmp_path, grid):
         """The point count comes from the bounds: where a + step == a, or the step is tiny,
-        the grid is refused before it is built."""
+        the grid is refused before it is built.  The limit is on points x targets cells:
+        at the bundle's 26 targets, 0 to MAX_GRID_CELLS // 26 by 1 is one point over."""
         done = sweep_in_child(tmp_path, *grid)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: a grid from") and "points" in done.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_grid_with_no_targets_exit_2(self, tmp_path):
+        """With no country in both interception.csv and yield.csv, the grid still counts as
+        one column: a tiny step is refused, not built."""
+        data = tmp_path / "data"
+        shutil.copytree(bundled_data_dir(), data)
+        (data / "pre_estimated" / "yield.csv").write_text("code,yield\n")
+        done = sweep_in_child(tmp_path, "--step=1e-12", "--data", str(data))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: a grid from") and "0 targets" in done.stderr
 
     def test_grid_from_point_count(self, tmp_path):
         out = tmp_path / "out"

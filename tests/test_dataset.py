@@ -50,11 +50,9 @@ class TestCountryTable:
     def test_basic_row(self, tmp_path):
         p = write(tmp_path, "c.csv", HEADER + "\n"
                   "USA,United States,NorthAmerica,3e8,1.4e13,0.0175,2.4e6,0.7,0.1,0.1,0.05,1,1\n")
-        recs = load_country_table(p)
-        assert len(recs) == 1
-        r = recs[0]
-        assert r.is_target and r.is_oecd and r.code == "USA"
-        assert r.gdp == 1.4e13 and r.has_survey
+        t = load_country_table(p)
+        assert t.codes == ["USA"] and t.is_target.tolist() == [True]
+        assert t.gdp.tolist() == [1.4e13] and not np.isnan(t.sigma).any()
 
     def test_duplicate_code(self, tmp_path):
         p = write(tmp_path, "c.csv", HEADER + "\n"
@@ -72,8 +70,8 @@ class TestCountryTable:
     def test_missing_cells_are_missing(self, tmp_path):
         p = write(tmp_path, "c.csv", HEADER + "\n"
                   "XXA,Nowhere,Europe,1e6,,,1e5,,,,,0,0\n")
-        r = load_country_table(p)[0]
-        assert r.gdp is None and r.sec_fraction is None and not r.has_survey
+        t = load_country_table(p)
+        assert np.isnan(t.gdp[0]) and np.isnan(t.sec_fraction[0]) and np.isnan(t.sigma[0]).any()
 
     def test_non_numeric_required(self, tmp_path):
         p = write(tmp_path, "c.csv", HEADER + "\n"
@@ -83,20 +81,27 @@ class TestCountryTable:
 
     @pytest.mark.parametrize("cells", [
         "-5,,,1e5,,,,", "0,,,1e5,,,,", "1e6,-1,,1e5,,,,", "1e6,,-0.1,1e5,,,,",
-        "1e6,,,-1e5,,,,", "1e6,,,1e5,0.5,-0.1,0.1,0.1",
+        "1e6,,,-1e5,,,,", "1e6,,,1e5,0.5,-0.1,0.1,0.1", "1e6,,2,1e5,,,,",
     ], ids=["population-negative", "population-zero", "gdp-negative", "sec-fraction-negative",
-            "muslim-pop-negative", "sigma-negative"])
+            "muslim-pop-negative", "sigma-negative", "sec-fraction-above-one"])
     def test_sign_rules(self, tmp_path, cells):
         p = write(tmp_path, "c.csv", HEADER + f"\nXXA,Nowhere,Europe,{cells},0,0\n")
         with pytest.raises(MalformedRow, match="line 2: .* in c.csv must be"):
+            load_country_table(p)
+
+    @pytest.mark.parametrize("flags, name", [("maybe,0", "is_oecd"), ("0,maybe", "is_target")])
+    def test_bad_flag(self, tmp_path, flags, name):
+        """Both flags are checked, though the table holds only is_target."""
+        p = write(tmp_path, "c.csv", HEADER + f"\nXXA,Nowhere,Europe,1e6,,0.01,0,,,,,{flags}\n")
+        with pytest.raises(MalformedRow, match=f"line 2: bad flag {name}: 'maybe'"):
             load_country_table(p)
 
     def test_target_without_gdp_is_not_a_target(self, tmp_path):
         """It loads, and has no yield, so the estimators leave it out of the targets."""
         p = write(tmp_path, "c.csv", HEADER + "\n"
                   "ISL,Iceland,Europe,3e5,,0.01,0,,,,,1,1\n")
-        r = load_country_table(p)[0]
-        assert r.is_target and r.gdp is None and r.sec_fraction == 0.01
+        t = load_country_table(p)
+        assert t.is_target[0] and np.isnan(t.gdp[0]) and t.sec_fraction[0] == 0.01
 
     def test_bad_header(self, tmp_path):
         p = write(tmp_path, "c.csv", "code,name\nUSA,United States\n")
@@ -330,7 +335,7 @@ class TestValidation:
     """The loaders hold every raw-table rule; validate runs them."""
 
     def test_bundled_is_clean(self, bundle):
-        codes = {c.code for c in bundle.countries}
+        codes = set(bundle.countries.codes)
         for name in ("migration.csv", "distance_km.csv"):
             with (bundled_data_dir() / name).open(newline="", encoding="utf-8") as f:
                 assert {c for row in list(csv.reader(f))[1:] for c in row[:2]} <= codes

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import statistics
@@ -20,7 +21,7 @@ from tnrisk import (
     load_bundle,
     normalize_min_median,
 )
-from tnrisk.dataset import load_pre_estimated
+from tnrisk.dataset import COUNTRY_HEADER, load_country_table, load_pre_estimated
 from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from tnrisk.estimation import (
     estimate_barriers,
@@ -31,10 +32,10 @@ from tnrisk.estimation import (
     raw_barrier,
     write_params_csv,
 )
-from tnrisk.params import WEIGHT_PRESETS
+from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
 import estimation_oracle
-from conftest import raw_tables
+from conftest import bundled_countries_with, raw_tables, same_table
 
 
 finite_lists = st.lists(
@@ -122,52 +123,46 @@ class TestNormalize:
             assert y == pytest.approx(-x, rel=1e-9, abs=1e-9)
 
 
+def surveyed(countries) -> np.ndarray:
+    return ~np.isnan(countries.sigma).any(axis=1)
+
+
 class TestImputation:
     def test_idempotent_and_regional_mean(self, bundle):
         once = impute_survey(bundle.countries)
         twice = impute_survey(once)
-        assert once == twice
-        filled = {c.code: c for c in once}
-        for c in once:
-            if c.muslim_pop > 0:
-                assert filled[c.code].has_survey
+        assert same_table(once, twice)
+        assert surveyed(once)[once.muslim_pop > 0].all()
 
-    def test_unsurveyed_country_gets_regional_mean(self, bundle):
+    def test_unsurveyed_country_gets_regional_mean(self, bundle, tmp_path):
         """Each fraction is the unweighted mean over the region's surveyed countries."""
-        import dataclasses
-        surveyed = [c for c in bundle.countries if c.has_survey]
-        region = max({c.region for c in surveyed},
-                     key=lambda r: sum(c.region == r for c in surveyed))
-        peers = [c for c in surveyed if c.region == region]
+        t = bundle.countries
+        regions = [r for r, s in zip(t.regions, surveyed(t)) if s]
+        region = max(set(regions), key=regions.count)
+        peers = t.sigma[surveyed(t) & (np.array(t.regions) == region)].tolist()
         assert len(peers) > 1
-        gap = dataclasses.replace(peers[0], code="XXD", muslim_pop=1000.0,
-                                  sigma_r=None, sigma_s=None, sigma_o=None)
-        filled = impute_survey([*bundle.countries, gap])[-1]
-        assert filled.sigma == tuple(sum(f) / len(peers) for f in zip(*(c.sigma for c in peers)))
+        gap = f"XXD,Gap,{region},1e6,,,1000.0,,,,,0,0"
+        filled = impute_survey(bundled_countries_with(tmp_path, gap))
+        assert tuple(filled.sigma[-1].tolist()) == tuple(
+            estimation_oracle.left_sum(f) / len(peers) for f in zip(*peers))
 
     def test_surveyed_rows_untouched(self, bundle):
-        before = {c.code: c for c in bundle.countries if c.has_survey}
-        after = {c.code: c for c in impute_survey(bundle.countries)}
-        for code, c in before.items():
-            assert after[code] == c
+        before = bundle.countries
+        after = impute_survey(before)
+        assert np.array_equal(after.sigma[surveyed(before)], before.sigma[surveyed(before)])
+        assert same_table(dataclasses.replace(after, sigma=before.sigma), before)
 
-    def test_empty_region(self, bundle):
-        import dataclasses
-        lonely = dataclasses.replace(
-            bundle.countries[0], code="XXB", region="Atlantis",
-            muslim_pop=1000.0, sigma_r=None, sigma_s=None, sigma_o=None)
+    def test_empty_region(self, tmp_path):
+        lonely = "XXB,Nowhere,Atlantis,1e6,,,1000.0,,,,,0,0"
         with pytest.raises(EmptyRegion):
-            impute_survey(list(bundle.countries) + [lonely])
+            impute_survey(bundled_countries_with(tmp_path, lonely))
 
 
 class TestSupply:
-    def test_requires_imputation(self, bundle):
-        import dataclasses
-        gap = dataclasses.replace(
-            bundle.countries[0], code="XXC", muslim_pop=1000.0,
-            sigma_r=None, sigma_s=None, sigma_o=None)
+    def test_requires_imputation(self, bundle, tmp_path):
+        gap = f"XXC,Gap,{bundle.countries.regions[0]},1e6,,,1000.0,,,,,0,0"
         with pytest.raises(MissingImputation):
-            estimate_supply(list(bundle.countries) + [gap])
+            estimate_supply(bundled_countries_with(tmp_path, gap))
 
     def test_linear_in_q(self, bundle):
         countries = impute_survey(bundle.countries)
@@ -179,9 +174,65 @@ class TestSupply:
     def test_zero_muslim_pop_zero_supply(self, bundle):
         countries = impute_survey(bundle.countries)
         supply = estimate_supply(countries)
-        for c in countries:
-            if c.muslim_pop == 0:
-                assert supply[c.code] == 0.0
+        for code, muslim_pop in zip(countries.codes, countries.muslim_pop.tolist()):
+            if muslim_pop == 0:
+                assert supply[code] == 0.0
+
+
+# a survey cell: blank, a signed zero, a subnormal, or a fraction; three sum to at most 1
+fractions = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1 / 3]),
+                      st.floats(min_value=0.0, max_value=0.33))
+country_rows = st.lists(
+    st.tuples(st.sampled_from(["Asia", "Africa", "Europe"]),
+              st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+                        st.floats(min_value=1.0, max_value=1e9)),
+              st.tuples(fractions, fractions, fractions)),
+    min_size=1, max_size=12)
+weights = st.one_of(st.sampled_from(list(WEIGHT_PRESETS.values())),
+                    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3)
+                    .map(lambda w: SupportWeights(*sorted(w))))
+
+
+@given(country_rows, weights, st.floats(min_value=1e-4, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_imputed_supply_matches_per_row_oracle(rows, weights, q):
+    """The column path imputes and estimates supply with the oracle's bits, and fails with
+    its error, over partial surveys, signed zeros, zero muslim_pop and regions with no
+    surveyed row; with imputation, and without it, where a gap is MissingImputation."""
+    lines = [",".join(COUNTRY_HEADER)]
+    for k, (region, muslim_pop, sigma) in enumerate(rows):
+        cells = ",".join("" if f is None else repr(f) for f in sigma)
+        lines.append(f"C{k:02d},C{k:02d},{region},1e6,,,{muslim_pop!r},,{cells},0,0")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "countries.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table, reference = load_country_table(path), estimation_oracle.read_countries(path)
+
+    def outcome(run):
+        try:
+            return run()
+        except ModelError as e:
+            return type(e), str(e)
+
+    def hexes(values):
+        return [[None if v is None or math.isnan(v) else v.hex() for v in row] for row in values]
+
+    want = outcome(lambda: estimation_oracle.impute_survey(reference))
+    got = outcome(lambda: impute_survey(table))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert hexes(got.sigma.tolist()) == hexes([[r[k] for k in estimation_oracle.SIGMA]
+                                                   for r in want])
+    for ref, tab in ((reference, table), (want, got)):
+        if isinstance(ref, tuple):
+            continue
+        expected = outcome(lambda: estimation_oracle.estimate_supply(ref, weights, q))
+        supply = outcome(lambda: estimate_supply(tab, weights, q))
+        if isinstance(expected, dict):
+            expected = {code: v.hex() for code, v in expected.items()}
+            supply = {code: v.hex() for code, v in supply.items()}
+        assert supply == expected
 
 
 class TestBarriers:
@@ -204,8 +255,8 @@ class TestBarriers:
 
     def test_estimated_diagonal_zero(self, bundle):
         barriers = estimate_barriers(bundle)
-        for c in bundle.countries:
-            assert barriers[(c.code, c.code)] == 0.0
+        for code in bundle.countries.codes:
+            assert barriers[(code, code)] == 0.0
 
     def test_estimated_anchors(self, bundle):
         barriers = estimate_barriers(bundle)

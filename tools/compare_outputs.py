@@ -10,12 +10,14 @@ each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, with a fortress-USA spec file beside it, and a
 ``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate``, ``estimate``
 and ``solve --mode estimate`` also run on bundle copies with one raw-table
-edit each (``BUNDLE_EDITS``): six break a rule (a negative ``muslim_pop``, a
+edit each (``BUNDLE_EDITS``): seven break a rule (a negative ``muslim_pop``, a
 reverse distance with another value, a zero distance, an unknown code in
-``migration.csv``, a migration pair with no distance, a negative migration),
-one passes the rules but overflows the normalisation (a ``sec_fraction`` of
-1e307) and three are valid (a zero migration, which blocks its pair; a USA
-``gdp_usd`` of 1e150; a ``sec_fraction`` of -0, the signed zero).  ``scenario``
+``migration.csv``, a migration pair with no distance, a negative migration, a
+``sec_fraction`` of 1e307, above 1), one passes the rules but leaves a source
+that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
+and four are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
+of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
+gets its region's survey means).  ``scenario``
 with a spec file naming an unknown code takes an error path too, and four
 commands get a flag they do not take, which is a usage error.  For every
 command the script prints "identical" or "DIFFERENT" for the exit code,
@@ -72,11 +74,14 @@ BUNDLE_EDITS = {
     "unknown-migration-code": ("migration.csv", None, 0, "ZZZ,USA,500"),
     "migration-without-distance": ("distance_km.csv", "AFG,AUS,", 0, None),
     "negative-migration": ("migration.csv", "AFG,AUS,", 2, "-5"),
-    "overflowing-security": ("countries.csv", "USA,", 5, "1e307"),
-    # valid edits: a blocked pair, a yield far below the others, the least security at -0
+    "overflowing-security": ("countries.csv", "USA,", 5, "1e307"),  # a sec_fraction above 1
+    "lonely-unsurveyed-source": ("countries.csv", "CHN,", 8, ""),
+    # valid edits: a blocked pair, a yield far below the others, the least security at -0,
+    # and a source whose survey fractions are imputed from its 13 regional peers
     "zero-migration": ("migration.csv", "AFG,AUS,", 2, "0"),
     "huge-gdp": ("countries.csv", "USA,", 4, "1e150"),
     "negative-zero-security": ("countries.csv", "AUS,", 5, "-0"),
+    "unsurveyed-source": ("countries.csv", "TUN,", 8, ""),
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
