@@ -22,16 +22,6 @@ from .dataset import (
     load_country_table,
     load_pre_estimated,
 )
-from .estimation import (
-    estimate_barriers,
-    estimate_interception,
-    estimate_params,
-    estimate_supply,
-    estimate_yield,
-    impute_survey,
-    normalize_min_median,
-    raw_barrier,
-)
 from .evader import AttackMatrix, target_totals
 from .scenario import (
     DeltaMatrix,

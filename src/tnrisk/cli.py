@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import dataset, estimation, evader, scenario as scn
+from . import dataset, evader, scenario as scn
 from .errors import CodeMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out,
                      parse_cost, parse_number)
@@ -29,11 +29,11 @@ def _parse_weights(text: str) -> tuple[SupportWeights, str]:
     key = aliases.get(text, text)
     if key in WEIGHT_PRESETS:
         return WEIGHT_PRESETS[key], key
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"bad weights {text!r}: use a preset or r,s,o")
-    w = SupportWeights(*(float(p) for p in parts))
-    return w, text
+    try:
+        return SupportWeights(*map(float, text.split(","))), text
+    except (TypeError, ValueError):  # not three numbers, or not 0 < r <= s <= o <= 1
+        raise ValueError(f"--weights must be default, high, low or r,s,o with "
+                         f"0 < r <= s <= o <= 1, got {text!r}") from None
 
 
 # every argument, declared once, in the groups a command takes whole
@@ -75,6 +75,7 @@ def _config(args: argparse.Namespace) -> None:
 def _load_params(args: argparse.Namespace):
     """Parameters estimated from the raw tables, or read from the pre-estimated ones."""
     if args.mode == "estimate":
+        from . import estimation
         params = estimation.estimate_params(dataset.load_bundle(args.data), args.weights, args.q)
     else:
         params = dataset.load_pre_estimated(args.data / "pre_estimated")
@@ -118,6 +119,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from . import estimation
     params = _load_params(args)
     args.out.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, args.out)
@@ -198,8 +200,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = scn.deterrence_sweep(params, grid)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.per_target],
-                      zip(curve.a_values, curve.totals, *curve.per_target.values()))
+    dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.targets],
+                      ((a, total, *row.tolist()) for a, total, row in
+                       zip(curve.a_values, curve.totals, curve.per_target)))
     status = EXIT_OK
     try:
         threshold = scn.find_threshold(curve)
@@ -247,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _config(args)
-    except (ValueError, argparse.ArgumentTypeError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if not args.data.is_dir():

@@ -24,17 +24,18 @@ def is_blocked(value: float) -> bool:
     return value >= _BLOCKED_FLOOR
 
 
-def parse_cost(v, name: str = "cost") -> float:
-    """A route cost: a number, or 'inf'/'blocked'; values >= 1e100 fold into BLOCKED.
+def parse_cost(v, name: str = "cost", sign: int = 0) -> float:
+    """A route cost: a number (>= 0 for sign +1) or 'inf'/'blocked'; >= 1e100 folds into BLOCKED.
 
-    Raises ValueError, naming the value, for NaN, -inf or anything else.
+    Raises ValueError, naming the value, for NaN, -inf, the wrong sign or anything else.
     """
     try:
         value = math.nan if isinstance(v, bool) else float(v)  # JSON true is not 1
     except (TypeError, ValueError):
         value = BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
-    if math.isnan(value) or value == -math.inf:
-        raise ValueError(f"{name} must be a number, 'inf' or 'blocked', got {v!r}")
+    if math.isnan(value) or value == -math.inf or (sign > 0 and value < 0):
+        bound = " >= 0" if sign > 0 else ""
+        raise ValueError(f"{name} must be a number{bound}, 'inf' or 'blocked', got {v!r}")
     return BLOCKED if value >= _BLOCKED_FLOOR else value
 
 

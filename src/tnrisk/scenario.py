@@ -25,8 +25,9 @@ class ScenarioSpec:
     """Overrides, checked on construction: a bad value raises ModelError naming its field.
 
     A spec file is one JSON object whose keys are these fields, each optional.
-    Barrier and abandon overrides are costs (a number, 'inf' or 'blocked');
-    lambda and interception overrides are finite and >= 0, yields finite and <= 0.
+    Barrier overrides are costs >= 0 as in barriers.csv, the abandon override any
+    cost (a number, 'inf' or 'blocked'); lambda and interception overrides are
+    finite and >= 0, yields finite and <= 0.
     """
 
     name: str = "unnamed"
@@ -49,7 +50,7 @@ class ScenarioSpec:
                     for row in self.barrier_overrides)):
                 raise ValueError("barrier_overrides must be a list of [origin, dest, cost], "
                                  f"got {self.barrier_overrides!r}")
-            self.barrier_overrides = [(o, d, parse_cost(v, f"barrier override {o},{d}"))
+            self.barrier_overrides = [(o, d, parse_cost(v, f"barrier override {o},{d}", +1))
                                       for o, d, v in self.barrier_overrides]
             if self.a_override is not None:
                 self.a_override = parse_cost(self.a_override, "a_override")
@@ -216,7 +217,8 @@ def solve(params: ModelParams) -> AttackMatrix:
 class SweepCurve:
     a_values: list[float]
     totals: list[float]
-    per_target: dict[str, list[float]]  # in sorted target order
+    targets: list[str]  # sorted
+    per_target: np.ndarray  # points x targets
     supply_total: float
 
 
@@ -235,8 +237,8 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     for k, a in enumerate(a_values):
         cost[:, -1] = BLOCKED if is_blocked(a) else a
         columns[k] = _allocate(cost, net.supply, params.lam)[0][:, :-1].sum(axis=0)
-    return SweepCurve(a_values=list(a_values), totals=[sum(r) for r in columns.tolist()],
-                      per_target=dict(zip(net.targets, columns.T.tolist())),
+    return SweepCurve(a_values=list(a_values), totals=[sum(r.tolist()) for r in columns],
+                      targets=net.targets, per_target=columns,
                       supply_total=sum(net.supply.tolist()))
 
 

@@ -23,11 +23,10 @@ from tnrisk import (
     fortress,
     homegrown,
     is_blocked,
-    normalize_min_median,
     solve,
     target_totals,
 )
-from tnrisk.estimation import estimate_supply, impute_survey
+from tnrisk.estimation import estimate_supply, impute_survey, normalize_min_median
 
 from conftest import cell_dict, random_params
 from oracle import (

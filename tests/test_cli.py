@@ -326,7 +326,9 @@ class TestSolve:
     def test_bad_weights_in_estimate_mode_exit_2(self, tmp_path, capsys, weights):
         out = tmp_path / "out"
         assert run("solve", "--mode", "estimate", "--weights", weights, "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--weights" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("abandon", ["nan", "-inf"])
@@ -481,6 +483,7 @@ class TestScenario:
         {"a_override": "-inf"},
         {"barrier_overrides": [["*", "USA", "nan"]]},
         {"barrier_overrides": [["*", "USA", "-inf"]]},
+        {"barrier_overrides": [["*", "USA", -5]]},
         {"yield_overrides": {"USA": "nan"}},
         {"yield_overrides": {"USA": 0.5}},
         {"interception_overrides": {"USA": -5}},
@@ -488,8 +491,8 @@ class TestScenario:
         {"lambda_override": "nan"},
         {"lambda_override": -0.1},
     ], ids=["abandon-nan", "abandon-minus-inf", "barrier-nan", "barrier-minus-inf",
-            "yield-nan", "yield-positive", "interception-negative", "interception-inf",
-            "lambda-nan", "lambda-negative"])
+            "barrier-negative", "yield-nan", "yield-positive", "interception-negative",
+            "interception-inf", "lambda-nan", "lambda-negative"])
     def test_non_finite_override_exit_1(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -597,6 +600,22 @@ class TestSweep:
         assert a == [round(k * 0.1, 9) for k in range(11)]
 
 
+def child_env() -> dict[str, str]:
+    """The environment with this tnrisk's source directory first on PYTHONPATH."""
+    src = Path(tnrisk.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_estimation():
+    """Only the commands that estimate load the estimators, and logging with them."""
+    probe = ("import sys, tnrisk.cli; "
+             "print(*(m in sys.modules for m in ('tnrisk.estimation', 'logging')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False False\n"), done.stderr
+
+
 def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:
     """``tnrisk sweep`` in a child with a 20 s timeout and a 1 GiB address-space limit."""
     limit = None
@@ -605,13 +624,10 @@ def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:
 
         def limit():  # a runaway grid fails on memory rather than filling the host's
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    src = Path(tnrisk.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     try:
         return subprocess.run([sys.executable, "-m", "tnrisk.cli", "sweep", *grid,
-                               "--out", str(tmp_path / "out")], env=env, preexec_fn=limit,
-                              capture_output=True, text=True, timeout=20)
+                               "--out", str(tmp_path / "out")], env=child_env(),
+                              preexec_fn=limit, capture_output=True, text=True, timeout=20)
     except subprocess.TimeoutExpired:
         pytest.fail(f"sweep {' '.join(grid)} still running after 20 s")
 
@@ -638,13 +654,10 @@ def test_console_script_installed(tmp_path):
 
     # The body of the console-script wrapper pip writes for this entry point.
     wrapper = f"import sys; from {entry.module} import {entry.attr}; sys.exit({entry.attr}())"
-    src = Path(tnrisk.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
     def script(*argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", wrapper, *argv], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-c", wrapper, *argv], env=child_env(),
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
 
     ok = script("validate", "--out", str(tmp_path / "out"))
     assert ok.returncode == 0, ok.stderr

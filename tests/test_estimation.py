@@ -13,22 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import (
-    BLOCKED,
-    estimate_params,
-    estimation,
-    is_blocked,
-    load_bundle,
-    normalize_min_median,
-)
+from tnrisk import BLOCKED, estimation, is_blocked, load_bundle
 from tnrisk.dataset import COUNTRY_HEADER, load_country_table, load_pre_estimated
 from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from tnrisk.estimation import (
     estimate_barriers,
     estimate_interception,
+    estimate_params,
     estimate_supply,
     estimate_yield,
     impute_survey,
+    normalize_min_median,
     raw_barrier,
     write_params_csv,
 )

@@ -279,7 +279,7 @@ class TestSweep:
         a = deterrence_sweep(params, grid)
         b = deterrence_sweep(params, grid)
         assert a.totals == b.totals
-        assert a.per_target == b.per_target
+        assert np.array_equal(a.per_target, b.per_target)
 
 
 class TestDiff:

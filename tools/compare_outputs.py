@@ -18,8 +18,9 @@ that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
 and four are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
 of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
 gets its region's survey means).  ``scenario``
-with a spec file naming an unknown code takes an error path too, and four
-commands get a flag they do not take, which is a usage error.  For every
+with a spec file naming an unknown code, or giving a negative barrier, takes
+an error path too; four commands get a flag they do not take, and one gets
+``--weights r,s,o``, each a usage error.  For every
 command the script prints "identical" or "DIFFERENT" for the exit code,
 standard output, standard error and each file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
@@ -59,11 +60,14 @@ BUNDLE_COMMANDS = [
     ["sweep", "--abandon", "-20"],
     ["estimate", "--lambda", "5"],
     ["validate", "--q", "0.004"],
+    # weights that are neither a preset nor three numbers: a usage error
+    ["solve", "--mode", "estimate", "--weights", "r,s,o"],
 ]
 
 # spec files written into the work directory, run on the bundle as `scenario SPEC`
 SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]},
-         "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]}}
+         "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]},
+         "negative-barrier.json": {"barrier_overrides": [["*", "USA", -5]]}}
 
 # bundle copies, each with one edit to a raw table: (table, row prefix, cell, value); an
 # edit with no row prefix appends its value as a new row, and one with no value deletes the row
