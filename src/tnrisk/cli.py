@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import dataset, evader, scenario as scn
-from .errors import CodeMismatch, ModelError, ThresholdOutOfRange, UnknownCode
+from .errors import CodeMismatch, ModelError, UnknownCode
 from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out,
                      parse_cost, parse_number)
 
@@ -49,11 +49,11 @@ MODEL_FLAGS = {
 ABANDON_FLAG = {"--abandon": dict(help="abandon yield, a number or 'inf'/'blocked'")}
 FORMAT_FLAG = {"--format": dict(choices=["csv", "json"])}
 SPEC_ARG = {"spec": dict(help=f"built-in name ({', '.join(scn.BUILTIN_SCENARIOS)}) or a JSON file")}
-GRID_FLAGS = {"--a-min": dict(type=float, default=-60.0), "--a-max": dict(type=float, default=10.0),
-              "--step": dict(type=float, default=1.0)}
+GRID_FLAGS = {flag: dict(type=float) for flag in ("--a-min", "--a-max", "--step")}
 # every flag's default; a command that does not take a flag runs, and echoes, this value
 FLAG_DEFAULTS = dict(data=None, out="out", weights=None, q=None, mode="pre",
-                     lam=DEFAULT_LAMBDA, abandon="inf", format="csv")
+                     lam=DEFAULT_LAMBDA, abandon="inf", format="csv",
+                     a_min=-60.0, a_max=10.0, step=1.0)
 
 
 def _config(args: argparse.Namespace) -> None:
@@ -70,6 +70,11 @@ def _config(args: argparse.Namespace) -> None:
     args.lam = parse_number(args.lam, +1, "--lambda")
     args.abandon = parse_cost(args.abandon, "--abandon")
     args.out = Path(args.out)
+    if not args.data.is_dir():
+        raise FileNotFoundError(f"data directory {args.data} not found")
+    if not (all(map(math.isfinite, (args.a_min, args.a_max, args.step)))
+            and args.a_min < args.a_max and args.step > 0):
+        raise ValueError("need finite a_min < a_max and step > 0")
 
 
 def _load_params(args: argparse.Namespace):
@@ -99,7 +104,7 @@ def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
     return {i: v for i, v in zip(matrix.sources, matrix.unroutable.tolist()) if v}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> None:
     """The commands' loaders; validation_report.txt gets the first failure, as main prints it."""
     args.out.mkdir(parents=True, exist_ok=True)
     report = args.out / "validation_report.txt"
@@ -115,10 +120,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise
     report.write_text("", encoding="utf-8")
     print(f"ok: bundle at {args.data} is valid")
-    return EXIT_OK
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> None:
     from . import estimation
     params = _load_params(args)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -126,7 +130,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     dataset.write_json(args.out / "run_metadata.json", {"config": _echo(args),
                                                         "params": params.echo()})
     print(f"wrote estimated parameter tables to {args.out}")
-    return EXIT_OK
 
 
 def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader.AttackMatrix":
@@ -147,7 +150,7 @@ def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader
     return matrix
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     params = _load_params(args)
     matrix = _solve_to_dir(params, args)
     dataset.write_json(args.out / "run_metadata.json", {
@@ -156,10 +159,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     totals, grand = evader.target_totals(matrix)
     top = max(totals.items(), key=lambda kv: kv[1]) if totals else ("-", 0.0)
     print(f"solved: {grand:.1f} expected attacks; top target {top[0]} ({top[1]:.1f})")
-    return EXIT_OK
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
+def cmd_scenario(args: argparse.Namespace) -> None:
     spec = scn.BUILTIN_SCENARIOS.get(args.spec) or scn.ScenarioSpec.from_json(args.spec)
     params = _load_params(args)
     try:
@@ -179,23 +181,18 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     })
     top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
     print(f"scenario {spec.name}: largest per-target change {top[0]} ({top[1]:+.1f})")
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     a_min, a_max, step = args.a_min, args.a_max, args.step
-    if not (all(map(math.isfinite, (a_min, a_max, step))) and a_min < a_max and step > 0):
-        print("error: need finite a_min < a_max and step > 0", file=sys.stderr)
-        return EXIT_USAGE
     params = _load_params(args)
     # a point up to 1e-9 past a_max is kept, so rounding cannot drop the last one
     points = (a_max - a_min + 1e-9) / step + 1
     columns = max(len(params.targets), 1)  # with no targets, the grid itself still counts
     if points * columns > MAX_GRID_CELLS:
-        print(f"error: a grid from {a_min} to {a_max} by {step} has more than "
-              f"{MAX_GRID_CELLS // columns} points for {len(params.targets)} targets",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"a grid from {a_min} to {a_max} by {step} has more than "
+                         f"{MAX_GRID_CELLS // columns} points for {len(params.targets)} targets")
+    # deterrence_sweep refuses a point that rounding makes equal to the one before
     grid = [round(a_min + k * step, 9) for k in range(int(points))]
     curve = scn.deterrence_sweep(params, grid)
     out = args.out
@@ -203,20 +200,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.targets],
                       ((a, total, *row.tolist()) for a, total, row in
                        zip(curve.a_values, curve.totals, curve.per_target)))
-    status = EXIT_OK
-    try:
+    threshold = None
+    try:  # with no threshold on the grid, the metadata is written before the error is raised
         threshold = scn.find_threshold(curve)
         print(f"threshold A* = {threshold:.2f} (fraction {scn.THRESHOLD_FRACTION})")
-    except ThresholdOutOfRange as e:
-        threshold = None
-        print(f"error: {e}", file=sys.stderr)
-        status = EXIT_DOMAIN
-    dataset.write_json(out / "run_metadata.json", {
-        "config": _echo(args), "params": params.echo(),
-        "threshold": threshold, "threshold_fraction": scn.THRESHOLD_FRACTION,
-        "grid": {"min": a_min, "max": a_max, "step": step},
-    })
-    return status
+    finally:
+        dataset.write_json(out / "run_metadata.json", {
+            "config": _echo(args), "params": params.echo(),
+            "threshold": threshold, "threshold_fraction": scn.THRESHOLD_FRACTION,
+            "grid": {"min": a_min, "max": a_max, "step": step},
+        })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,23 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a failure is one ``error:`` line on stderr and the exit code of its kind:
+    EXIT_DOMAIN for a ModelError, EXIT_USAGE for a bad flag (ValueError) or any I/O error."""
     args = build_parser().parse_args(argv)
     try:
         _config(args)
-    except ValueError as e:
+        args.run(args)
+    except (ModelError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.data.is_dir():
-        print(f"error: data directory {args.data} not found", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.run(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN if isinstance(e, ModelError) else EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

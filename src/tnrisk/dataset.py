@@ -26,6 +26,7 @@ from .errors import (
     DuplicatePair,
     MalformedRow,
     MissingFile,
+    ModelError,
     NegativeValue,
 )
 from .params import (BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_floats,
@@ -85,31 +86,34 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
     is_code = [name in ("code", "origin", "dest") for name in header]
     code_cells: dict[str, str] = {}  # each distinct code is held as one string, not once a row
     blank: set[int] = set()
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != header:
-            raise MalformedRow(1, f"bad header in {path.name}, expected {','.join(header)}")
-        line = 2
-        # one block of rows is held at a time, as tuples of strings, which the
-        # cyclic garbage collector stops scanning
-        for rows in iter(lambda: list(map(tuple, islice(reader, BLOCK_CELLS // width))), []):
-            numbered = range(line, line + len(rows))
-            line = numbered.stop
-            # a blank row has a blank first cell; where one may exist, rows are checked one by one
-            if set(map(len, rows)) != {width} or not all(map(str.strip, {r[0] for r in rows})):
-                kept = []
-                for n, row in zip(numbered, rows):
-                    if not any(map(str.strip, row)):
-                        blank.add(n)
-                    elif len(row) != width:
-                        raise MalformedRow(n, f"expected {width} cells in {path.name}, "
-                                              f"got {len(row)}")
-                    else:
-                        kept.append(row)
-                rows = kept
-            for k, column in enumerate(columns):
-                cells = [row[k] for row in rows]
-                column += map(code_cells.setdefault, cells, cells) if is_code[k] else cells
+    try:  # bytes that are not UTF-8, or a cell over the csv module's field size limit
+        with path.open(newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            if next(reader, None) != header:
+                raise MalformedRow(1, f"bad header in {path.name}, expected {','.join(header)}")
+            line = 2
+            # one block of rows is held at a time, as tuples of strings, which the
+            # cyclic garbage collector stops scanning
+            for rows in iter(lambda: list(map(tuple, islice(reader, BLOCK_CELLS // width))), []):
+                numbered = range(line, line + len(rows))
+                line = numbered.stop
+                # a blank row has a blank first cell; where one may exist, check rows one by one
+                if set(map(len, rows)) != {width} or not all(map(str.strip, {r[0] for r in rows})):
+                    kept = []
+                    for n, row in zip(numbered, rows):
+                        if not any(map(str.strip, row)):
+                            blank.add(n)
+                        elif len(row) != width:
+                            raise MalformedRow(n, f"expected {width} cells in {path.name}, "
+                                                  f"got {len(row)}")
+                        else:
+                            kept.append(row)
+                    rows = kept
+                for k, column in enumerate(columns):
+                    cells = [row[k] for row in rows]
+                    column += map(code_cells.setdefault, cells, cells) if is_code[k] else cells
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ModelError(f"{path.name} is not a UTF-8 CSV table: {e}") from None
     lines: Sequence[int] = range(2, line)
     if blank:
         lines = [n for n in lines if n not in blank]

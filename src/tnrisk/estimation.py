@@ -80,14 +80,19 @@ def impute_survey(countries: CountryTable) -> CountryTable:
 def estimate_supply(countries: CountryTable,
                     weights: SupportWeights = WEIGHT_PRESETS["default"],
                     q: float = DEFAULT_Q) -> dict[str, float]:
-    """Expected plots per country: q * muslim_pop * weighted support fraction."""
+    """Plots per country, q * muslim_pop * weighted support; one that overflows is a ModelError."""
     muslim_pop, (r, s, o) = countries.muslim_pop, countries.sigma.T
     missing = (muslim_pop > 0) & np.isnan(countries.sigma).any(axis=1)
     if missing.any():
         raise MissingImputation(countries.codes[int(missing.argmax())])
-    with np.errstate(all="ignore"):  # as Python's float arithmetic: inf and NaN, no warning
+    with np.errstate(all="ignore"):  # an overflow is reported below
         supply = np.where(muslim_pop == 0, 0.0,
                           q * muslim_pop * (weights.s_r * r + weights.s_s * s + weights.s_o * o))
+    overflow = ~np.isfinite(supply)  # inf, or NaN where an infinite q * muslim_pop meets 0 support
+    if overflow.any():
+        k = int(overflow.argmax())
+        raise ModelError(f"estimated supply of {countries.codes[k]!r} overflows: "
+                         f"{q} * {muslim_pop[k]} * support = {supply[k]}")
     return dict(zip(countries.codes, supply.tolist()))
 
 

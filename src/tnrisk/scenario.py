@@ -158,10 +158,11 @@ def build_network(params: ModelParams) -> RouteNetwork:
                   for codes in (sources, targets))
     barrier = params.T.cost[np.ix_(rows, cols)]
     attack = np.array([params.I[j] + params.Y[j] for j in targets])
-    # a NaN would make a row's logit all NaN, and a NaN supply drops out of the sources
+    # a NaN makes a logit row NaN, as does an inf supply; a NaN supply drops out of the sources
     if (np.isnan(barrier).any() or np.isnan(attack).any() or math.isnan(params.A)
-            or np.isnan(list(params.S.values())).any()):
-        raise ModelError("NaN in the barriers, interception, yield, abandon yield or supply")
+            or not np.isfinite(list(params.S.values())).all()):
+        raise ModelError("NaN in the barriers, interception, yield or abandon yield, "
+                         "or a supply that is NaN or infinite")
     routes = np.where(is_blocked(barrier) | is_blocked(attack), BLOCKED, barrier + attack)
     abandon = BLOCKED if is_blocked(params.A) else params.A
     edges = np.column_stack([routes, np.full(len(sources), abandon)])
@@ -229,8 +230,9 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     """
     if any(not math.isfinite(a) for a in a_values):
         raise ValueError("sweep grid must be finite")
-    if sorted(a_values) != list(a_values):
-        raise ValueError("sweep grid must be sorted ascending")
+    repeat = next(((a, b) for a, b in zip(a_values, a_values[1:]) if a >= b), None)
+    if repeat:
+        raise ValueError(f"sweep grid must be strictly ascending, got {repeat[0]} then {repeat[1]}")
     net = build_network(params)
     cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
     columns = np.empty((len(a_values), len(net.targets)))

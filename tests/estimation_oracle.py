@@ -20,7 +20,7 @@ import math
 import statistics
 from pathlib import Path
 
-from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation
+from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from tnrisk.params import SupportWeights
 
 BLOCKED = math.inf
@@ -78,6 +78,11 @@ def estimate_supply(rows: list[dict], weights: SupportWeights, q: float) -> dict
         r, s, o = (row[k] for k in SIGMA)
         supply[row["code"]] = q * row["muslim_pop"] * (weights.s_r * r + weights.s_s * s
                                                        + weights.s_o * o)
+    for row in rows:  # every row is checked for imputation before any for overflow
+        value = supply[row["code"]]
+        if not math.isfinite(value):
+            raise ModelError(f"estimated supply of {row['code']!r} overflows: "
+                             f"{q} * {row['muslim_pop']} * support = {value}")
     return supply
 
 

@@ -194,6 +194,42 @@ def test_missing_data_dir_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["solve", "--out", "FILE"], ["validate", "--out", "FILE/x"],
+                                     ["scenario", "DIR", "--out", "DIR/out"]],
+                         ids=["solve-out-is-a-file", "validate-out-under-a-file",
+                              "scenario-spec-is-a-directory"])
+def test_io_error_exit_2(tmp_path, command):
+    """Any I/O error, not only a missing file, is one error line and exit 2, never a traceback."""
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("FILE", str(tmp_path / "file")).replace("DIR", str(tmp_path))
+            for a in command]
+    done = subprocess.run([sys.executable, "-m", "tnrisk.cli", *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    (b"ZZZ," + b"1" * 131_073 + b"\n", "field larger than field limit (131072)"),
+], ids=["not-utf-8", "cell-over-field-limit"])
+def test_unreadable_table_exit_1(tmp_path, capsys, tail, reason):
+    """A table the csv module cannot read is bad data naming the file, in validate's report too."""
+    data = bundle_copy(tmp_path)
+    with (data / "pre_estimated" / "supply.csv").open("ab") as f:
+        f.write(tail)
+    out = tmp_path / "out"
+    assert run("solve", "--data", str(data), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: supply.csv is not a UTF-8 CSV table: ") and reason in err
+    assert not out.exists()
+    assert run("validate", "--data", str(data), "--out", str(out)) == 1
+    assert capsys.readouterr().err == err
+    assert (out / "validation_report.txt").read_text() == err
+
+
 class TestSolve:
     def test_baseline_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,6 +465,16 @@ class TestEstimate:
             assert "min-median normalization overflows" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["estimate"], ["solve", "--mode", "estimate"]],
+                             ids=["estimate", "solve"])
+    def test_overflowing_supply_exit_1(self, tmp_path, capsys, command):
+        """q * muslim_pop past the largest float is an error naming the first such country, with
+        nothing written: not an inf supply.csv solve cannot read, nor a matrix of NaN."""
+        assert run(*command, "--q", "1e300", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error: estimated supply of 'IDN' overflows: "
+                                           "1e+300 * 202900000.0 * support = inf\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [[], ["--weights", "low"]])
     def test_metadata_echoes_estimate_mode(self, tmp_path, flags):
         """The command always estimates, whatever --mode says."""
@@ -591,6 +637,16 @@ class TestSweep:
         done = sweep_in_child(tmp_path, "--step=1e-12", "--data", str(data))
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: a grid from") and "0 targets" in done.stderr
+
+    def test_grid_points_that_round_together_exit_2(self, tmp_path, capsys):
+        """Each point is rounded to 9 decimals, so a step below that repeats points: a usage
+        error, with nothing written, not a sweep.csv whose A column holds three values."""
+        out = tmp_path / "out"
+        assert run("sweep", "--out", str(out), "--a-min=-1e-10", "--a-max=1e-10",
+                   "--step=1e-11") == 2
+        assert capsys.readouterr().err == ("error: sweep grid must be strictly ascending, "
+                                           "got -0.0 then -0.0\n")
+        assert not out.exists()
 
     def test_grid_from_point_count(self, tmp_path):
         out = tmp_path / "out"

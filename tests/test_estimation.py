@@ -188,12 +188,13 @@ weights = st.one_of(st.sampled_from(list(WEIGHT_PRESETS.values())),
                     .map(lambda w: SupportWeights(*sorted(w))))
 
 
-@given(country_rows, weights, st.floats(min_value=1e-4, max_value=1.0))
+@given(country_rows, weights, st.one_of(st.floats(min_value=1e-4, max_value=1.0), st.just(1e300)))
 @settings(max_examples=300, deadline=None)
 def test_imputed_supply_matches_per_row_oracle(rows, weights, q):
     """The column path imputes and estimates supply with the oracle's bits, and fails with
     its error, over partial surveys, signed zeros, zero muslim_pop and regions with no
-    surveyed row; with imputation, and without it, where a gap is MissingImputation."""
+    surveyed row; with imputation, and without it, where a gap is MissingImputation; and
+    with a q of 1e300, where a supply that overflows is a ModelError."""
     lines = [",".join(COUNTRY_HEADER)]
     for k, (region, muslim_pop, sigma) in enumerate(rows):
         cells = ",".join("" if f is None else repr(f) for f in sigma)

@@ -226,6 +226,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             deterrence_sweep(params, [0.0, math.inf])
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.0], [-1.0, -0.0, 0.0]])
+    def test_repeated_point_rejected(self, params, grid):
+        """-0.0 and 0.0 are one point: the sweep would write two rows for it."""
+        with pytest.raises(ValueError, match="strictly ascending"):
+            deterrence_sweep(params, grid)
+
     def test_monotone_and_bounded(self):
         p = tiny_params()
         grid = [float(a) for a in range(-60, 11, 5)]
@@ -333,4 +339,14 @@ def test_nan_parameter_rejected(name):
     with pytest.raises(ModelError, match="NaN"):
         solve(p)
     with pytest.raises(ModelError, match="NaN"):
+        deterrence_sweep(p, [-10.0, 0.0])
+
+
+def test_infinite_supply_rejected():
+    """An infinite supply would solve to a row of inf attacks and NaN abandoned plots."""
+    p = ModelParams(S={"A": math.inf}, T={("A", "X"): 1.0}, I={"X": 0.0}, Y={"X": -1.0},
+                    A=-5.0)
+    with pytest.raises(ModelError, match="NaN or infinite"):
+        solve(p)
+    with pytest.raises(ModelError, match="NaN or infinite"):
         deterrence_sweep(p, [-10.0, 0.0])

@@ -20,7 +20,13 @@ of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
 gets its region's survey means).  ``scenario``
 with a spec file naming an unknown code, or giving a negative barrier, takes
 an error path too; four commands get a flag they do not take, and one gets
-``--weights r,s,o``, each a usage error.  For every
+``--weights r,s,o``, each a usage error.  The other error paths: a ``--q`` of
+1e300, whose estimated supply overflows, under ``estimate`` and ``solve --mode
+estimate``; a sweep grid whose points round together; ``solve`` and
+``validate`` with an ``--out`` that is a file or under one; ``scenario`` given
+a directory as its spec; and ``solve`` and ``validate`` on a bundle copy whose
+``pre_estimated/supply.csv`` ends in a byte that is not UTF-8.  ``sweep`` on a
+copy whose supplies are all 0 finds no threshold.  For every
 command the script prints "identical" or "DIFFERENT" for the exit code,
 standard output, standard error and each file written.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
@@ -62,6 +68,11 @@ BUNDLE_COMMANDS = [
     ["validate", "--q", "0.004"],
     # weights that are neither a preset nor three numbers: a usage error
     ["solve", "--mode", "estimate", "--weights", "r,s,o"],
+    # an estimated supply that overflows: a domain error
+    ["solve", "--mode", "estimate", "--q", "1e300"],
+    ["estimate", "--q", "1e300"],
+    # grid points that are equal once rounded to 9 decimals: a usage error
+    ["sweep", "--a-min=-1e-10", "--a-max=1e-10", "--step=1e-11"],
 ]
 
 # spec files written into the work directory, run on the bundle as `scenario SPEC`
@@ -112,12 +123,15 @@ def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: in
 def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
     """Everything one command leaves behind, keyed by name.
 
-    It writes to ``out`` under ``cwd``, so both trees print the same path.
+    Unless ``argv`` gives its own ``--out``, it writes to ``out`` under ``cwd``, so
+    both trees print the same path.
     """
     cwd.mkdir(parents=True)
     out = cwd / "out"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "tnrisk.cli", *argv, "--out", "out"],
+    if "--out" not in argv:
+        argv = [*argv, "--out", "out"]
+    done = subprocess.run([sys.executable, "-m", "tnrisk.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, timeout=600)
     found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
              "stderr": done.stderr}
@@ -156,6 +170,26 @@ def main(argv: list[str]) -> int:
             copy = _edited_copy(bundle, work / name, *edit)
             commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
                          for c in EDITED_BUNDLE_COMMANDS]
+        not_utf8 = work / "not-utf8-supply"
+        shutil.copytree(bundle, not_utf8)
+        with (not_utf8 / "pre_estimated" / "supply.csv").open("ab") as f:
+            f.write(b"\xff")
+        commands += [(f"not-utf8-supply {c}", [c, "--data", str(not_utf8)])
+                     for c in ("solve", "validate")]
+        # every supply 0: a sweep with no threshold, which writes its files and exits 1
+        no_supply = work / "no-supply"
+        shutil.copytree(bundle, no_supply)
+        supply = no_supply / "pre_estimated" / "supply.csv"
+        codes = [line.split(",")[0] for line in supply.read_text(encoding="utf-8").split()[1:]]
+        supply.write_text("code,supply\n" + "".join(f"{c},0\n" for c in codes), encoding="utf-8")
+        commands.append(("no-supply sweep", ["sweep", "--data", str(no_supply)]))
+        # I/O errors: an --out that is a file or under one, and a spec that is a directory
+        file = work / "file"
+        file.write_text("", encoding="utf-8")
+        commands += [(label, [*c, "--data", str(bundle)]) for label, c in (
+            ("solve --out FILE", ["solve", "--out", str(file)]),
+            ("validate --out FILE/x", ["validate", "--out", str(file / "x")]),
+            ("scenario DIRECTORY", ["scenario", str(bundle)]))]
         commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
                      for label, c in (("solve", ["solve"]),
                                       ("scenario spec.json", ["scenario", str(spec)]))]
