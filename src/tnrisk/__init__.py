@@ -30,8 +30,6 @@ from .scenario import (
     deterrence_sweep,
     diff_matrices,
     find_threshold,
-    fortress,
-    homegrown,
     solve,
 )
 

@@ -186,14 +186,14 @@ def cmd_scenario(args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> None:
     a_min, a_max, step = args.a_min, args.a_max, args.step
     params = _load_params(args)
-    # a point up to 1e-9 past a_max is kept, so rounding cannot drop the last one
-    points = (a_max - a_min + 1e-9) / step + 1
+    # whole steps that fit, 1e-9 absorbing the division's rounding; min keeps floor finite
+    points = math.floor(min((a_max - a_min) / step + 1e-9, MAX_GRID_CELLS)) + 1
     columns = max(len(params.targets), 1)  # with no targets, the grid itself still counts
     if points * columns > MAX_GRID_CELLS:
         raise ValueError(f"a grid from {a_min} to {a_max} by {step} has more than "
                          f"{MAX_GRID_CELLS // columns} points for {len(params.targets)} targets")
     # deterrence_sweep refuses a point that rounding makes equal to the one before
-    grid = [round(a_min + k * step, 9) for k in range(int(points))]
+    grid = [round(a_min + k * step, 9) for k in range(points)]
     curve = scn.deterrence_sweep(params, grid)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import BLOCK_CELLS
 from .errors import EmptyTargets, IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .evader import AttackMatrix
 from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_number
@@ -117,20 +118,6 @@ BUILTIN_SCENARIOS = {"fortress-USA": ScenarioSpec("fortress-USA", [("*", "USA", 
                      "homegrown": ScenarioSpec("homegrown", [("*", "*", BLOCKED)])}
 
 
-def builtin_scenario(name: str, params: ModelParams) -> ModelParams:
-    return apply_scenario(params, BUILTIN_SCENARIOS[name])
-
-
-def fortress(params: ModelParams, country: str) -> ModelParams:
-    """Block every foreign path into one country; its domestic path survives."""
-    return apply_scenario(params, ScenarioSpec(f"fortress-{country}", [("*", country, BLOCKED)]))
-
-
-def homegrown(params: ModelParams) -> ModelParams:
-    """Block every transnational path; only domestic attacks remain."""
-    return apply_scenario(params, BUILTIN_SCENARIOS["homegrown"])
-
-
 @dataclass
 class RouteNetwork:
     """The source -> staged -> attack -> end network as one edge per route.
@@ -171,25 +158,22 @@ def build_network(params: ModelParams) -> RouteNetwork:
                         edges=edges.ravel())
 
 
-def _allocate(cost: np.ndarray, supply: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Plots per route: each row's supply split by a logit over its route costs.
-
-    A blocked route (+inf) gets nothing; a row with no open route gets all zeros.
-    Also returns the mask of rows that have an open route.
-    """
+def _route_weights(cost: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logit core: ``(best, weight, live)``, where ``live`` masks the rows with an open
+    route and, for those rows in order, ``best`` is the cheapest route's cost and ``weight``
+    is exp(-lam (cost - best)), 0 on a blocked route (+inf)."""
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     best = cost.min(axis=1)
     live = np.isfinite(best)
-    # costs above each source's cheapest route, so exp cannot overflow
-    gap = cost[live] - best[live, None]
+    best = best[live]
+    # costs above each row's cheapest route, so exp cannot overflow
+    gap = cost[live] - best[:, None]
     # blocked routes are dropped before scaling: 0 * inf is NaN at lam = 0
     route = np.isfinite(gap)
     weight = np.zeros_like(gap)
     weight[route] = np.exp(-lam * gap[route])
-    plots = np.zeros_like(cost)
-    plots[live] = supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
-    return plots, live
+    return best, weight, live
 
 
 def solve(params: ModelParams) -> AttackMatrix:
@@ -202,7 +186,9 @@ def solve(params: ModelParams) -> AttackMatrix:
     """
     net = build_network(params)
     cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
-    plots, live = _allocate(cost, net.supply, params.lam)
+    _, weight, live = _route_weights(cost, params.lam)
+    plots = np.zeros_like(cost)
+    plots[live] = net.supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
     return AttackMatrix(
         sources=net.sources,
         targets=net.targets,
@@ -226,7 +212,9 @@ class SweepCurve:
 def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     """Grand-total (and per-target) attack counts as the abandon yield varies.
 
-    The route costs are built once; only the abandon route's cost changes along the grid.
+    Target shares do not depend on A: with Q_ij = S_i w_ij / W_i over the target routes
+    (the plots at A = +inf), N_j(A) = sum_i s_i(A) Q_ij, where the share kept from abandoning
+    is s_i(A) = 1 / (1 + exp(-lam (A - b_i)) / W_i); a source with no open target is dropped.
     """
     if any(not math.isfinite(a) for a in a_values):
         raise ValueError("sweep grid must be finite")
@@ -234,11 +222,20 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     if repeat:
         raise ValueError(f"sweep grid must be strictly ascending, got {repeat[0]} then {repeat[1]}")
     net = build_network(params)
-    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
+    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)[:, :-1]
+    best, weight, live = _route_weights(cost, params.lam)
+    total = weight.sum(axis=1)
+    share = net.supply[live, None] * (weight / total[:, None])
     columns = np.empty((len(a_values), len(net.targets)))
-    for k, a in enumerate(a_values):
-        cost[:, -1] = BLOCKED if is_blocked(a) else a
-        columns[k] = _allocate(cost, net.supply, params.lam)[0][:, :-1].sum(axis=0)
+    # s is points x live sources: a block of points holds about BLOCK_CELLS of it
+    step = max(BLOCK_CELLS // max(len(best), 1), 1)
+    # exp overflows where abandoning is far cheaper: s is then 0
+    with np.errstate(over="ignore"):
+        for k in range(0, len(a_values), step):
+            block = np.array(a_values[k:k + step])[:, None]
+            abandon = np.where(is_blocked(block), 0.0, np.exp(-params.lam * (block - best)))
+            # einsum, not @: its sums do not depend on the BLAS build or its thread count
+            columns[k:k + step] = np.einsum("gs,st->gt", 1.0 / (1.0 + abandon / total), share)
     return SweepCurve(a_values=list(a_values), totals=[sum(r.tolist()) for r in columns],
                       targets=net.targets, per_target=columns,
                       supply_total=sum(net.supply.tolist()))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tnrisk
 from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
                     load_bundle, load_country_table, load_pre_estimated)
 from tnrisk.dataset import COUNTRY_HEADER
+from tnrisk.scenario import ScenarioSpec, apply_scenario
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +33,19 @@ def cell_dict(matrix) -> dict[tuple[str, str], float]:
     values = matrix.delta if isinstance(matrix, DeltaMatrix) else matrix.N
     return {(matrix.sources[r], matrix.targets[c]): float(values[r, c])
             for r, c in zip(*np.nonzero(values))}
+
+
+def child_env() -> dict[str, str]:
+    """The environment with this tnrisk's source directory first on PYTHONPATH."""
+    src = Path(tnrisk.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def fortress(params: ModelParams, code: str) -> ModelParams:
+    """``params`` with every foreign route into ``code`` blocked: the fortress-USA built-in
+    for any code."""
+    return apply_scenario(params, ScenarioSpec(f"fortress-{code}", [("*", code, BLOCKED)]))
 
 
 def tiny_params(abandon=BLOCKED, lam=0.1) -> ModelParams:

@@ -19,16 +19,16 @@ from tnrisk import (
     ModelParams,
     deterrence_sweep,
     diff_matrices,
+    apply_scenario,
     find_threshold,
-    fortress,
-    homegrown,
     is_blocked,
     solve,
     target_totals,
 )
+from tnrisk.scenario import BUILTIN_SCENARIOS
 from tnrisk.estimation import estimate_supply, impute_survey, normalize_min_median
 
-from conftest import cell_dict, random_params
+from conftest import cell_dict, fortress, random_params
 from oracle import (
     build_network,
     enumerate_path_distribution,
@@ -173,7 +173,7 @@ def test_criterion_06_fortress_substitution(pre_params):
 
 def test_criterion_07_homegrown_collapse(pre_params):
     base = solve(pre_params)
-    alt = solve(homegrown(pre_params))
+    alt = solve(apply_scenario(pre_params, BUILTIN_SCENARIOS["homegrown"]))
     assert all(i == t for (i, t) in cell_dict(alt))
     assert alt.N.sum() < base.N.sum()
     report(7, f"home-grown matrix diagonal; grand total {alt.N.sum():.1f} "

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import importlib.metadata
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -11,12 +10,11 @@ from pathlib import Path
 
 import pytest
 
-import tnrisk
-from tnrisk import fortress, solve
+from tnrisk import solve
 from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
-from conftest import cell_dict
+from conftest import cell_dict, child_env, fortress
 
 
 def run(*argv: str) -> int:
@@ -649,18 +647,14 @@ class TestSweep:
         assert not out.exists()
 
     def test_grid_from_point_count(self, tmp_path):
-        out = tmp_path / "out"
-        assert run("sweep", "--out", str(out), "--a-min", "0", "--a-max", "1",
-                   "--step", "0.1") == 0
-        a = [float(r["A"]) for r in read_csv(out / "sweep.csv")]
-        assert a == [round(k * 0.1, 9) for k in range(11)]
-
-
-def child_env() -> dict[str, str]:
-    """The environment with this tnrisk's source directory first on PYTHONPATH."""
-    src = Path(tnrisk.__file__).resolve().parents[1]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        """The points are a_min + k step up to a_max, none past it."""
+        for k, (a_min, a_max, step, a) in enumerate([
+                ("0", "1", "0.1", [round(n * 0.1, 9) for n in range(11)]),
+                ("0", "1e-9", "2e-9", [0.0])]):
+            out = tmp_path / str(k)
+            assert run("sweep", "--out", str(out), "--a-min", a_min, "--a-max", a_max,
+                       "--step", step) == 0
+            assert [float(r["A"]) for r in read_csv(out / "sweep.csv")] == a
 
 
 def test_cli_import_loads_no_estimation():

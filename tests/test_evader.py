@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import BLOCKED, ModelParams, fortress, homegrown, solve, target_totals
+from tnrisk import BLOCKED, ModelParams, apply_scenario, solve, target_totals
 from tnrisk.errors import EmptyTargets
 from tnrisk.evader import write_matrix_csv
 from tnrisk.params import is_blocked
+from tnrisk.scenario import BUILTIN_SCENARIOS
 
-from conftest import cell_dict, random_params, tiny_params
+from conftest import cell_dict, fortress, random_params, tiny_params
 from oracle import (
     ABANDON_KEY,
     ABANDON_NODE,
@@ -264,7 +265,8 @@ class TestOracleTriangle:
                 p = pre_params.copy()
                 p.lam, p.A = lam, a
                 cases.append(p)
-        cases += [homegrown(pre_params), fortress(pre_params, "USA")]
+        cases += [apply_scenario(pre_params, BUILTIN_SCENARIOS["homegrown"]),
+                  fortress(pre_params, "USA")]
         cases.append(ModelParams(S={"A": 1.0},
                                  T={("A", "X"): 1.0, ("A", "Z"): 2.0},
                                  I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},

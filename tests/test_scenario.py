@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,6 @@ from tnrisk import (
     deterrence_sweep,
     diff_matrices,
     find_threshold,
-    fortress,
-    homegrown,
     is_blocked,
     solve,
     target_totals,
@@ -24,9 +24,9 @@ from tnrisk import (
 from tnrisk.errors import IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from tnrisk import scenario
 from tnrisk.params import Barriers
-from tnrisk.scenario import builtin_scenario
+from tnrisk.scenario import BUILTIN_SCENARIOS
 
-from conftest import cell_dict, random_params, tiny_params
+from conftest import cell_dict, child_env, fortress, random_params, tiny_params
 
 
 class TestApplyScenario:
@@ -64,7 +64,7 @@ class TestApplyScenario:
                                                                      ("USA", "*", BLOCKED)]))
         assert out.T[("USA", "USA")] == 7.0 and out.T[("FRA", "FRA")] == 0.0
         assert out.T[("FRA", "USA")] == 3.0 and is_blocked(out.T[("USA", "FRA")])
-        assert homegrown(out).T[("USA", "USA")] == 7.0
+        assert apply_scenario(out, BUILTIN_SCENARIOS["homegrown"]).T[("USA", "USA")] == 7.0
 
     def test_a_and_lambda_overrides(self, params):
         out = apply_scenario(params, ScenarioSpec(a_override=-35.0, lambda_override=0.2))
@@ -140,23 +140,23 @@ class TestFortress:
 
 class TestHomegrown:
     def test_diagonal_only(self, params):
-        alt = solve(homegrown(params))
+        alt = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
         for (i, t) in cell_dict(alt):
             assert i == t
 
     def test_total_strictly_below_baseline(self, params):
         base = solve(params)
-        alt = solve(homegrown(params))
+        alt = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
         assert alt.N.sum() < base.N.sum()
 
     def test_compose_with_fortress(self, params):
         # blocking a superset first changes nothing: homegrown . fortress = homegrown
-        a = solve(homegrown(params))
-        b = solve(homegrown(fortress(params, "USA")))
+        a = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
+        b = solve(apply_scenario(fortress(params, "USA"), BUILTIN_SCENARIOS["homegrown"]))
         assert cell_dict(diff_matrices(a, b)) == {}
 
     def test_non_target_sources_dead_when_no_abandon(self, params):
-        alt = solve(homegrown(params))
+        alt = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
         target_set = set(params.targets)
         for k, i in enumerate(alt.sources):
             if i not in target_set:
@@ -191,8 +191,9 @@ class TestBuiltinsAreSpecs:
 
     def test_homegrown(self, instances):
         for p in instances:
-            self.assert_same(solve(homegrown(p)), self.solve_edited(p, lambda c: c.fill(BLOCKED)))
-            out = homegrown(p).T
+            homegrown = apply_scenario(p, BUILTIN_SCENARIOS["homegrown"])
+            self.assert_same(solve(homegrown), self.solve_edited(p, lambda c: c.fill(BLOCKED)))
+            out = homegrown.T
             assert out.listed[~np.eye(len(out.codes), dtype=bool)].all()
 
     def test_fortress(self, instances):
@@ -209,16 +210,28 @@ class TestBuiltinsAreSpecs:
 
 class TestSweep:
     def test_one_network_build_per_sweep(self, params, monkeypatch):
-        calls = []
-        build = scenario.build_network
-        monkeypatch.setattr(scenario, "build_network", lambda p: calls.append(p) or build(p))
+        """One network build per sweep, and at each point the totals and per-target counts
+        of a solve at that abandon yield: on the bundle, on random instances, and where a
+        source with no open target route must send nothing at lam = 0 (its -0 * (A - inf)
+        is NaN, so a sweep that does not drop it by its mask makes every point NaN)."""
+        rng = np.random.default_rng(13)
+        dead = ModelParams(S={"D": 7.0, "L": 5.0},
+                           T={("D", "X"): BLOCKED, ("D", "Z"): BLOCKED,
+                              ("L", "X"): 1.0, ("L", "Z"): 2.0},
+                           I={"X": 0.5, "Z": 1.0}, Y={"X": -3.0, "Z": -1.0}, A=-2.0, lam=0.0)
         grid = [-40.0, -20.0, 0.0, 5.0]
-        curve = deterrence_sweep(params, grid)
-        assert len(calls) == 1
-        monkeypatch.undo()
-        for a, total in zip(grid, curve.totals):
-            params.A = a
-            assert total == pytest.approx(target_totals(solve(params))[1], rel=1e-12)
+        build = scenario.build_network
+        for p in [params, *(random_params(rng, blocked_fraction=0.3) for _ in range(20)), dead]:
+            calls = []
+            monkeypatch.setattr(scenario, "build_network", lambda p: calls.append(p) or build(p))
+            curve = deterrence_sweep(p, grid)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            for a, total, row in zip(grid, curve.totals, curve.per_target):
+                p.A = a
+                solved = solve(p)
+                assert total == pytest.approx(target_totals(solved)[1], rel=1e-12)
+                assert row == pytest.approx(solved.N.sum(axis=0), rel=1e-12, abs=0)
 
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
@@ -280,12 +293,49 @@ class TestSweep:
         with pytest.raises(ThresholdOutOfRange):
             find_threshold(curve)
 
-    def test_deterministic(self, params):
-        grid = [-40.0, -20.0, 0.0]
+    def test_deterministic(self, params, monkeypatch):
+        """The same bits on a second run, and with one grid point per block."""
+        grid = [round(-60.0 + 0.25 * k, 9) for k in range(281)]
         a = deterrence_sweep(params, grid)
         b = deterrence_sweep(params, grid)
         assert a.totals == b.totals
         assert np.array_equal(a.per_target, b.per_target)
+        monkeypatch.setattr(scenario, "BLOCK_CELLS", 1)
+        assert np.array_equal(deterrence_sweep(params, grid).per_target, a.per_target)
+
+
+# a 1000-source x 500-target sweep built from arrays: prints a digest of its per-target bytes
+SWEEP_DIGEST = """
+import hashlib
+import numpy as np
+from tnrisk import BLOCKED, ModelParams, deterrence_sweep
+from tnrisk.params import Barriers
+
+rng = np.random.default_rng(5)
+codes = [f"C{k:04d}" for k in range(1000)]
+cost = np.where(rng.random((1000, 1000)) < 0.3, BLOCKED, rng.uniform(0.0, 10.0, (1000, 1000)))
+np.fill_diagonal(cost, 0.0)
+targets = codes[:500]
+p = ModelParams(S=dict(zip(codes, rng.uniform(1.0, 1000.0, 1000).tolist())),
+                T=Barriers(codes, cost, np.isfinite(cost)),
+                I=dict(zip(targets, rng.uniform(0.0, 5.0, 500).tolist())),
+                Y=dict(zip(targets, rng.uniform(-60.0, 0.0, 500).tolist())), lam=0.1)
+curve = deterrence_sweep(p, [-60.0 + 0.5 * k for k in range(141)])
+print(hashlib.sha256(curve.per_target.tobytes()).hexdigest())
+"""
+
+
+def test_sweep_bytes_independent_of_blas_threads():
+    """Identical configuration gives identical bytes, whatever the BLAS thread count: a
+    threaded matrix product may sum in another order with another number of threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", SWEEP_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestDiff:
@@ -309,10 +359,10 @@ class TestDiff:
             diff_matrices(base, other)
 
     def test_builtin_names(self, params):
-        assert cell_dict(solve(builtin_scenario("homegrown", params))).keys() == \
-            cell_dict(solve(homegrown(params))).keys()
+        assert cell_dict(solve(apply_scenario(params, BUILTIN_SCENARIOS["fortress-USA"]))) == \
+            cell_dict(solve(fortress(params, "USA")))
         with pytest.raises(KeyError):
-            builtin_scenario("nope", params)
+            BUILTIN_SCENARIOS["nope"]
 
 
 def test_random_instances_monotone_in_a():

@@ -26,16 +26,22 @@ estimate``; a sweep grid whose points round together; ``solve`` and
 ``validate`` with an ``--out`` that is a file or under one; ``scenario`` given
 a directory as its spec; and ``solve`` and ``validate`` on a bundle copy whose
 ``pre_estimated/supply.csv`` ends in a byte that is not UTF-8.  ``sweep`` on a
-copy whose supplies are all 0 finds no threshold.  For every
+copy whose supplies are all 0 finds no threshold.  The synthetic dataset gets
+``solve``, its spec ``scenario`` and ``sweep --step 0.5``.  For every
 command the script prints "identical" or "DIFFERENT" for the exit code,
-standard output, standard error and each file written.
+standard output, standard error and each file written.  Beside a differing
+CSV whose rows, columns and non-numeric cells match, it prints the largest
+relative difference of the numeric cells.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
 Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -145,6 +151,26 @@ def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
     return found
 
 
+def _relative_difference(old: bytes, new: bytes) -> float | None:
+    """The largest relative difference of two CSVs' numeric cells; None unless they have the
+    same rows and columns and every other cell is the same."""
+    tables = [list(csv.reader(io.StringIO(data.decode("utf-8")))) for data in (old, new)]
+    if [len(row) for row in tables[0]] != [len(row) for row in tables[1]]:
+        return None
+    worst = 0.0
+    for a, b in zip(*([cell for row in table for cell in row] for table in tables)):
+        if a == b:
+            continue
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            return None
+        if x != y:  # -0.0 against 0.0 is no difference
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y)
+                        else math.inf)
+    return worst
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -193,13 +219,20 @@ def main(argv: list[str]) -> int:
         commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
                      for label, c in (("solve", ["solve"]),
                                       ("scenario spec.json", ["scenario", str(spec)]))]
+        # sweep takes no --abandon: its grid sets the abandon yield
+        commands.append(("synthetic sweep --step 0.5",
+                         ["sweep", "--step", "0.5", "--data", str(synthetic)]))
         for k, (label, command) in enumerate(commands):
             old, new = (_run(src, command, work / side / str(k))
                         for src, side in ((old_src, "old"), (new_src, "new")))
             for name in sorted(old.keys() | new.keys()):
                 same = old.get(name) == new.get(name)
                 differ += not same
-                print(f"{'identical' if same else 'DIFFERENT'}  {label}: {name}")
+                gap = None
+                if not same and name.endswith(".csv") and name in old.keys() & new.keys():
+                    gap = _relative_difference(old[name], new[name])
+                print(f"{'identical' if same else 'DIFFERENT'}  {label}: {name}"
+                      + ("" if gap is None else f"  (max relative difference {gap:.3g})"))
     print(f"{differ} difference(s)")
     return 1 if differ else 0
 
