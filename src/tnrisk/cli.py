@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -252,5 +253,17 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run(argv: list[str] | None = None) -> None:
+    """``main``, then ``os._exit`` after flushing the streams: every output file is closed by now.
+    A stream that will not flush (a closed pipe), a usage error or a crash exits normally."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,7 +13,6 @@ import json
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 
@@ -334,7 +333,7 @@ def load_bundle(data_dir: str | Path) -> DataBundle:
 
 def bundled_data_dir() -> Path:
     """Directory of the dataset shipped with the package."""
-    return Path(resources.files("tnrisk").joinpath("data", "bundled"))
+    return Path(__file__).parent / "data" / "bundled"
 
 
 # --- writers -------------------------------------------------------------------

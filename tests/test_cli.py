@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import importlib.metadata
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tnrisk import solve
+from tnrisk import cli, solve
 from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
@@ -683,7 +685,7 @@ def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:
 
 
 def test_console_script_installed(tmp_path):
-    """The declared ``tnrisk`` console script resolves to ``cli.main`` and runs it.
+    """The declared ``tnrisk`` console script resolves to ``cli.run`` and runs it.
 
     It runs the wrapper pip generates for the entry point, so no install is
     needed; where a ``tnrisk`` distribution is installed, the script must
@@ -696,11 +698,11 @@ def test_console_script_installed(tmp_path):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         scripts = tomllib.load(f)["project"].get("scripts", {})
-    assert scripts.get("tnrisk") == "tnrisk.cli:main"
+    assert scripts.get("tnrisk") == "tnrisk.cli:run"
 
     entry = importlib.metadata.EntryPoint(
         name="tnrisk", value=scripts["tnrisk"], group="console_scripts")
-    assert entry.load() is main
+    assert entry.load() is cli.run
 
     # The body of the console-script wrapper pip writes for this entry point.
     wrapper = f"import sys; from {entry.module} import {entry.attr}; sys.exit({entry.attr}())"
@@ -711,12 +713,82 @@ def test_console_script_installed(tmp_path):
 
     ok = script("validate", "--out", str(tmp_path / "out"))
     assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("ok: bundle at ")
     usage = script()
     assert usage.returncode == 2
     assert usage.stderr.startswith("usage: tnrisk")
+    bad = script("estimate", "--q", "1e300", "--out", str(tmp_path / "estimated"))
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
 
     try:
         importlib.metadata.distribution("tnrisk")
     except importlib.metadata.PackageNotFoundError:
         return
     assert shutil.which("tnrisk") is not None
+
+
+@pytest.mark.parametrize("command, code", [
+    (["validate"], 0),
+    (["estimate", "--q", "1e300"], 1),
+    (["solve", "--data", "FILE"], 2),
+], ids=["success", "model-error", "io-error"])
+def test_run_exits_with_mains_code_after_flushing(tmp_path, monkeypatch, command, code):
+    """``run`` ends at ``os._exit`` with ``main``'s code, the summary line already written out."""
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("FILE", str(tmp_path / "file")) for a in command]
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+    exits = []
+    monkeypatch.setattr(os, "_exit", lambda c: exits.append((c, out.getvalue())))
+    cli.run([*argv, "--out", str(tmp_path / "out")])
+    printed = f"ok: bundle at {bundled_data_dir()} is valid\n" if code == 0 else ""
+    assert exits == [(code, printed.encode())]
+
+
+def test_run_lets_a_crash_propagate(tmp_path, monkeypatch):
+    """An exception no command expects keeps its traceback: it never reaches ``os._exit``."""
+    def crash(args):
+        raise RuntimeError("unexpected")
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    monkeypatch.setattr(os, "_exit", lambda c: pytest.fail(f"os._exit({c}) after a crash"))
+    with pytest.raises(RuntimeError, match="unexpected"):
+        cli.run(["validate", "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("unbuffered, code, err", [
+    (False, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                 "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+    (True, 2, "error: [Errno 32] Broken pipe\n"),
+], ids=["buffered", "unbuffered"])
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX pipe with no reader")
+def test_closed_stdout(tmp_path, unbuffered, code, err):
+    """A stdout pipe with no reader ends as a normal exit reports it, never in a traceback:
+    buffered, the flush fails after main; unbuffered, the summary line's print fails in main."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "tnrisk.cli", "validate",
+                               "--out", str(tmp_path / "out")], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, err)
+
+
+def test_estimation_warning_reaches_stderr(tmp_path):
+    """The warning for a source with no route abroad is on stderr though ``run`` skips atexit."""
+    dests = [ln.split(",")[1] for ln in (bundled_data_dir() / "migration.csv").read_text()
+             .splitlines() if ln.startswith("AFG,")]
+    assert dests
+    data = bundle_copy(tmp_path, *[("migration.csv", f"AFG,{d},", 2, "0") for d in dests])
+    done = subprocess.run([sys.executable, "-m", "tnrisk.cli", "solve", "--mode", "estimate",
+                           "--data", str(data), "--out", str(tmp_path / "out")],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "source AFG has no traversable outbound barrier\n"
+    assert done.stdout.startswith("solved: ")
