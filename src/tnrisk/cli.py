@@ -113,7 +113,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
     try:
         codes = set(dataset.load_bundle(args.data).codes)
         if pre_dir.is_dir():
-            unknown = dataset.load_pre_estimated(pre_dir).codes - codes
+            unknown = set(dataset.load_pre_estimated(pre_dir).T.codes) - codes
             if unknown:
                 raise CodeMismatch(f"pre_estimated:{min(unknown)} is not in countries.csv")
     except ModelError as e:
@@ -134,7 +134,8 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader.AttackMatrix":
-    """Solve and write the matrix files; with no prefix (``solve``) also the JSON and plot data."""
+    """Solve and write the matrix files; the JSON with no prefix (``solve``) or ``--format json``,
+    the plot data only with no prefix."""
     matrix = scn.solve(params)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

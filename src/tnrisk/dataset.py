@@ -300,8 +300,14 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
                 raise MalformedRow(line, str(e)) from None
         raise NegativeValue(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
     _check_repeats(path, codes, lines, rows, cols)
-    values[~foreign] = 0.0
-    return Barriers.listing(codes, rows, cols, values, np.flatnonzero(in_supply))
+    cost = np.full((len(codes),) * 2, BLOCKED)
+    cost[rows, cols] = np.where(foreign, values, 0.0)
+    listed = np.zeros(cost.shape, dtype=bool)
+    listed[rows, cols] = True
+    home = np.flatnonzero(in_supply)
+    cost[home, home] = 0.0
+    listed[home, home] = True
+    return Barriers(codes, cost, listed)
 
 
 def load_pre_estimated(directory: str | Path) -> ModelParams:

@@ -23,6 +23,7 @@ from .params import (
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
+    cost_out,
     is_blocked,
 )
 
@@ -165,10 +166,5 @@ def write_params_csv(params: ModelParams, directory: str | Path) -> None:
                                ("interception.csv", "cost", params.I),
                                ("yield.csv", "yield", params.Y)):
         write_csv(directory / name, ["code", column], sorted(data.items()))
-    T = params.T
-    rows, cols = np.nonzero(T.listed)  # row-major on the sorted axis: sorted pair order
-    cost = T.cost[rows, cols]
-    cost[is_blocked(cost)] = BLOCKED  # written as inf
     write_csv(directory / "barriers.csv", ["origin", "dest", "cost"],
-              zip(map(T.codes.__getitem__, rows.tolist()), map(T.codes.__getitem__, cols.tolist()),
-                  cost.tolist()))
+              ((i, j, cost_out(v)) for (i, j), v in params.T.items()))

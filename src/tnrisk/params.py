@@ -9,7 +9,7 @@ exponentials is numerically unsafe.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,13 +97,13 @@ DEFAULT_LAMBDA = 0.1
 DEFAULT_Q = 0.002
 
 
-class Barriers(Mapping):
-    """Translocation costs as one code x code matrix, read as a {(origin, dest): cost} mapping.
+class Barriers:
+    """Translocation costs as one code x code matrix.
 
     ``codes`` is the sorted axis of both the rows (origins) and the columns
     (destinations).  ``cost`` holds what the solver uses: the listed cost, or
-    BLOCKED for a pair no table lists.  ``listed`` marks the pairs the mapping
-    holds, so a pair listed as blocked ('inf' in barriers.csv) stays apart from
+    BLOCKED for a pair no table lists.  ``listed`` marks the pairs a table
+    lists, so a pair listed as blocked ('inf' in barriers.csv) stays apart from
     a missing one.  Both arrays are read-only; a scenario edits copies.
     """
 
@@ -114,37 +114,12 @@ class Barriers(Mapping):
         self.cost = cost
         self.listed = listed
 
-    @classmethod
-    def listing(cls, codes: list[str], rows, cols, values, home: Iterable[int]) -> "Barriers":
-        """Pair k is (codes[rows[k]], codes[cols[k]]) at cost values[k].
-
-        The domestic pair of each ``home`` index that no pair lists costs 0.0.
-        """
-        n = len(codes)
-        rows, cols, home = (np.asarray(a, dtype=np.intp) for a in (rows, cols, list(home)))
-        cost = np.full((n, n), BLOCKED)
-        listed = np.zeros((n, n), dtype=bool)
-        cost[rows, cols] = values
-        listed[rows, cols] = True
-        home = home[~listed[home, home]]
-        cost[home, home] = 0.0
-        listed[home, home] = True
-        return cls(codes, cost, listed)
-
-    def __getitem__(self, pair: tuple[str, str]) -> float:
-        origin, dest = pair
-        at = self.index.get(origin), self.index.get(dest)
-        if None in at or not self.listed[at]:
-            raise KeyError(pair)
-        return float(self.cost[at])
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        rows, cols = np.nonzero(self.listed)
-        return zip(map(self.codes.__getitem__, rows.tolist()),
-                   map(self.codes.__getitem__, cols.tolist()))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.listed))
+    def items(self) -> Iterator[tuple[tuple[str, str], float]]:
+        """((origin, dest), cost) for each listed pair, in sorted pair order."""
+        rows, cols = np.nonzero(self.listed)  # row-major on the sorted axis
+        pairs = zip(map(self.codes.__getitem__, rows.tolist()),
+                    map(self.codes.__getitem__, cols.tolist()))
+        return zip(pairs, self.cost[rows, cols].tolist())
 
 
 @dataclass
@@ -152,31 +127,21 @@ class ModelParams:
     """Estimated model inputs for the attack-allocation solver.
 
     S: expected plot counts per source country
-    T: translocation cost per (origin, destination); missing pairs are BLOCKED.
-       Given as a dict or as :class:`Barriers`, held as Barriers, whose code
-       axis covers every code of S, I, Y and T when the parameters are made.
-       Each supply code's domestic pair costs 0.0 unless T lists it.
+    T: translocation cost per (origin, destination) as :class:`Barriers`, whose
+       code axis covers every code of S, I and Y; unlisted pairs are BLOCKED.
     I: interception cost per target country
     Y: attack yield per target country (non-positive)
     A: abandon yield; BLOCKED disables abandoning
     """
 
     S: dict[str, float]
-    T: Mapping[tuple[str, str], float]
+    T: Barriers
     I: dict[str, float]
     Y: dict[str, float]
     A: float = BLOCKED
     lam: float = DEFAULT_LAMBDA
     Q: float = DEFAULT_Q
     weights_label: str = "default"
-
-    def __post_init__(self):
-        if not isinstance(self.T, Barriers):  # the caller's dict is left as passed
-            codes = sorted({*self.S, *self.I, *self.Y}.union(*self.T))
-            index = {c: k for k, c in enumerate(codes)}
-            self.T = Barriers.listing(codes, [index[i] for i, _ in self.T],
-                                      [index[j] for _, j in self.T], list(self.T.values()),
-                                      map(index.__getitem__, self.S))
 
     @property
     def sources(self) -> list[str]:
@@ -185,11 +150,6 @@ class ModelParams:
     @property
     def targets(self) -> list[str]:
         return sorted(set(self.I) & set(self.Y))
-
-    @property
-    def codes(self) -> set[str]:
-        """Every country code that any parameter table mentions."""
-        return set(self.T.codes)
 
     def copy(self) -> "ModelParams":
         """A copy whose S, I and Y dicts are its own (T is read-only, so it is shared)."""

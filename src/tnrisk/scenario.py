@@ -270,7 +270,7 @@ class DeltaMatrix:
 
 
 def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
-    """Entrywise alt - base, with targets ranked by absolute total increase."""
+    """Entrywise alt - base, with targets ranked by total increase, largest first, ties by code."""
     if base.sources != alt.sources or base.targets != alt.targets:
         raise IndexMismatch("attack matrices have different source/target sets")
     column_deltas = alt.N.sum(axis=0) - base.N.sum(axis=0)

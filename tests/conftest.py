@@ -10,6 +10,7 @@ import tnrisk
 from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
                     load_bundle, load_country_table, load_pre_estimated)
 from tnrisk.dataset import COUNTRY_HEADER
+from tnrisk.params import Barriers
 from tnrisk.scenario import ScenarioSpec, apply_scenario
 
 
@@ -42,6 +43,30 @@ def child_env() -> dict[str, str]:
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
+def params_from_dicts(S: dict[str, float], T: dict[tuple[str, str], float],
+                      I: dict[str, float], Y: dict[str, float], **scalars) -> ModelParams:
+    """ModelParams whose barriers are ``T``, a {(origin, dest): cost} dict.
+
+    The barrier axis covers every code of S, T, I and Y.  T's pairs are listed at
+    their cost, each supply code's domestic pair that T leaves out at 0.0, and
+    every other pair is unlisted (BLOCKED).  ``T`` itself is left as passed.
+    """
+    codes = sorted({*S, *I, *Y}.union(*T))
+    index = {c: k for k, c in enumerate(codes)}
+    cost = np.full((len(codes),) * 2, BLOCKED)
+    listed = np.zeros(cost.shape, dtype=bool)
+    for k in map(index.__getitem__, S):
+        cost[k, k], listed[k, k] = 0.0, True
+    for (i, j), v in T.items():
+        cost[index[i], index[j]], listed[index[i], index[j]] = v, True
+    return ModelParams(S=S, T=Barriers(codes, cost, listed), I=I, Y=Y, **scalars)
+
+
+def barrier(params: ModelParams, origin: str, dest: str) -> float:
+    """The listed barrier of one pair; KeyError for a pair the barriers do not list."""
+    return dict(params.T.items())[(origin, dest)]
+
+
 def fortress(params: ModelParams, code: str) -> ModelParams:
     """``params`` with every foreign route into ``code`` blocked: the fortress-USA built-in
     for any code."""
@@ -50,7 +75,7 @@ def fortress(params: ModelParams, code: str) -> ModelParams:
 
 def tiny_params(abandon=BLOCKED, lam=0.1) -> ModelParams:
     """One source, two targets of unequal worth."""
-    return ModelParams(
+    return params_from_dicts(
         S={"SRC": 100.0},
         T={("SRC", "USA"): 0.2, ("SRC", "FRA"): 1.0},
         I={"USA": 1.5, "FRA": 0.6},
@@ -81,7 +106,7 @@ def random_params(rng: np.random.Generator,
     Y = {j: float(rng.uniform(-60.0, 0.0)) for j in targets}
     A = float(rng.uniform(-60.0, 5.0)) if rng.random() < finite_abandon_prob else BLOCKED
     S = {i: float(rng.uniform(1.0, 1000.0)) for i in sources}
-    return ModelParams(S=S, T=T, I=I, Y=Y, A=A, lam=float(rng.uniform(0.0, 1.0)))
+    return params_from_dicts(S=S, T=T, I=I, Y=Y, A=A, lam=float(rng.uniform(0.0, 1.0)))
 
 
 # code -> (population, muslim_pop)

@@ -7,8 +7,9 @@ Topology: Source(i) -> Staged(j) -> Attack -> End, plus Source(i) -> Abandon -> 
 Edge weights: translocation cost on the first hop, interception + yield on the
 second, the abandon yield on the abandon hop, zero into End.  BLOCKED edges are
 kept in the edge map but never traversed.  Translocation costs are read pair by
-pair through the ``params.T`` mapping (BLOCKED where a pair is missing), not from
-the solver's matrix, so the oracle does not share the production layout.
+pair from a {(origin, dest): cost} dict of ``params.T.items()`` (BLOCKED where a
+pair is not listed), not from the solver's matrix, so the oracle does not share
+the production layout.
 
 Each edge (u, v) of the guided-evader chain gets probability proportional to
 exp(-lambda * (w(u,v) + cost_to_end(v) - cost_to_end(u))); the exponent is
@@ -117,10 +118,11 @@ def build_network(params: ModelParams) -> ActivityNetwork:
     nodes += [staged(j) for j in targets]
     nodes += [ATTACK_NODE, ABANDON_NODE, END_NODE]
 
+    barriers = dict(params.T.items())
     edges: dict[tuple[NodeId, NodeId], float] = {}
     for i in sources:
         for j in targets:
-            edges[(source(i), staged(j))] = params.T.get((i, j), BLOCKED)
+            edges[(source(i), staged(j))] = barriers.get((i, j), BLOCKED)
         edges[(source(i), ABANDON_NODE)] = params.A
     for j in targets:
         edges[(staged(j), ATTACK_NODE)] = params.I[j] + params.Y[j]

@@ -16,7 +16,6 @@ import pytest
 from tnrisk import (
     BLOCKED,
     WEIGHT_PRESETS,
-    ModelParams,
     deterrence_sweep,
     diff_matrices,
     apply_scenario,
@@ -28,7 +27,7 @@ from tnrisk import (
 from tnrisk.scenario import BUILTIN_SCENARIOS
 from tnrisk.estimation import estimate_supply, impute_survey, normalize_min_median
 
-from conftest import cell_dict, fortress, random_params
+from conftest import barrier, cell_dict, fortress, params_from_dicts, random_params
 from oracle import (
     build_network,
     enumerate_path_distribution,
@@ -80,17 +79,17 @@ def test_criterion_02_spot_checks(pre_params):
     assert p.I["NZL"] == 2.3
     assert p.Y["USA"] == -54.0
     assert p.Y["JPN"] == -24.1
-    assert p.T[("AFG", "FRA")] == 1.9
-    assert is_blocked(p.T[("PSE", "JPN")])
+    assert barrier(p, "AFG", "FRA") == 1.9
+    assert is_blocked(barrier(p, "PSE", "JPN"))
     report(2, "I[AUS]=0.0, I[NZL]=2.3, Y[USA]=-54.0, Y[JPN]=-24.1, "
               "T[AFG][FRA]=1.9, T[PSE][JPN]=blocked, all exact")
 
 
 def test_criterion_03_softmax_odds():
-    p = ModelParams(S={"A": 1.0},
-                    T={("A", "X"): 0.0, ("A", "Z"): 10.0},
-                    I={"X": 0.0, "Z": 0.0}, Y={"X": -20.0, "Z": -20.0},
-                    lam=0.1)
+    p = params_from_dicts(S={"A": 1.0},
+                          T={("A", "X"): 0.0, ("A", "Z"): 10.0},
+                          I={"X": 0.0, "Z": 0.0}, Y={"X": -20.0, "Z": -20.0},
+                          lam=0.1)
     net = build_network(p)
     chain = transition_matrix(net, least_cost_to_end(net), p.lam)
     row = chain.row(source("A"))
@@ -194,8 +193,8 @@ def test_criterion_08_deterrence_curve(pre_params):
 
     # synthetic single-source fixture against the closed-form logistic midpoint
     c = 0.2 + 1.5 - 54.0
-    single = ModelParams(S={"SRC": 100.0}, T={("SRC", "USA"): 0.2},
-                         I={"USA": 1.5}, Y={"USA": -54.0}, lam=0.1)
+    single = params_from_dicts(S={"SRC": 100.0}, T={("SRC", "USA"): 0.2},
+                               I={"USA": 1.5}, Y={"USA": -54.0}, lam=0.1)
     sgrid = [float(a) for a in range(-80, 0)]
     scurve = deterrence_sweep(single, sgrid)
     s_star = find_threshold(scurve)

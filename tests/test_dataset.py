@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tnrisk import (
     BLOCKED,
-    ModelParams,
     bundled_data_dir,
     is_blocked,
     load_bundle,
@@ -35,7 +34,7 @@ from tnrisk.errors import (
 from tnrisk.estimation import write_params_csv
 from tnrisk.scenario import build_network
 
-from conftest import random_params, raw_tables
+from conftest import barrier, params_from_dicts, random_params, raw_tables
 
 HEADER = ",".join(COUNTRY_HEADER)
 
@@ -190,8 +189,8 @@ class TestPreEstimated:
         assert p.I["NZL"] == 2.3
         assert p.Y["USA"] == -54.0
         assert p.Y["JPN"] == -24.1
-        assert p.T[("AFG", "FRA")] == 1.9
-        assert is_blocked(p.T[("PSE", "JPN")])
+        assert barrier(p, "AFG", "FRA") == 1.9
+        assert is_blocked(barrier(p, "PSE", "JPN"))
 
     def test_blocked_parsing(self, tmp_path):
         d = tmp_path
@@ -201,10 +200,10 @@ class TestPreEstimated:
         write(d, "barriers.csv", "origin,dest,cost\nAAA,BBB,1e+200\nAAA,CCC,inf\n"
                                  "AAA,DDD,blocked\n")
         p = load_pre_estimated(d)
-        assert is_blocked(p.T[("AAA", "BBB")])
-        assert is_blocked(p.T[("AAA", "CCC")])
-        assert p.T[("AAA", "DDD")] == BLOCKED
-        assert p.T[("AAA", "AAA")] == 0.0  # forced diagonal
+        assert is_blocked(barrier(p, "AAA", "BBB"))
+        assert is_blocked(barrier(p, "AAA", "CCC"))
+        assert barrier(p, "AAA", "DDD") == BLOCKED
+        assert barrier(p, "AAA", "AAA") == 0.0  # forced diagonal
 
     @pytest.mark.parametrize("name, table", [
         ("yield.csv", "code,yield\nBBB,-1\nCCC,nan\n"),
@@ -250,13 +249,13 @@ class TestPreEstimated:
         """A diagonal row needs no supply or target data, and costs 0.0 whatever it lists."""
         p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB,1.0\n"
                                                      "AAA,AAA,5.0\nZZZ,ZZZ,inf\n"))
-        assert p.T[("AAA", "AAA")] == 0.0 and p.T[("ZZZ", "ZZZ")] == 0.0
-        assert "ZZZ" in p.codes
+        assert barrier(p, "AAA", "AAA") == 0.0 and barrier(p, "ZZZ", "ZZZ") == 0.0
+        assert "ZZZ" in p.T.codes
 
     def test_full_width_blank_row_skipped(self, tmp_path):
         p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB,1.0\n"
                                                      " , , \nAAA,CCC,2.0\n"))
-        assert dict(p.T) == {("AAA", "AAA"): 0.0, ("AAA", "BBB"): 1.0, ("AAA", "CCC"): 2.0}
+        assert dict(p.T.items()) == {("AAA", "AAA"): 0.0, ("AAA", "BBB"): 1.0, ("AAA", "CCC"): 2.0}
 
     def test_bad_cost_after_blank_rows(self, tmp_path):
         barriers = "origin,dest,cost\n\n , , \nAAA,BBB,1.0\nAAA,CCC,lots\n"
@@ -267,7 +266,7 @@ class TestPreEstimated:
     def test_blocked_word_among_numbers(self, tmp_path):
         p = load_pre_estimated(pre_tables(tmp_path, "origin,dest,cost\nAAA,BBB, Blocked \n"
                                                      "AAA,CCC,1_000\n"))
-        assert p.T[("AAA", "BBB")] == BLOCKED and p.T[("AAA", "CCC")] == 1000.0
+        assert barrier(p, "AAA", "BBB") == BLOCKED and barrier(p, "AAA", "CCC") == 1000.0
 
     def test_first_failing_row_reported(self, tmp_path):
         """Of several bad rows the earliest is reported, whichever check it fails."""
@@ -313,7 +312,8 @@ def test_written_tables_load_as_built(seed):
         write_params_csv(p, tmp)
         q = load_pre_estimated(tmp)
     q.A, q.lam = p.A, p.lam
-    assert q.T == p.T and list(q.T) == sorted(p.T)
+    barriers = dict(q.T.items())
+    assert barriers == dict(p.T.items()) and list(barriers) == sorted(barriers)
     assert build_network(q).edges.tobytes() == build_network(p).edges.tobytes()
     a, b = solve(q), solve(p)
     for name in ("N", "abandoned", "unroutable"):
@@ -323,9 +323,9 @@ def test_written_tables_load_as_built(seed):
 def test_written_barriers_in_pair_order_with_huge_costs_as_inf(tmp_path):
     """barriers.csv lists the pairs in sorted order, the domestic ones too, and writes a
     cost >= 1e100 as inf, as the loader would fold it."""
-    p = ModelParams(S={"B": 1.0, "A": 2.0},
-                    T={("B", "C"): 1e150, ("A", "C"): 0.5, ("B", "A"): BLOCKED},
-                    I={"C": 0.0, "A": 1.0}, Y={"C": -1.0, "A": -1.0})
+    p = params_from_dicts(S={"B": 1.0, "A": 2.0},
+                          T={("B", "C"): 1e150, ("A", "C"): 0.5, ("B", "A"): BLOCKED},
+                          I={"C": 0.0, "A": 1.0}, Y={"C": -1.0, "A": -1.0})
     write_params_csv(p, tmp_path)
     assert (tmp_path / "barriers.csv").read_text().splitlines() == [
         "origin,dest,cost", "A,A,0.0", "A,C,0.5", "B,A,inf", "B,B,0.0", "B,C,inf"]

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import statistics
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,9 @@ from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
 import estimation_oracle
 from conftest import bundled_countries_with, raw_tables, same_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import closed_form  # noqa: E402
 
 
 finite_lists = st.lists(
@@ -245,12 +249,12 @@ class TestBarriers:
         """A zero-migration row lists its pair as BLOCKED; a pair with no row is not listed."""
         d = raw_tables(tmp_path, "FRA,DEU,0\nFRA,ITA,5\nDEU,ITA,7\nITA,FRA,9\n",
                        "FRA,DEU,500\nFRA,ITA,900\nDEU,ITA,700\n")
-        barriers = estimate_barriers(load_bundle(d))
+        barriers = dict(estimate_barriers(load_bundle(d)).items())
         assert barriers[("FRA", "DEU")] == BLOCKED
         assert ("DEU", "FRA") not in barriers and ("USA", "USA") in barriers
 
     def test_estimated_diagonal_zero(self, bundle):
-        barriers = estimate_barriers(bundle)
+        barriers = dict(estimate_barriers(bundle).items())
         for code in bundle.countries.codes:
             assert barriers[(code, code)] == 0.0
 
@@ -282,7 +286,7 @@ class TestRoundTripAgainstBundled:
             assert est.get(code, 0.0) == pytest.approx(v, abs=0.05 * max(1.0, v))
 
     def test_barriers_match(self, bundle, pre_params):
-        est = estimate_barriers(bundle)
+        est = dict(estimate_barriers(bundle).items())
         for key, v in pre_params.T.items():
             if is_blocked(v):
                 assert is_blocked(est.get(key, BLOCKED))
@@ -297,7 +301,17 @@ class TestRoundTripAgainstBundled:
         assert reloaded.S == params.S
         assert reloaded.I == params.I
         assert reloaded.Y == params.Y
-        assert reloaded.T == params.T
+        assert dict(reloaded.T.items()) == dict(params.T.items())
+
+    def test_benchmark_reads_params_as_written(self, bundle, tmp_path):
+        """The benchmark's reference reads estimated parameters through ``T.items()`` and the
+        S, I and Y dicts, and gets bit for bit the problem it reads from the written tables."""
+        params = estimate_params(bundle)
+        write_params_csv(params, tmp_path)
+        read, written = closed_form.from_params(params), closed_form.read_pre_estimated(tmp_path)
+        assert (read.sources, read.targets) == (written.sources, written.targets)
+        for name in ("S", "T", "I", "Y"):
+            assert getattr(read, name).tobytes() == getattr(written, name).tobytes()
 
 
 def random_raw_tables(rng: np.random.Generator, directory: Path) -> Path:

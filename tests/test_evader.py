@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import BLOCKED, ModelParams, apply_scenario, solve, target_totals
+from tnrisk import BLOCKED, apply_scenario, solve, target_totals
 from tnrisk.errors import EmptyTargets
 from tnrisk.evader import write_matrix_csv
 from tnrisk.params import is_blocked
 from tnrisk.scenario import BUILTIN_SCENARIOS
 
-from conftest import cell_dict, fortress, random_params, tiny_params
+from conftest import cell_dict, fortress, params_from_dicts, random_params, tiny_params
 from oracle import (
     ABANDON_KEY,
     ABANDON_NODE,
@@ -68,9 +68,9 @@ class TestTransitionMatrix:
             assert all(p >= 0 for p in row.values())
 
     def test_equal_cost_options_split_evenly(self):
-        p = ModelParams(S={"A": 1.0},
-                        T={("A", "X"): 1.0, ("A", "Z"): 2.0},
-                        I={"X": 1.0, "Z": 0.5}, Y={"X": -3.0, "Z": -3.5})
+        p = params_from_dicts(S={"A": 1.0},
+                              T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                              I={"X": 1.0, "Z": 0.5}, Y={"X": -3.0, "Z": -3.5})
         # both paths cost -1.0 in total
         _, _, chain = solve_chain(p)
         row = chain.row(source("A"))
@@ -86,27 +86,27 @@ class TestTransitionMatrix:
             assert v == pytest.approx(1.0 / 3.0)
 
     def test_blocked_options_excluded(self):
-        p = ModelParams(S={"A": 1.0},
-                        T={("A", "X"): BLOCKED, ("A", "Z"): 1.0},
-                        I={"X": 1.0, "Z": 0.5}, Y={"X": -3.0, "Z": -3.5})
+        p = params_from_dicts(S={"A": 1.0},
+                              T={("A", "X"): BLOCKED, ("A", "Z"): 1.0},
+                              I={"X": 1.0, "Z": 0.5}, Y={"X": -3.0, "Z": -3.5})
         _, _, chain = solve_chain(p)
         row = chain.row(source("A"))
         assert staged("X") not in row
         assert row[staged("Z")] == pytest.approx(1.0)
 
     def test_dead_states_flagged(self):
-        p = ModelParams(S={"A": 1.0, "B": 1.0},
-                        T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
-                        I={"X": 1.0}, Y={"X": -2.0})
+        p = params_from_dicts(S={"A": 1.0, "B": 1.0},
+                              T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
+                              I={"X": 1.0}, Y={"X": -2.0})
         _, _, chain = solve_chain(p)
         assert source("A") in chain.dead
         assert source("B") not in chain.dead
 
     def test_large_costs_do_not_overflow(self):
-        p = ModelParams(S={"A": 1.0},
-                        T={("A", "X"): 1.0, ("A", "Z"): 2.0},
-                        I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},
-                        lam=1.0)
+        p = params_from_dicts(S={"A": 1.0},
+                              T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                              I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},
+                              lam=1.0)
         _, _, chain = solve_chain(p)
         row = chain.row(source("A"))
         assert sum(row.values()) == pytest.approx(1.0)
@@ -163,13 +163,13 @@ class TestAttackMatrix:
 
     def test_empty_targets(self):
         with pytest.raises(EmptyTargets):
-            solve(ModelParams(S={"SRC": 1.0}, T={}, I={"SRC": 1.0}, Y={}))
+            solve(params_from_dicts(S={"SRC": 1.0}, T={}, I={"SRC": 1.0}, Y={}))
 
     def test_unroutable_supply_reported(self):
         # X has no open route and no abandon option: its 10 plots go nowhere
-        m = solve(ModelParams(S={"X": 10.0, "Y": 5.0},
-                              T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
-                              I={"Z": 1.0}, Y={"Z": -2.0}))
+        m = solve(params_from_dicts(S={"X": 10.0, "Y": 5.0},
+                                    T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
+                                    I={"Z": 1.0}, Y={"Z": -2.0}))
         assert m.unroutable.tolist() == [10.0, 0.0]
         assert m.N.sum(axis=1).tolist() == [0.0, 5.0]
 
@@ -267,18 +267,18 @@ class TestOracleTriangle:
                 cases.append(p)
         cases += [apply_scenario(pre_params, BUILTIN_SCENARIOS["homegrown"]),
                   fortress(pre_params, "USA")]
-        cases.append(ModelParams(S={"A": 1.0},
-                                 T={("A", "X"): 1.0, ("A", "Z"): 2.0},
-                                 I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},
-                                 lam=1.0))
-        cases.append(ModelParams(S={"X": 10.0, "Y": 5.0},
-                                 T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
-                                 I={"Z": 1.0}, Y={"Z": -2.0}))
+        cases.append(params_from_dicts(S={"A": 1.0},
+                                       T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                                       I={"X": 0.0, "Z": 50000.0}, Y={"X": -90000.0, "Z": 0.0},
+                                       lam=1.0))
+        cases.append(params_from_dicts(S={"X": 10.0, "Y": 5.0},
+                                       T={("X", "Z"): BLOCKED, ("Y", "Z"): 1.0},
+                                       I={"Z": 1.0}, Y={"Z": -2.0}))
         # a blocked attack hop (huge but finite) must get nothing even at lambda = 0
-        cases.append(ModelParams(S={"A": 1.0},
-                                 T={("A", "X"): 1.0, ("A", "Z"): 1.0},
-                                 I={"X": 1e200, "Z": 0.0}, Y={"X": 0.0, "Z": -1.0},
-                                 lam=0.0))
+        cases.append(params_from_dicts(S={"A": 1.0},
+                                       T={("A", "X"): 1.0, ("A", "Z"): 1.0},
+                                       I={"X": 1e200, "Z": 0.0}, Y={"X": 0.0, "Z": -1.0},
+                                       lam=0.0))
         for p in cases:
             net = build_network(p)
             costs = least_cost_to_end(net)
@@ -321,9 +321,9 @@ class TestOracleTriangle:
         assert a != c
 
     def test_dead_source_raises(self):
-        p = ModelParams(S={"A": 1.0, "B": 1.0},
-                        T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
-                        I={"X": 1.0}, Y={"X": -2.0})
+        p = params_from_dicts(S={"A": 1.0, "B": 1.0},
+                              T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
+                              I={"X": 1.0}, Y={"X": -2.0})
         net, costs, chain = solve_chain(p)
         with pytest.raises(DeadSource):
             enumerate_path_distribution(net, costs, source("A"), p.lam)
@@ -362,8 +362,8 @@ class TestLambdaLimits:
         rng = np.random.default_rng(4)  # the instances of acceptance criterion 4
         yield from (random_params(rng) for _ in range(50))
         # an exact tie between a target (2.0 + 0.0 - 2.5) and abandoning
-        yield ModelParams(S={"A": 3.0}, T={("A", "X"): 1.0, ("A", "Z"): 2.0},
-                          I={"X": 0.5, "Z": 0.0}, Y={"X": -1.0, "Z": -2.5}, A=-0.5)
+        yield params_from_dicts(S={"A": 3.0}, T={("A", "X"): 1.0, ("A", "Z"): 2.0},
+                                I={"X": 0.5, "Z": 0.0}, Y={"X": -1.0, "Z": -2.5}, A=-0.5)
 
     @pytest.mark.parametrize("lam", [0.0, 1e6])
     def test_limit_matches_oracle(self, pre_params, lam):

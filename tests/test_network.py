@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from tnrisk import BLOCKED, ModelParams, is_blocked
+from tnrisk import BLOCKED, is_blocked
 from tnrisk.errors import EmptyTargets
 
-from conftest import random_params, tiny_params
+from conftest import params_from_dicts, random_params, tiny_params
 from oracle import (
     ABANDON_NODE,
     ATTACK_NODE,
@@ -48,17 +48,17 @@ class TestTopology:
 
     def test_empty_targets(self):
         with pytest.raises(EmptyTargets):
-            build_network(ModelParams(S={"SRC": 1.0}, T={}, I={}, Y={}))
+            build_network(params_from_dicts(S={"SRC": 1.0}, T={}, I={}, Y={}))
 
     def test_isolated_source(self):
-        p = ModelParams(S={"A": 1.0, "B": 1.0},
-                        T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
-                        I={"X": 1.0}, Y={"X": -2.0})
+        p = params_from_dicts(S={"A": 1.0, "B": 1.0},
+                              T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
+                              I={"X": 1.0}, Y={"X": -2.0})
         net = build_network(p)
         assert net.successors(source("A")) == []
 
     def test_domestic_barrier_zero(self):
-        p = ModelParams(S={"USA": 5.0}, T={}, I={"USA": 1.5}, Y={"USA": -54.0})
+        p = params_from_dicts(S={"USA": 5.0}, T={}, I={"USA": 1.5}, Y={"USA": -54.0})
         net = build_network(p)
         assert net.weight(source("USA"), staged("USA")) == 0.0
 
@@ -75,9 +75,9 @@ class TestLeastCost:
         assert costs[ABANDON_NODE] == 0.0
 
     def test_blocked_source_cost(self):
-        p = ModelParams(S={"A": 1.0, "B": 1.0},
-                        T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
-                        I={"X": 1.0}, Y={"X": -2.0})
+        p = params_from_dicts(S={"A": 1.0, "B": 1.0},
+                              T={("A", "X"): BLOCKED, ("B", "X"): 1.0},
+                              I={"X": 1.0}, Y={"X": -2.0})
         costs = least_cost_to_end(build_network(p))
         assert is_blocked(costs[source("A")])
         assert costs[source("B")] == pytest.approx(0.0)
@@ -88,9 +88,10 @@ class TestLeastCost:
             p = random_params(rng)
             net = build_network(p)
             costs = least_cost_to_end(net)
+            barriers = dict(p.T.items())
             for i in p.sources:
-                options = [p.T.get((i, j), BLOCKED) + p.I[j] + p.Y[j] for j in p.targets
-                           if not is_blocked(p.T.get((i, j), BLOCKED))]
+                options = [barriers.get((i, j), BLOCKED) + p.I[j] + p.Y[j] for j in p.targets
+                           if not is_blocked(barriers.get((i, j), BLOCKED))]
                 if not is_blocked(p.A):
                     options.append(p.A)
                 expected = min(options) if options else BLOCKED

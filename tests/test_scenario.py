@@ -26,22 +26,23 @@ from tnrisk import scenario
 from tnrisk.params import Barriers
 from tnrisk.scenario import BUILTIN_SCENARIOS
 
-from conftest import cell_dict, child_env, fortress, random_params, tiny_params
+from conftest import (barrier, cell_dict, child_env, fortress, params_from_dicts, random_params,
+                      tiny_params)
 
 
 class TestApplyScenario:
     def test_wildcard_skips_diagonal(self, params):
         out = apply_scenario(params, ScenarioSpec(
             barrier_overrides=[("*", "USA", BLOCKED)]))
-        assert out.T[("USA", "USA")] == 0.0
+        assert barrier(out, "USA", "USA") == 0.0
         for i in out.S:
             if i != "USA":
-                assert is_blocked(out.T[(i, "USA")])
+                assert is_blocked(barrier(out, i, "USA"))
 
     def test_explicit_diagonal_override_allowed(self, params):
         out = apply_scenario(params, ScenarioSpec(
             barrier_overrides=[("USA", "USA", BLOCKED)]))
-        assert is_blocked(out.T[("USA", "USA")])
+        assert is_blocked(barrier(out, "USA", "USA"))
 
     def test_explicit_diagonal_override_solved(self, params):
         """An explicit domestic barrier is solved as given, not as 0."""
@@ -52,8 +53,8 @@ class TestApplyScenario:
         assert alt.N[usa[0]].sum() == pytest.approx(base.N[usa[0]].sum())
 
     def test_diagonal_given_to_constructor_solved(self):
-        p = ModelParams(S={"A": 10.0}, T={("A", "A"): 50.0, ("A", "X"): 1.0},
-                        I={"A": 0.5, "X": 2.0}, Y={"A": -3.0, "X": -1.0}, lam=0.1)
+        p = params_from_dicts(S={"A": 10.0}, T={("A", "A"): 50.0, ("A", "X"): 1.0},
+                              I={"A": 0.5, "X": 2.0}, Y={"A": -3.0, "X": -1.0}, lam=0.1)
         u = np.array([50.0 + 0.5 - 3.0, 1.0 + 2.0 - 1.0])  # targets A, X
         w = np.exp(-0.1 * u)
         assert solve(p).N[0] == pytest.approx(10.0 * w / w.sum(), rel=1e-12)
@@ -62,9 +63,9 @@ class TestApplyScenario:
         out = apply_scenario(params, ScenarioSpec(barrier_overrides=[("USA", "USA", 7.0),
                                                                      ("*", "*", 3.0),
                                                                      ("USA", "*", BLOCKED)]))
-        assert out.T[("USA", "USA")] == 7.0 and out.T[("FRA", "FRA")] == 0.0
-        assert out.T[("FRA", "USA")] == 3.0 and is_blocked(out.T[("USA", "FRA")])
-        assert apply_scenario(out, BUILTIN_SCENARIOS["homegrown"]).T[("USA", "USA")] == 7.0
+        assert barrier(out, "USA", "USA") == 7.0 and barrier(out, "FRA", "FRA") == 0.0
+        assert barrier(out, "FRA", "USA") == 3.0 and is_blocked(barrier(out, "USA", "FRA"))
+        assert barrier(apply_scenario(out, BUILTIN_SCENARIOS["homegrown"]), "USA", "USA") == 7.0
 
     def test_a_and_lambda_overrides(self, params):
         out = apply_scenario(params, ScenarioSpec(a_override=-35.0, lambda_override=0.2))
@@ -215,10 +216,10 @@ class TestSweep:
         source with no open target route must send nothing at lam = 0 (its -0 * (A - inf)
         is NaN, so a sweep that does not drop it by its mask makes every point NaN)."""
         rng = np.random.default_rng(13)
-        dead = ModelParams(S={"D": 7.0, "L": 5.0},
-                           T={("D", "X"): BLOCKED, ("D", "Z"): BLOCKED,
-                              ("L", "X"): 1.0, ("L", "Z"): 2.0},
-                           I={"X": 0.5, "Z": 1.0}, Y={"X": -3.0, "Z": -1.0}, A=-2.0, lam=0.0)
+        dead = params_from_dicts(S={"D": 7.0, "L": 5.0},
+                                 T={("D", "X"): BLOCKED, ("D", "Z"): BLOCKED,
+                                    ("L", "X"): 1.0, ("L", "Z"): 2.0},
+                                 I={"X": 0.5, "Z": 1.0}, Y={"X": -3.0, "Z": -1.0}, A=-2.0, lam=0.0)
         grid = [-40.0, -20.0, 0.0, 5.0]
         build = scenario.build_network
         for p in [params, *(random_params(rng, blocked_fraction=0.3) for _ in range(20)), dead]:
@@ -264,8 +265,8 @@ class TestSweep:
         c_t, c_i, c_y = 0.2, 1.5, -54.0
         c = c_t + c_i + c_y
         lam = 0.1
-        p = ModelParams(S={"SRC": 100.0}, T={("SRC", "USA"): c_t},
-                        I={"USA": c_i}, Y={"USA": c_y}, lam=lam)
+        p = params_from_dicts(S={"SRC": 100.0}, T={("SRC", "USA"): c_t},
+                              I={"USA": c_i}, Y={"USA": c_y}, lam=lam)
         grid = [float(a) for a in range(-80, 0, 1)]
         curve = deterrence_sweep(p, grid)
         for a, total in zip(grid, curve.totals):
@@ -286,8 +287,8 @@ class TestSweep:
 
     def test_threshold_out_of_range(self):
         # a source with no traversable attack option never generates attack mass
-        p = ModelParams(S={"SRC": 10.0}, T={("SRC", "USA"): BLOCKED},
-                        I={"USA": 1.0}, Y={"USA": -2.0})
+        p = params_from_dicts(S={"SRC": 10.0}, T={("SRC", "USA"): BLOCKED},
+                              I={"USA": 1.0}, Y={"USA": -2.0})
         curve = deterrence_sweep(p, [-10.0, 0.0, 10.0])
         assert curve.totals == [0.0, 0.0, 0.0]
         with pytest.raises(ThresholdOutOfRange):
@@ -380,7 +381,7 @@ def test_random_instances_monotone_in_a():
 @pytest.mark.parametrize("name", ["S", "T", "I", "Y", "A"])
 def test_nan_parameter_rejected(name):
     T = {("A", "X"): math.nan if name == "T" else 1.0, ("B", "X"): 2.0}
-    p = ModelParams(S={"A": 1.0, "B": 2.0}, T=T, I={"X": 0.0}, Y={"X": -1.0}, A=-5.0)
+    p = params_from_dicts(S={"A": 1.0, "B": 2.0}, T=T, I={"X": 0.0}, Y={"X": -1.0}, A=-5.0)
     if name == "A":
         p.A = math.nan
     elif name != "T":  # T is read-only: its NaN is given to the constructor
@@ -394,8 +395,8 @@ def test_nan_parameter_rejected(name):
 
 def test_infinite_supply_rejected():
     """An infinite supply would solve to a row of inf attacks and NaN abandoned plots."""
-    p = ModelParams(S={"A": math.inf}, T={("A", "X"): 1.0}, I={"X": 0.0}, Y={"X": -1.0},
-                    A=-5.0)
+    p = params_from_dicts(S={"A": math.inf}, T={("A", "X"): 1.0}, I={"X": 0.0}, Y={"X": -1.0},
+                          A=-5.0)
     with pytest.raises(ModelError, match="NaN or infinite"):
         solve(p)
     with pytest.raises(ModelError, match="NaN or infinite"):

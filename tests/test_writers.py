@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tnrisk import AttackMatrix, ModelParams, dataset, solve
 from tnrisk.evader import write_matrix_csv
 
-from conftest import random_params
+from conftest import params_from_dicts, random_params
 from writer_oracle import write_delta_csv, write_matrix_files
 
 FILES = ("attack_matrix.csv", "attack_matrix.json", "plot_data.csv")
@@ -37,10 +37,10 @@ def assert_matches_oracle(matrix: AttackMatrix, directory: Path) -> None:
 def relabel(p: ModelParams, codes: list[str]) -> ModelParams:
     """``p`` with its source and target codes renamed to ``codes``, in order."""
     name = dict(zip(sorted(p.S) + sorted(p.I), codes))
-    return ModelParams(S={name[i]: v for i, v in p.S.items()},
-                       T={(name[i], name[j]): v for (i, j), v in p.T.items()},
-                       I={name[j]: v for j, v in p.I.items()},
-                       Y={name[j]: v for j, v in p.Y.items()}, A=p.A, lam=p.lam)
+    return params_from_dicts(S={name[i]: v for i, v in p.S.items()},
+                             T={(name[i], name[j]): v for (i, j), v in p.T.items()},
+                             I={name[j]: v for j, v in p.I.items()},
+                             Y={name[j]: v for j, v in p.Y.items()}, A=p.A, lam=p.lam)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

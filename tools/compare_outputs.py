@@ -17,7 +17,11 @@ reverse distance with another value, a zero distance, an unknown code in
 that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
 and four are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
 of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
-gets its region's survey means).  ``scenario``
+gets its region's survey means).  ``solve``, ``scenario homegrown`` and
+``validate`` run on two bundle copies with one ``pre_estimated/barriers.csv``
+edit each (``PRE_ESTIMATED_EDITS``), both of the loader's domestic rule: the
+``FRA,FRA`` row given cost 5, which loads as 0.0, and the ``USA,USA`` row
+deleted, so the USA's domestic pair defaults to 0.0.  ``scenario``
 with a spec file naming an unknown code, or giving a negative barrier, takes
 an error path too; four commands get a flag they do not take, and one gets
 ``--weights r,s,o``, each a usage error.  The other error paths: a ``--q`` of
@@ -106,6 +110,14 @@ BUNDLE_EDITS = {
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
+# bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS: a domestic row loads as 0.0
+# whatever cost it gives, and a supply code's domestic pair with no row costs 0.0
+PRE_ESTIMATED_EDITS = {
+    "domestic-cost-5": ("pre_estimated/barriers.csv", "FRA,FRA,", 2, "5"),
+    "domestic-row-deleted": ("pre_estimated/barriers.csv", "USA,USA,", 0, None),
+}
+PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
+
 
 def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: int,
                  value: str | None) -> Path:
@@ -192,10 +204,12 @@ def main(argv: list[str]) -> int:
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
         commands += [(f"scenario {name}", ["scenario", str(work / name), "--data", str(bundle)])
                      for name in SPECS]
-        for name, edit in BUNDLE_EDITS.items():
-            copy = _edited_copy(bundle, work / name, *edit)
-            commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
-                         for c in EDITED_BUNDLE_COMMANDS]
+        for edits, edited_commands in ((BUNDLE_EDITS, EDITED_BUNDLE_COMMANDS),
+                                       (PRE_ESTIMATED_EDITS, PRE_ESTIMATED_COMMANDS)):
+            for name, edit in edits.items():
+                copy = _edited_copy(bundle, work / name, *edit)
+                commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
+                             for c in edited_commands]
         not_utf8 = work / "not-utf8-supply"
         shutil.copytree(bundle, not_utf8)
         with (not_utf8 / "pre_estimated" / "supply.csv").open("ab") as f:
