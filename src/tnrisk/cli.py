@@ -89,16 +89,13 @@ def _load_params(args: argparse.Namespace):
     return params
 
 
-def _echo(args: argparse.Namespace) -> dict:
-    return {
-        "data": str(args.data),
-        "mode": args.mode,
-        "lambda": args.lam,
-        "abandon": cost_out(args.abandon),
-        "weights": args.weights_label,
-        "q": args.q,
-        "format": args.format,
-    }
+def _write_report(args: argparse.Namespace, params, **fields) -> None:
+    """Every command's run report: the flags as run, ``params.echo()`` and its own ``fields``."""
+    config = {"data": str(args.data), "mode": args.mode, "lambda": args.lam,
+              "abandon": cost_out(args.abandon), "weights": args.weights_label, "q": args.q,
+              "format": args.format}
+    dataset.write_json(args.out / "run_metadata.json",
+                       {"config": config, "params": params.echo(), **fields})
 
 
 def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
@@ -128,8 +125,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     params = _load_params(args)
     args.out.mkdir(parents=True, exist_ok=True)
     estimation.write_params_csv(params, args.out)
-    dataset.write_json(args.out / "run_metadata.json", {"config": _echo(args),
-                                                        "params": params.echo()})
+    _write_report(args, params)
     print(f"wrote estimated parameter tables to {args.out}")
 
 
@@ -155,9 +151,7 @@ def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader
 def cmd_solve(args: argparse.Namespace) -> None:
     params = _load_params(args)
     matrix = _solve_to_dir(params, args)
-    dataset.write_json(args.out / "run_metadata.json", {
-        "config": _echo(args), "params": params.echo(), "unroutable": _unroutable(matrix),
-    })
+    _write_report(args, params, unroutable=_unroutable(matrix))
     totals, grand = evader.target_totals(matrix)
     top = max(totals.items(), key=lambda kv: kv[1]) if totals else ("-", 0.0)
     print(f"solved: {grand:.1f} expected attacks; top target {top[0]} ({top[1]:.1f})")
@@ -177,10 +171,8 @@ def cmd_scenario(args: argparse.Namespace) -> None:
     dataset.write_cells(delta.delta, delta.sources, delta.targets, out / "delta.csv",
                         ["source", "target", "delta"])
     dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
-    dataset.write_json(out / "run_metadata.json", {
-        "config": _echo(args), "scenario": spec.name, "params": params.echo(),
-        "base_unroutable": _unroutable(base), "alt_unroutable": _unroutable(alt),
-    })
+    _write_report(args, params, scenario=spec.name,
+                  base_unroutable=_unroutable(base), alt_unroutable=_unroutable(alt))
     top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
     print(f"scenario {spec.name}: largest per-target change {top[0]} ({top[1]:+.1f})")
 
@@ -207,11 +199,9 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         threshold = scn.find_threshold(curve)
         print(f"threshold A* = {threshold:.2f} (fraction {scn.THRESHOLD_FRACTION})")
     finally:
-        dataset.write_json(out / "run_metadata.json", {
-            "config": _echo(args), "params": params.echo(),
-            "threshold": threshold, "threshold_fraction": scn.THRESHOLD_FRACTION,
-            "grid": {"min": a_min, "max": a_max, "step": step},
-        })
+        _write_report(args, params, threshold=threshold,
+                      threshold_fraction=scn.THRESHOLD_FRACTION,
+                      grid={"min": a_min, "max": a_max, "step": step})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,8 +64,6 @@ def impute_survey(countries: CountryTable) -> CountryTable:
     sigma = countries.sigma
     surveyed = ~np.isnan(sigma).any(axis=1)
     gap = ~surveyed & (countries.muslim_pop > 0)
-    if not gap.any():
-        return countries
     names, region = np.unique(countries.regions, return_inverse=True)
     peers = np.bincount(region[surveyed], minlength=len(names))[region]  # per row, its region's
     lonely = gap & (peers == 0)

@@ -206,7 +206,6 @@ class SweepCurve:
     totals: list[float]
     targets: list[str]  # sorted
     per_target: np.ndarray  # points x targets
-    supply_total: float
 
 
 def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
@@ -237,8 +236,7 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
             # einsum, not @: its sums do not depend on the BLAS build or its thread count
             columns[k:k + step] = np.einsum("gs,st->gt", 1.0 / (1.0 + abandon / total), share)
     return SweepCurve(a_values=list(a_values), totals=[sum(r.tolist()) for r in columns],
-                      targets=net.targets, per_target=columns,
-                      supply_total=sum(net.supply.tolist()))
+                      targets=net.targets, per_target=columns)
 
 
 # the share of the curve's maximum whose crossing find_threshold locates
@@ -265,7 +263,6 @@ class DeltaMatrix:
     sources: list[str]
     targets: list[str]
     delta: np.ndarray  # alt.N - base.N
-    target_deltas: dict[str, float]
     ranked_targets: list[tuple[str, float]]  # by total increase, descending
 
 
@@ -274,8 +271,7 @@ def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
     if base.sources != alt.sources or base.targets != alt.targets:
         raise IndexMismatch("attack matrices have different source/target sets")
     column_deltas = alt.N.sum(axis=0) - base.N.sum(axis=0)
-    target_deltas = dict(zip(base.targets, column_deltas.tolist()))
-    ranked = sorted(target_deltas.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(zip(base.targets, column_deltas.tolist()), key=lambda kv: (-kv[1], kv[0]))
     return DeltaMatrix(sources=list(base.sources), targets=list(base.targets),
-                       delta=alt.N - base.N, target_deltas=target_deltas, ranked_targets=ranked)
+                       delta=alt.N - base.N, ranked_targets=ranked)
 

@@ -159,7 +159,7 @@ def test_criterion_06_fortress_substitution(pre_params):
     delta = diff_matrices(base, alt)
     alt_usa_col = sum(v for (i, t), v in cell_dict(alt).items() if t == "USA" and i != "USA")
     assert alt_usa_col == 0.0
-    for t, v in delta.target_deltas.items():
+    for t, v in delta.ranked_targets:
         if t != "USA":
             assert v >= -1e-9
     gainers = [t for t, v in delta.ranked_targets if v > 0]
@@ -167,7 +167,7 @@ def test_criterion_06_fortress_substitution(pre_params):
     dt = time.perf_counter() - t0
     assert dt < 5.0
     report(6, f"foreign USA column exactly 0, all other target deltas >= 0, "
-              f"top gainer JPN (+{delta.target_deltas['JPN']:.1f}); {dt:.2f}s")
+              f"top gainer JPN (+{dict(delta.ranked_targets)['JPN']:.1f}); {dt:.2f}s")
 
 
 def test_criterion_07_homegrown_collapse(pre_params):

@@ -409,6 +409,12 @@ class TestSolve:
         assert run("validate", "--data", str(data), "--out", out) == 1
 
 
+def bundled_targets() -> list[str]:
+    """The codes of the bundled countries.csv's is_target rows, in file order."""
+    with (bundled_data_dir() / "countries.csv").open(newline="", encoding="utf-8") as f:
+        return [row["code"] for row in csv.DictReader(f) if row["is_target"] == "1"]
+
+
 class TestEstimate:
     def test_writes_tables(self, tmp_path):
         out = tmp_path / "out"
@@ -450,12 +456,21 @@ class TestEstimate:
         estimated, pre = capsys.readouterr().out.splitlines()
         assert pre == estimated
 
+    def test_single_target_exit_1(self, tmp_path, capsys):
+        """With one is_target row, interception has no spread to normalise: exit 1, nothing
+        written."""
+        data = bundle_copy(tmp_path, *[("countries.csv", f"{code},", 12, "0")
+                                       for code in bundled_targets()[1:]])
+        assert run("estimate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error: need at least two target countries "
+                                           "with security data\n")
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_normalisation_exit_1(self, tmp_path, capsys):
         """Security shares whose median is one subnormal above the least normalise past the
         largest float: an error, not an interception cost of inf that solve could not read
         back.  Of the bundle's 30 targets, 14 spend 0 and 2 spend 5e-324: the median."""
-        with (bundled_data_dir() / "countries.csv").open(newline="", encoding="utf-8") as f:
-            targets = [row["code"] for row in csv.DictReader(f) if row["is_target"] == "1"]
+        targets = bundled_targets()
         assert len(targets) == 30
         data = str(bundle_copy(tmp_path, *[("countries.csv", f"{code},", 5,
                                             "0" if k < 14 else "5e-324")

@@ -97,6 +97,10 @@ class TestNormalize:
         with pytest.raises(DegenerateSpread):
             normalize_min_median([5.0], "cost")
 
+    def test_unknown_sign_rejected(self):
+        with pytest.raises(ValueError, match="bad sign 'bogus'"):
+            normalize_min_median([1.0, 2.0, 3.0], "bogus")
+
     @given(finite_lists, st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100, deadline=None)
     def test_scale_invariance(self, values, scale):
@@ -263,6 +267,27 @@ class TestBarriers:
         finite = [v for (i, j), v in barriers.items() if i != j and not is_blocked(v)]
         assert min(finite) == 0.0
         assert statistics.median(finite) == pytest.approx(1.0)
+
+
+class TestTooFewTargets:
+    """Interception and yield are normalised over the targets that give their figure: with
+    fewer than two, there is no spread to normalise."""
+
+    @pytest.mark.parametrize("estimate, column, what", [
+        (estimate_interception, "sec_fraction", "security data"),
+        (estimate_yield, "gdp", "GDP")], ids=["interception", "yield"])
+    @pytest.mark.parametrize("keep", [1, 2], ids=["one-target", "second-without-figure"])
+    def test_degenerate_spread(self, bundle, estimate, column, what, keep):
+        countries = bundle.countries
+        first = np.flatnonzero(countries.is_target)[:keep]
+        is_target = np.zeros_like(countries.is_target)
+        is_target[first] = True
+        figure = getattr(countries, column).copy()
+        figure[first[1:]] = np.nan  # the second target, if kept, gives no figure
+        countries = dataclasses.replace(countries, is_target=is_target, **{column: figure})
+        with pytest.raises(DegenerateSpread,
+                           match=f"^need at least two target countries with {what}$"):
+            estimate(countries)
 
 
 class TestRoundTripAgainstBundled:

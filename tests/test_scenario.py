@@ -115,7 +115,7 @@ class TestFortress:
         base = solve(params)
         alt = solve(fortress(params, "USA"))
         d = diff_matrices(base, alt)
-        for t, v in d.target_deltas.items():
+        for t, v in d.ranked_targets:
             if t != "USA":
                 assert v >= -1e-9
 
@@ -251,7 +251,7 @@ class TestSweep:
         grid = [float(a) for a in range(-60, 11, 5)]
         curve = deterrence_sweep(p, grid)
         assert curve.totals == sorted(curve.totals)
-        assert curve.totals[-1] <= curve.supply_total + 1e-9
+        assert curve.totals[-1] <= sum(p.S.values()) + 1e-9
         assert curve.totals[0] >= 0.0
 
     def test_positive_a_near_supply(self):
@@ -292,6 +292,14 @@ class TestSweep:
         curve = deterrence_sweep(p, [-10.0, 0.0, 10.0])
         assert curve.totals == [0.0, 0.0, 0.0]
         with pytest.raises(ThresholdOutOfRange):
+            find_threshold(curve)
+
+    def test_threshold_never_reached(self):
+        """A curve whose totals start with NaN has a NaN maximum that no total reaches."""
+        totals = [math.nan, 1.0, 2.0]
+        curve = scenario.SweepCurve(a_values=[-1.0, 0.0, 1.0], totals=totals, targets=["USA"],
+                                    per_target=np.array(totals)[:, None])
+        with pytest.raises(ThresholdOutOfRange, match="^total never reaches 50% of its maximum$"):
             find_threshold(curve)
 
     def test_deterministic(self, params, monkeypatch):
