@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
@@ -188,17 +188,42 @@ def load_country_table(path: str | Path) -> CountryTable:
                         is_target=columns[:, 8] == 1)
 
 
-def _pair_table(path: Path, value: str, codes: Iterable[str]
-                ) -> tuple[list[str], Sequence[int], np.ndarray, np.ndarray, list[str]]:
-    """(axis, lines, rows, cols, cells): lines[k] lists (axis[rows[k]], axis[cols[k]], cells[k])."""
-    lines, (origins, dests, cells) = _table(path, ["origin", "dest", value])
-    cells_of_codes = {*origins, *dests}  # each distinct cell is stripped and indexed once
+def _pair_table(path: Path, value: str, codes: Iterable[str], parse=float) -> tuple[
+        list[str], Sequence[int], np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+    """(axis, lines, rows, cols, values, cell): lines[k] lists axis[rows[k]], axis[cols[k]] and
+    the cell text cell(k), which ``parse`` reads as values[k] (NaN where it raises ValueError).
+
+    A table with the exact header, rows, no blank row, no '"' and valid codes is read in
+    one C pass, if np.loadtxt takes every cell (it refuses some that float() reads, such
+    as '1_000'); any other goes through :func:`_table`, which reports every error.
+    """
+    header = ["origin", "dest", value]
+    try:
+        text = path.read_text(encoding="utf-8")  # CRLF and lone CR read as "\n", as np.loadtxt
+        n = text.count("\n") - text.endswith("\n")  # the lines after the header
+        if not text.startswith(",".join(header) + "\n") or '"' in text or "\n\n" in text or n < 1:
+            raise ValueError("not a clean table")
+        del text
+        table = np.loadtxt(path, dtype=[("origin", object), ("dest", object), (value, float)],
+                           delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+        origins, dests = table["origin"].tolist(), table["dest"].tolist()
+        cells_of_codes = {*origins, *dests}
+        if len(table) != n or any(not c.strip() or "->" in c for c in cells_of_codes):
+            raise ValueError("a skipped row or a bad code")
+        lines, values = range(2, n + 2), table[value].copy()  # not a view holding the codes
+
+        def cell(k: int) -> str:  # with no quotes, the text after the second comma is csv's cell
+            return path.read_text(encoding="utf-8").split("\n")[k + 1].split(",")[2]
+    except (OSError, ValueError):  # the row reader raises the error, if there is one
+        lines, (origins, dests, cells) = _table(path, header)
+        values, cell = parse_floats(cells, parse), cells.__getitem__
+        cells_of_codes = {*origins, *dests}
     axis = sorted({*codes, *map(str.strip, cells_of_codes)})  # with the table's own codes
     index = {c: k for k, c in enumerate(axis)}
-    at = {cell: index[cell.strip()] for cell in cells_of_codes}
+    at = {c: index[c.strip()] for c in cells_of_codes}  # each distinct cell stripped once
     rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
                   for column in (origins, dests))
-    return axis, lines, rows, cols, cells
+    return axis, lines, rows, cols, values, cell
 
 
 def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.ndarray,
@@ -213,26 +238,25 @@ def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.n
 
 
 def _raw_pairs(path: Path, codes: list[str]
-               ) -> tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """(lines, rows, cols, values, cells) of a raw pair table: each pair once, values >= 0."""
-    axis, lines, rows, cols, cells = _pair_table(path, "value", codes)
-    values = parse_floats(cells)
+               ) -> tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+    """(lines, rows, cols, values, cell) of a raw pair table: each pair once, values >= 0."""
+    axis, lines, rows, cols, values, cell = _pair_table(path, "value", codes)
     bad = ~np.isfinite(values) | (values < 0)
     if bad.any():
         k = int(bad.argmax())
-        _parse_float(cells[k], lines[k], f"value in {path.name}")  # raises if not finite
+        _parse_float(cell(k), lines[k], f"value in {path.name}")  # raises if not finite
         raise NegativeValue(f"line {lines[k]}: {axis[rows[k]]},{axis[cols[k]]} in {path.name} "
                             f"= {float(values[k])}")
     _check_repeats(path, axis, lines, rows, cols)
     unknown = set(axis).difference(codes)
     if unknown:
         raise CodeMismatch(f"{path.name} names {min(unknown)!r}, which is not in countries.csv")
-    return lines, rows, cols, values, cells
+    return lines, rows, cols, values, cell
 
 
 def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
     """distance_km.csv as :attr:`DataBundle.distance`."""
-    lines, rows, cols, values, cells = _raw_pairs(path, codes)
+    lines, rows, cols, values, cell = _raw_pairs(path, codes)
     with np.errstate(over="ignore"):  # raw_barrier divides by the square: not 0, not inf
         bad = (values * values == 0) | (values >= 1e154)
     bad &= rows != cols
@@ -240,7 +264,7 @@ def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
         k = int(bad.argmax())
         raise MalformedRow(lines[k], f"distance {codes[rows[k]]},{codes[cols[k]]} in {path.name} "
                                      f"must be {'> 0' if values[k] < 1 else '< 1e154'}, "
-                                     f"got {cells[k]!r}")
+                                     f"got {cell(k)!r}")
     at = np.full((len(codes),) * 2, -1)  # the row listing each pair; -1 picks the NaN appended
     at[rows, cols] = np.arange(len(rows))
     values = np.append(values, np.nan)
@@ -277,10 +301,10 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
     for the first check it fails in the order origin, destination, cost, sign;
     a pair listed twice is reported after these.
     """
-    codes, lines, rows, cols, cells = _pair_table(path, "cost", {*supply, *targets})
+    codes, lines, rows, cols, values, cell = _pair_table(path, "cost", {*supply, *targets},
+                                                         parse_cost)
     in_supply = np.array([c in supply for c in codes], dtype=bool)
     in_targets = np.array([c in targets for c in codes], dtype=bool)
-    values = parse_floats(cells, parse_cost)
     values[is_blocked(values)] = BLOCKED  # as parse_cost folds them
     foreign = rows != cols
     # row-major: the earliest row first, then the earliest check in that row
@@ -295,7 +319,7 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
             raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
         if check == 2:
             try:
-                parse_cost(cells[k], "cost in barriers.csv")
+                parse_cost(cell(k), "cost in barriers.csv")
             except ValueError as e:
                 raise MalformedRow(line, str(e)) from None
         raise NegativeValue(f"line {line}: barrier {origin},{dest} = {float(values[k])}")

@@ -5,11 +5,12 @@ import math
 import shutil
 import statistics
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnrisk import (
@@ -21,6 +22,7 @@ from tnrisk import (
     load_pre_estimated,
     solve,
 )
+from tnrisk import dataset
 from tnrisk.dataset import COUNTRY_HEADER
 from tnrisk.errors import (
     AsymmetricDistance,
@@ -29,6 +31,7 @@ from tnrisk.errors import (
     DuplicatePair,
     MalformedRow,
     MissingFile,
+    ModelError,
     NegativeValue,
 )
 from tnrisk.estimation import write_params_csv
@@ -329,6 +332,118 @@ def test_written_barriers_in_pair_order_with_huge_costs_as_inf(tmp_path):
     write_params_csv(p, tmp_path)
     assert (tmp_path / "barriers.csv").read_text().splitlines() == [
         "origin,dest,cost", "A,A,0.0", "A,C,0.5", "B,A,inf", "B,B,0.0", "B,C,inf"]
+
+
+# pair tables: rows the C pass may take (codes and numbers, padded or not, valid or not),
+# with up to three defects that only the row reader reads or reports.  Origins are mostly
+# supply codes and destinations mostly targets, so that barriers.csv often loads.
+PAD = st.sampled_from(["", "", " ", "\t"])
+PAIR_CODES = [st.tuples(PAD, st.sampled_from(codes * 2 + [other]), PAD).map("".join)
+              for codes, other in ((["AAA", "BBB"], "ZZZ"), (["BBB", "CCC"], "AAA"))]
+PAIR_VALUES = st.tuples(PAD, st.one_of(
+    st.floats(min_value=0, allow_infinity=False).map(repr),
+    st.from_regex(r"[0-9]{1,20}(\.[0-9]{0,20})?(e-?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["inf", "-inf", "nan", "-0", "0", "-3", "1e400", "1e100", "1e-170"])),
+    PAD).map("".join)
+ODD_CODES = st.sampled_from(['"CCC"', '"A,B"', "", "  ", "A->B", " B->C "])
+ODD_VALUES = st.sampled_from(["blocked", " Blocked ", "1_000", "٣", "#", "", '"7"', '"nan"'])
+ODD_ROWS = st.sampled_from(["", "", "   ", ",,", " , , ", "AAA,BBB", "AAA,BBB,1,2",
+                            "AAA,CCC,1\x0c2"])
+
+
+@st.composite
+def pair_rows(draw) -> list[str]:
+    rows = draw(st.lists(st.tuples(*PAIR_CODES, PAIR_VALUES).map(list), min_size=1, max_size=8))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        k = draw(st.integers(0, len(rows)))
+        column = draw(st.integers(0, 3))
+        if column == 3 or k == len(rows):
+            rows.insert(k, [draw(ODD_ROWS)])
+        elif len(rows[k]) == 3:
+            rows[k][column] = draw(ODD_VALUES if column == 2 else ODD_CODES)
+    return [",".join(row) for row in rows]
+
+
+PAIR_CODE_AXIS = ["AAA", "BBB", "CCC"]
+
+
+# each pair-table loader on a file, and what it returns in plain values
+def _barriers(path: Path):
+    b = dataset._load_barriers(path, {"AAA": 1.0, "BBB": 2.0}, {"BBB", "CCC"})
+    return b.codes, b.cost.tobytes(), b.listed.tobytes()
+
+
+def _raw_pairs(path: Path):
+    lines, rows, cols, values, cell = dataset._raw_pairs(path, PAIR_CODE_AXIS)
+    return (list(lines), rows.tobytes(), cols.tobytes(), values.tobytes(),
+            [cell(k) for k in range(len(rows))])
+
+
+def _distances(path: Path):
+    return dataset._load_distances(path, PAIR_CODE_AXIS).tobytes()
+
+
+PAIR_LOADERS = [("barriers.csv", "cost", _barriers), ("migration.csv", "value", _raw_pairs),
+                ("distance_km.csv", "value", _distances)]
+
+
+def _outcome(load, path: Path):
+    """What ``load`` returns for ``path``, or the type, text and line of the error it raises;
+    a warning, which the CLI would print, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load(path)
+        except ModelError as e:
+            return type(e), str(e), getattr(e, "line", None)
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("the C pass is off")
+
+
+@given(header=st.sampled_from(["origin,dest,{}"] * 4 + ['"origin",dest,{}', "origin,dest"]),
+       rows=pair_rows(),
+       endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
+       last=st.booleans())
+@example(header="origin,dest,{}", rows=[], endings=["\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=[""], endings=["\r\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", ",CCC,2"], endings=["\r\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=["AAA,  ,1"], endings=["\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=["A->B,CCC,1"], endings=["\n"] * 12, last=False)
+@example(header="origin,dest,{}", rows=['"AAA",BBB,1', "BBB,CCC,2"], endings=["\n"] * 12,
+         last=True)
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", "", "AAA,BBB,2"], endings=["\r"] * 12,
+         last=True)
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", "BBB,CCC, nan "], endings=["\n"] * 12,
+         last=True)
+@settings(max_examples=300, deadline=None)
+def test_c_pass_reads_as_the_row_reader(header, rows, endings, last):
+    """Every pair table loads to the same arrays with the C pass as with only the row reader,
+    or fails with the same error type, message and line."""
+    ends = [*endings[:len(rows)], endings[-1] if last else ""]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value, load in PAIR_LOADERS:
+            path = Path(tmp) / name
+            with path.open("w", encoding="utf-8", newline="") as f:
+                f.write("".join(map("".join, zip([header.format(value), *rows], ends))))
+            fast = _outcome(load, path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset.np, "loadtxt", _refuse)
+                assert _outcome(load, path) == fast
+
+
+def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch):
+    """The bundled pair tables, CRLF and clean, are each read by the C pass alone: the row
+    reader reads only countries.csv and the three vector tables."""
+    headers = []
+    table = dataset._table
+    monkeypatch.setattr(dataset, "_table", lambda path, header: headers.append(header[0])
+                        or table(path, header))
+    load_bundle(bundled_data_dir())
+    load_pre_estimated(bundled_data_dir() / "pre_estimated")
+    assert headers == ["code"] * 4
+    assert b"\r\n" in (bundled_data_dir() / "pre_estimated" / "barriers.csv").read_bytes()
 
 
 class TestValidation:

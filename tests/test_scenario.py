@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnrisk import (
     BLOCKED,
@@ -253,6 +255,17 @@ class TestSweep:
         assert curve.totals == sorted(curve.totals)
         assert curve.totals[-1] <= sum(p.S.values()) + 1e-9
         assert curve.totals[0] >= 0.0
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           grid=st.lists(st.floats(-100.0, 20.0), min_size=2, max_size=40, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_random_curves_monotone_and_bounded(self, seed, grid):
+        """On random instances the totals never decrease in A and stay within [0, sum of
+        supply]; the upper bound allows the few ulps by which a sum in another order rounds."""
+        p = random_params(np.random.default_rng(seed), blocked_fraction=0.3)
+        totals = deterrence_sweep(p, sorted(grid)).totals
+        assert all(a <= b for a, b in zip(totals, totals[1:]))
+        assert 0.0 <= totals[0] and totals[-1] <= sum(p.S.values()) * (1 + 1e-12)
 
     def test_positive_a_near_supply(self):
         p = tiny_params()

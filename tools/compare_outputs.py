@@ -15,13 +15,17 @@ reverse distance with another value, a zero distance, an unknown code in
 ``migration.csv``, a migration pair with no distance, a negative migration, a
 ``sec_fraction`` of 1e307, above 1), one passes the rules but leaves a source
 that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
-and four are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
+and five are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
 of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
-gets its region's survey means).  ``solve``, ``scenario homegrown`` and
-``validate`` run on two bundle copies with one ``pre_estimated/barriers.csv``
-edit each (``PRE_ESTIMATED_EDITS``), both of the loader's domestic rule: the
-``FRA,FRA`` row given cost 5, which loads as 0.0, and the ``USA,USA`` row
-deleted, so the USA's domestic pair defaults to 0.0.  ``scenario``
+gets its region's survey means; a migration of ``1_000``, which ``np.loadtxt``
+refuses, so the table goes through the row reader).  ``solve``, ``scenario
+homegrown`` and ``validate`` run on seven bundle copies with one
+``pre_estimated/barriers.csv`` edit each (``PRE_ESTIMATED_EDITS``).  Two are of
+the loader's domestic rule: the ``FRA,FRA`` row given cost 5, which loads as
+0.0, and the ``USA,USA`` row deleted, so the USA's domestic pair defaults to
+0.0.  Two are valid but only the row reader reads them: a ``blocked`` cost and
+an ``"AFG"`` origin in quotes.  Three fail: a ``nan`` cost, a negative cost
+and a repeated ``AFG,AUS`` pair.  ``scenario``
 with a spec file naming an unknown code, or giving a negative barrier, takes
 an error path too; four commands get a flag they do not take, and one gets
 ``--weights r,s,o``, each a usage error.  The other error paths: a ``--q`` of
@@ -107,14 +111,23 @@ BUNDLE_EDITS = {
     "huge-gdp": ("countries.csv", "USA,", 4, "1e150"),
     "negative-zero-security": ("countries.csv", "AUS,", 5, "-0"),
     "unsurveyed-source": ("countries.csv", "TUN,", 8, ""),
+    # a number float() reads but np.loadtxt does not: migration.csv goes through the row reader
+    "underscored-migration": ("migration.csv", "AFG,AUS,", 2, "1_000"),
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
 # bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS: a domestic row loads as 0.0
-# whatever cost it gives, and a supply code's domestic pair with no row costs 0.0
+# whatever cost it gives, and a supply code's domestic pair with no row costs 0.0; a blocked
+# cell and a quoted origin are valid, and only the row reader reads them; a NaN cost, a
+# negative cost and a repeated pair each fail
 PRE_ESTIMATED_EDITS = {
     "domestic-cost-5": ("pre_estimated/barriers.csv", "FRA,FRA,", 2, "5"),
     "domestic-row-deleted": ("pre_estimated/barriers.csv", "USA,USA,", 0, None),
+    "blocked-cost": ("pre_estimated/barriers.csv", "AFG,AUS,", 2, "blocked"),
+    "quoted-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, '"AFG"'),
+    "nan-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "nan"),
+    "negative-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "-1"),
+    "repeated-pair": ("pre_estimated/barriers.csv", None, 0, "AFG,AUS,0.5"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
 
