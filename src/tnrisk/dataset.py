@@ -262,9 +262,10 @@ def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
     bad &= rows != cols
     if bad.any():
         k = int(bad.argmax())
+        rule = ("> 0" if values[k] == 0 else "< 1e154" if values[k] >= 1
+                else "about 1.6e-162 or more, so that its square is not 0")
         raise MalformedRow(lines[k], f"distance {codes[rows[k]]},{codes[cols[k]]} in {path.name} "
-                                     f"must be {'> 0' if values[k] < 1 else '< 1e154'}, "
-                                     f"got {cell(k)!r}")
+                                     f"must be {rule}, got {cell(k)!r}")
     at = np.full((len(codes),) * 2, -1)  # the row listing each pair; -1 picks the NaN appended
     at[rows, cols] = np.arange(len(rows))
     values = np.append(values, np.nan)

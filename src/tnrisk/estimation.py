@@ -112,7 +112,9 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     pop = np.empty(len(at))
     pop[at] = countries.population
     listed = ~np.isnan(bundle.migration)
-    with np.errstate(divide="ignore"):  # zero migration, and the diagonal's zero distance: inf
+    # zero migration, and the diagonal's zero distance: inf; an overflow is a raw barrier
+    # >= 1e100, which folds into BLOCKED like any other
+    with np.errstate(divide="ignore", over="ignore"):
         raw = raw_barrier(pop[:, None], pop, bundle.distance, bundle.migration)
     observed = listed & ~is_blocked(raw)  # never on the diagonal
     if np.count_nonzero(observed) < 2:

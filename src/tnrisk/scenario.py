@@ -120,19 +120,22 @@ BUILTIN_SCENARIOS = {"fortress-USA": ScenarioSpec("fortress-USA", [("*", "USA", 
 
 @dataclass
 class RouteNetwork:
-    """The source -> staged -> attack -> end network as one edge per route.
+    """The source -> staged -> attack -> end network as one cost per route.
 
-    Every staged node has a single successor, so a source chooses among whole
-    routes: through target j at cost T_ij + I_j + Y_j, or to abandon at cost A.
-    ``edges`` lists these costs source by source, in sorted code order, each
-    source's ``len(targets) + 1`` routes with the abandon route last.  A route
-    with a blocked hop costs +inf.
+    Every staged node has a single successor, so a source chooses among whole routes:
+    through target j at cost T_ij + I_j + Y_j, or to abandon at cost A.  ``cost`` is the
+    ``len(sources) x (len(targets) + 1)`` matrix of these costs, in sorted code order,
+    with the abandon route last.  A route with a blocked hop costs +inf.
     """
 
     sources: list[str]
     targets: list[str]
     supply: np.ndarray
-    edges: np.ndarray
+    cost: np.ndarray
+
+    @property
+    def edges(self) -> np.ndarray:  # the flat view the benchmark's span counter reads
+        return self.cost.reshape(-1)
 
 
 def build_network(params: ModelParams) -> RouteNetwork:
@@ -152,10 +155,9 @@ def build_network(params: ModelParams) -> RouteNetwork:
                          "or a supply that is NaN or infinite")
     routes = np.where(is_blocked(barrier) | is_blocked(attack), BLOCKED, barrier + attack)
     abandon = BLOCKED if is_blocked(params.A) else params.A
-    edges = np.column_stack([routes, np.full(len(sources), abandon)])
     return RouteNetwork(sources=sources, targets=targets,
                         supply=np.array([params.S[i] for i in sources], dtype=float),
-                        edges=edges.ravel())
+                        cost=np.column_stack([routes, np.full(len(sources), abandon)]))
 
 
 def _route_weights(cost: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,19 +187,12 @@ def solve(params: ModelParams) -> AttackMatrix:
     unroutable.
     """
     net = build_network(params)
-    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)
-    _, weight, live = _route_weights(cost, params.lam)
-    plots = np.zeros_like(cost)
+    _, weight, live = _route_weights(net.cost, params.lam)
+    plots = np.zeros_like(net.cost)
     plots[live] = net.supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
-    return AttackMatrix(
-        sources=net.sources,
-        targets=net.targets,
-        N=plots[:, :-1].copy(),
-        abandoned=plots[:, -1].copy(),
-        unroutable=np.where(live, 0.0, net.supply),
-        total_plots=sum(net.supply.tolist()),
-        params_echo=params.echo(),
-    )
+    return AttackMatrix(sources=net.sources, targets=net.targets, N=plots[:, :-1].copy(),
+                        abandoned=plots[:, -1].copy(), unroutable=np.where(live, 0.0, net.supply),
+                        total_plots=sum(net.supply.tolist()), params_echo=params.echo())
 
 
 @dataclass
@@ -221,8 +216,7 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     if repeat:
         raise ValueError(f"sweep grid must be strictly ascending, got {repeat[0]} then {repeat[1]}")
     net = build_network(params)
-    cost = net.edges.reshape(len(net.sources), len(net.targets) + 1)[:, :-1]
-    best, weight, live = _route_weights(cost, params.lam)
+    best, weight, live = _route_weights(net.cost[:, :-1], params.lam)
     total = weight.sum(axis=1)
     share = net.supply[live, None] * (weight / total[:, None])
     columns = np.empty((len(a_values), len(net.targets)))

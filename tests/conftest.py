@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,31 @@ def raw_tables(directory: Path, migration: str, distance: str,
     for name, text in (("migration.csv", migration), ("distance_km.csv", distance)):
         (directory / name).write_text("origin,dest,value\n" + text, encoding="utf-8")
     return directory
+
+
+def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None]) -> Path:
+    """A copy of the bundled data with edits (file, row prefix, cell, value) made in order.
+
+    An edit with no row prefix appends its value as a new line; one with no
+    value deletes the row.
+    """
+    data = tmp_path / "data"
+    shutil.copytree(bundled_data_dir(), data)
+    for name, row, cell, value in edits:
+        path = data / name
+        lines = path.read_text().splitlines()
+        if row is None:
+            lines.append(value)
+        else:
+            k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
+            if value is None:
+                del lines[k]
+            else:
+                cells = lines[k].split(",")
+                cells[cell] = value
+                lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return data
 
 
 def bundled_countries_with(directory: Path, *rows: str) -> CountryTable:

@@ -16,7 +16,7 @@ from tnrisk import cli, solve
 from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
-from conftest import cell_dict, child_env, fortress
+from conftest import bundle_copy, cell_dict, child_env, fortress
 
 
 def run(*argv: str) -> int:
@@ -61,31 +61,6 @@ class TestValidate:
         assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
         report = (tmp_path / "out" / "validation_report.txt").read_text()
         assert "pre_estimated:ZZZ" in report
-
-
-def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None]) -> Path:
-    """A copy of the bundled data with edits (file, row prefix, cell, value) made in order.
-
-    An edit with no row prefix appends its value as a new line; one with no
-    value deletes the row.
-    """
-    data = tmp_path / "data"
-    shutil.copytree(bundled_data_dir(), data)
-    for name, row, cell, value in edits:
-        path = data / name
-        lines = path.read_text().splitlines()
-        if row is None:
-            lines.append(value)
-        else:
-            k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
-            if value is None:
-                del lines[k]
-            else:
-                cells = lines[k].split(",")
-                cells[cell] = value
-                lines[k] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-    return data
 
 
 @pytest.mark.parametrize("name, edits", [

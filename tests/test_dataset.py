@@ -137,9 +137,12 @@ class TestPairTable:
                            match="line 3: distance FRA,ITA in distance_km.csv must be > 0"):
             load_bundle(d)
 
-    @pytest.mark.parametrize("km, rule", [("1e-170", "> 0"), ("1e200", "< 1e154")])
+    @pytest.mark.parametrize("km, rule", [
+        pytest.param(km, "about 1.6e-162 or more, so that its square is not 0", id=km)
+        for km in ("1e-170", "1e-200")] + [("1e200", "< 1e154")])
     def test_distance_whose_square_is_not_finite_and_positive(self, tmp_path, km, rule):
-        """A distance whose square underflows to 0 or overflows is rejected, not blocked."""
+        """A distance whose square underflows to 0 or overflows is rejected, not blocked, with
+        the rule it breaks."""
         d = raw_tables(tmp_path, "FRA,DEU,3\n", f"FRA,FRA,1e200\nFRA,DEU,{km}\n")
         with pytest.raises(MalformedRow, match=f"line 3: distance FRA,DEU in distance_km.csv "
                                                f"must be {rule}, got '{km}'"):
@@ -317,7 +320,7 @@ def test_written_tables_load_as_built(seed):
     q.A, q.lam = p.A, p.lam
     barriers = dict(q.T.items())
     assert barriers == dict(p.T.items()) and list(barriers) == sorted(barriers)
-    assert build_network(q).edges.tobytes() == build_network(p).edges.tobytes()
+    assert build_network(q).cost.tobytes() == build_network(p).cost.tobytes()
     a, b = solve(q), solve(p)
     for name in ("N", "abandoned", "unroutable"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

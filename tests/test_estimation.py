@@ -6,6 +6,7 @@ import re
 import statistics
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +32,7 @@ from tnrisk.estimation import (
 from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
 import estimation_oracle
-from conftest import bundled_countries_with, raw_tables, same_table
+from conftest import bundle_copy, bundled_countries_with, raw_tables, same_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import closed_form  # noqa: E402
@@ -340,8 +341,8 @@ class TestRoundTripAgainstBundled:
 
 
 def random_raw_tables(rng: np.random.Generator, directory: Path) -> Path:
-    """Raw tables of 3 to 8 countries, in shuffled order, with zero and near-zero
-    migrations, pairs without migration, distances given one way or both, and a
+    """Raw tables of 3 to 8 countries, in shuffled order, with zero, near-zero and
+    subnormal migrations, pairs without migration, distances given one way or both, and a
     source, C00, whose every migration row is zero."""
     codes = [f"C{k:02d}" for k in range(int(rng.integers(3, 9)))]
     countries = {c: (float(rng.uniform(1e3, 1e9)),
@@ -355,8 +356,10 @@ def random_raw_tables(rng: np.random.Generator, directory: Path) -> Path:
             r = rng.random()
             if i == "C00" or r < 0.2:
                 m = 0.0
-            elif r < 0.3:  # a channel so thin that its barrier folds into BLOCKED
+            elif r < 0.25:  # a channel so thin that its barrier folds into BLOCKED
                 m = 10.0 ** float(rng.uniform(-95, -80))
+            elif r < 0.3:  # thinner still: the raw barrier may overflow to inf
+                m = 10.0 ** float(rng.uniform(-320, -300))
             else:
                 m = float(rng.uniform(1e-3, 1e7))
             migration.append((i, j, m))
@@ -394,3 +397,19 @@ def test_barriers_match_per_pair_oracle(seed):
         barriers = estimate_barriers(bundle)
     assert {k: v.hex() for k, v in barriers.items()} == {k: v.hex() for k, v in expected.items()}
     assert [call.args[1] for call in warning.call_args_list] == warned
+
+
+@pytest.mark.parametrize("edit", [("migration.csv", "AFG,AUS,", 2, "1e-305"),
+                                  ("countries.csv", "AFG,", 3, "1e200")],
+                         ids=["tiny-migration", "huge-population"])
+def test_overflowing_raw_barrier_blocks_without_a_warning(tmp_path, edit):
+    """A raw barrier that overflows to inf is one >= 1e100: its pair is BLOCKED, numpy
+    warns of nothing, and every pair keeps the oracle's bits."""
+    data = bundle_copy(tmp_path, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = estimate_params(load_bundle(data))
+    expected, _ = estimation_oracle.estimate_barriers(data)
+    barriers = dict(params.T.items())
+    assert barriers[("AFG", "AUS")] == BLOCKED
+    assert {k: v.hex() for k, v in barriers.items()} == {k: v.hex() for k, v in expected.items()}

@@ -211,6 +211,19 @@ class TestBuiltinsAreSpecs:
             fortress(params, "ZZZ")
 
 
+def test_route_costs_and_their_flat_view():
+    """The network is one cost matrix, sources x (targets + 1) in code order, abandon last and
+    +inf on a blocked route; ``edges`` is that matrix row by row, a view of it, not a copy."""
+    p = params_from_dicts(S={"B": 2.0, "A": 1.0}, T={("A", "X"): 1.0, ("A", "W"): BLOCKED,
+                                                     ("B", "X"): 0.5, ("B", "W"): 2.0},
+                          I={"X": 0.5, "W": 1.0}, Y={"X": -3.0, "W": -1.0}, A=-2.0)
+    net = scenario.build_network(p)
+    assert (net.sources, net.targets) == (["A", "B"], ["W", "X"])
+    assert net.cost.tolist() == [[math.inf, -1.5, -2.0], [2.0, -2.0, -2.0]]
+    assert np.shares_memory(net.edges, net.cost)
+    assert net.edges.tolist() == [math.inf, -1.5, -2.0, 2.0, -2.0, -2.0]
+
+
 class TestSweep:
     def test_one_network_build_per_sweep(self, params, monkeypatch):
         """One network build per sweep, and at each point the totals and per-target counts

@@ -15,10 +15,12 @@ reverse distance with another value, a zero distance, an unknown code in
 ``migration.csv``, a migration pair with no distance, a negative migration, a
 ``sec_fraction`` of 1e307, above 1), one passes the rules but leaves a source
 that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
-and five are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
+and seven are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
 of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
 gets its region's survey means; a migration of ``1_000``, which ``np.loadtxt``
-refuses, so the table goes through the row reader).  ``solve``, ``scenario
+refuses, so the table goes through the row reader; an AFG,AUS migration of
+1e-305 and an AFG population of 1e200, whose raw barriers overflow to inf and
+so are blocked).  ``solve``, ``scenario
 homegrown`` and ``validate`` run on seven bundle copies with one
 ``pre_estimated/barriers.csv`` edit each (``PRE_ESTIMATED_EDITS``).  Two are of
 the loader's domestic rule: the ``FRA,FRA`` row given cost 5, which loads as
@@ -113,6 +115,9 @@ BUNDLE_EDITS = {
     "unsurveyed-source": ("countries.csv", "TUN,", 8, ""),
     # a number float() reads but np.loadtxt does not: migration.csv goes through the row reader
     "underscored-migration": ("migration.csv", "AFG,AUS,", 2, "1_000"),
+    # raw barriers that overflow to inf, blocked as any raw barrier >= 1e100 is
+    "tiny-migration": ("migration.csv", "AFG,AUS,", 2, "1e-305"),
+    "huge-population": ("countries.csv", "AFG,", 3, "1e200"),
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
