@@ -193,37 +193,42 @@ def _pair_table(path: Path, value: str, codes: Iterable[str], parse=float) -> tu
     """(axis, lines, rows, cols, values, cell): lines[k] lists axis[rows[k]], axis[cols[k]] and
     the cell text cell(k), which ``parse`` reads as values[k] (NaN where it raises ValueError).
 
-    A table with the exact header, rows, no blank row, no '"' and valid codes is read in
-    one C pass, if np.loadtxt takes every cell (it refuses some that float() reads, such
-    as '1_000'); any other goes through :func:`_table`, which reports every error.
+    A table with the exact header, rows, no blank row, no '"' or NUL, and every code cell
+    exactly one of ``codes`` (stripped, not blank and without '->', as the loaders hold
+    them) in ASCII is read in one C pass, on the sorted ``codes`` as its axis, if np.loadtxt
+    takes every cell (it refuses some that float() reads, such as '1_000'); any other goes
+    through :func:`_table`, which reports every error.
     """
     header = ["origin", "dest", value]
+    axis = sorted({*codes})
     try:
         text = path.read_text(encoding="utf-8")  # CRLF and lone CR read as "\n", as np.loadtxt
         n = text.count("\n") - text.endswith("\n")  # the lines after the header
-        if not text.startswith(",".join(header) + "\n") or '"' in text or "\n\n" in text or n < 1:
+        if (not text.startswith(",".join(header) + "\n") or '"' in text or "\n\n" in text or n < 1
+                or "\0" in text or "\0" in "".join(axis)):  # a bytes cell drops trailing NULs
             raise ValueError("not a clean table")
         del text
-        table = np.loadtxt(path, dtype=[("origin", object), ("dest", object), (value, float)],
+        known = np.array(axis, dtype=f"S{max(map(len, axis))}")  # raises if none, or not ASCII
+        code = f"S{known.itemsize + 1}"  # a longer cell is cut to this, longer than any code
+        table = np.loadtxt(path, dtype=[("origin", code), ("dest", code), (value, float)],
                            delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8")
-        origins, dests = table["origin"].tolist(), table["dest"].tolist()
-        cells_of_codes = {*origins, *dests}
-        if len(table) != n or any(not c.strip() or "->" in c for c in cells_of_codes):
-            raise ValueError("a skipped row or a bad code")
-        lines, values = range(2, n + 2), table[value].copy()  # not a view holding the codes
+        code_cells = np.stack([table["origin"], table["dest"]])
+        found = np.searchsorted(known, code_cells)  # where each cell is, if it is a known code
+        if len(table) != n or (known.take(found, mode="clip") != code_cells).any():
+            raise ValueError("a skipped row or a cell that is not exactly a known code")
 
         def cell(k: int) -> str:  # with no quotes, the text after the second comma is csv's cell
             return path.read_text(encoding="utf-8").split("\n")[k + 1].split(",")[2]
+        return axis, range(2, n + 2), *found, table[value].copy(), cell
     except (OSError, ValueError):  # the row reader raises the error, if there is one
         lines, (origins, dests, cells) = _table(path, header)
-        values, cell = parse_floats(cells, parse), cells.__getitem__
-        cells_of_codes = {*origins, *dests}
-    axis = sorted({*codes, *map(str.strip, cells_of_codes)})  # with the table's own codes
+    cells_of_codes = {*origins, *dests}
+    axis = sorted({*axis, *map(str.strip, cells_of_codes)})  # with the table's own codes
     index = {c: k for k, c in enumerate(axis)}
     at = {c: index[c.strip()] for c in cells_of_codes}  # each distinct cell stripped once
     rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
                   for column in (origins, dests))
-    return axis, lines, rows, cols, values, cell
+    return axis, lines, rows, cols, parse_floats(cells, parse), cells.__getitem__
 
 
 def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.ndarray,

@@ -6,6 +6,7 @@ import shutil
 import statistics
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +349,11 @@ PAIR_VALUES = st.tuples(PAD, st.one_of(
     st.from_regex(r"[0-9]{1,20}(\.[0-9]{0,20})?(e-?[0-9]{1,3})?", fullmatch=True),
     st.sampled_from(["inf", "-inf", "nan", "-0", "0", "-3", "1e400", "1e100", "1e-170"])),
     PAD).map("".join)
-ODD_CODES = st.sampled_from(['"CCC"', '"A,B"', "", "  ", "A->B", " B->C "])
+# the last five are near misses of AAA that no bytes cell may match: one byte longer,
+# longer than the C pass's field and so cut to it, a prefix, not ASCII, and with a NUL,
+# which a bytes field drops
+ODD_CODES = st.sampled_from(['"CCC"', '"A,B"', "", "  ", "A->B", " B->C ", "AAAA",
+                             "AAAAAAAAAAAA", "AA", "ÅAA", "AAA\x00"])
 ODD_VALUES = st.sampled_from(["blocked", " Blocked ", "1_000", "٣", "#", "", '"7"', '"nan"'])
 ODD_ROWS = st.sampled_from(["", "", "   ", ",,", " , , ", "AAA,BBB", "AAA,BBB,1,2",
                             "AAA,CCC,1\x0c2"])
@@ -371,19 +376,19 @@ PAIR_CODE_AXIS = ["AAA", "BBB", "CCC"]
 
 
 # each pair-table loader on a file, and what it returns in plain values
-def _barriers(path: Path):
-    b = dataset._load_barriers(path, {"AAA": 1.0, "BBB": 2.0}, {"BBB", "CCC"})
+def _barriers(path: Path, supply=("AAA", "BBB"), targets=("BBB", "CCC")):
+    b = dataset._load_barriers(path, dict(zip(supply, (1.0, 2.0))), set(targets))
     return b.codes, b.cost.tobytes(), b.listed.tobytes()
 
 
-def _raw_pairs(path: Path):
-    lines, rows, cols, values, cell = dataset._raw_pairs(path, PAIR_CODE_AXIS)
+def _raw_pairs(path: Path, axis=PAIR_CODE_AXIS):
+    lines, rows, cols, values, cell = dataset._raw_pairs(path, axis)
     return (list(lines), rows.tobytes(), cols.tobytes(), values.tobytes(),
             [cell(k) for k in range(len(rows))])
 
 
-def _distances(path: Path):
-    return dataset._load_distances(path, PAIR_CODE_AXIS).tobytes()
+def _distances(path: Path, axis=PAIR_CODE_AXIS):
+    return dataset._load_distances(path, axis).tobytes()
 
 
 PAIR_LOADERS = [("barriers.csv", "cost", _barriers), ("migration.csv", "value", _raw_pairs),
@@ -420,6 +425,9 @@ def _refuse(*args, **kwargs):
          last=True)
 @example(header="origin,dest,{}", rows=["AAA,BBB,1", "BBB,CCC, nan "], endings=["\n"] * 12,
          last=True)
+@example(header="origin,dest,{}", rows=["AAA\x00,BBB,1"], endings=["\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=["AAA,BBBB,1"], endings=["\n"] * 12, last=True)
+@example(header="origin,dest,{}", rows=["AA,CCC,1"], endings=["\n"] * 12, last=True)
 @settings(max_examples=300, deadline=None)
 def test_c_pass_reads_as_the_row_reader(header, rows, endings, last):
     """Every pair table loads to the same arrays with the C pass as with only the row reader,
@@ -430,23 +438,52 @@ def test_c_pass_reads_as_the_row_reader(header, rows, endings, last):
             path = Path(tmp) / name
             with path.open("w", encoding="utf-8", newline="") as f:
                 f.write("".join(map("".join, zip([header.format(value), *rows], ends))))
-            fast = _outcome(load, path)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dataset.np, "loadtxt", _refuse)
-                assert _outcome(load, path) == fast
+            _assert_c_pass_agrees(load, path)
 
 
-def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch):
+def _assert_c_pass_agrees(load, path: Path) -> None:
+    fast = _outcome(load, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset.np, "loadtxt", _refuse)
+        assert _outcome(load, path) == fast
+
+
+@pytest.mark.parametrize("known, row", [(["ÅAA", "BBB"], "ÅAA,BBB,1"), ([], "AAA,BBB,1"),
+                                        (["AAA\x00", "BBB"], "AAA,BBB,1")],
+                         ids=["not-ascii", "empty", "nul"])
+def test_c_pass_reads_as_the_row_reader_on_odd_known_codes(tmp_path, known, row):
+    """Known codes that no bytes cell can match exactly: each table loads, or fails, as the
+    row reader has it.  For barriers.csv the first code is the supply, the rest targets."""
+    loaders = [partial(_barriers, supply=known[:1], targets=known[1:]),
+               partial(_raw_pairs, axis=known), partial(_distances, axis=known)]
+    for (name, value, _), load in zip(PAIR_LOADERS, loaders):
+        _assert_c_pass_agrees(load, write(tmp_path, name, f"origin,dest,{value}\n{row}\n"))
+
+
+def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
     """The bundled pair tables, CRLF and clean, are each read by the C pass alone: the row
-    reader reads only countries.csv and the three vector tables."""
+    reader reads only countries.csv and the three vector tables.  So is a barriers.csv with
+    5-character codes, inf costs and no domestic pair, as large synthetic datasets have."""
+    sources, targets = ["S0000", "S0001"], ["T0000", "T0001", "T0002"]
+    write(tmp_path, "supply.csv", "code,supply\n" + "".join(f"{c},5.0\n" for c in sources))
+    write(tmp_path, "interception.csv", "code,cost\n" + "".join(f"{c},1.5\n" for c in targets))
+    write(tmp_path, "yield.csv", "code,yield\n" + "".join(f"{c},-2.0\n" for c in targets))
+    write(tmp_path, "barriers.csv", "origin,dest,cost\n" + "".join(
+        f"{s},{t},{'inf' if (i + j) % 2 else repr(0.25 * (i + j))}\n"
+        for i, s in enumerate(sources) for j, t in enumerate(targets)))
     headers = []
     table = dataset._table
     monkeypatch.setattr(dataset, "_table", lambda path, header: headers.append(header[0])
                         or table(path, header))
     load_bundle(bundled_data_dir())
     load_pre_estimated(bundled_data_dir() / "pre_estimated")
-    assert headers == ["code"] * 4
+    synthetic = load_pre_estimated(tmp_path)
+    assert headers == ["code"] * 7
     assert b"\r\n" in (bundled_data_dir() / "pre_estimated" / "barriers.csv").read_bytes()
+    assert dict(synthetic.T.items()) == {
+        **{(s, s): 0.0 for s in sources},
+        **{(s, t): BLOCKED if (i + j) % 2 else 0.25 * (i + j)
+           for i, s in enumerate(sources) for j, t in enumerate(targets)}}
 
 
 class TestValidation:

@@ -10,10 +10,11 @@ each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, with a fortress-USA spec file beside it, and a
 ``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate``, ``estimate``
 and ``solve --mode estimate`` also run on bundle copies with one raw-table
-edit each (``BUNDLE_EDITS``): seven break a rule (a negative ``muslim_pop``, a
+edit each (``BUNDLE_EDITS``): eight break a rule (a negative ``muslim_pop``, a
 reverse distance with another value, a zero distance, an unknown code in
 ``migration.csv``, a migration pair with no distance, a negative migration, a
-``sec_fraction`` of 1e307, above 1), one passes the rules but leaves a source
+``sec_fraction`` of 1e307, above 1, and a migration origin ``ÅFG``, which is
+not ASCII), one passes the rules but leaves a source
 that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
 and seven are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
 of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
@@ -21,13 +22,15 @@ gets its region's survey means; a migration of ``1_000``, which ``np.loadtxt``
 refuses, so the table goes through the row reader; an AFG,AUS migration of
 1e-305 and an AFG population of 1e200, whose raw barriers overflow to inf and
 so are blocked).  ``solve``, ``scenario
-homegrown`` and ``validate`` run on seven bundle copies with one
+homegrown`` and ``validate`` run on ten bundle copies with one
 ``pre_estimated/barriers.csv`` edit each (``PRE_ESTIMATED_EDITS``).  Two are of
 the loader's domestic rule: the ``FRA,FRA`` row given cost 5, which loads as
 0.0, and the ``USA,USA`` row deleted, so the USA's domestic pair defaults to
-0.0.  Two are valid but only the row reader reads them: a ``blocked`` cost and
-an ``"AFG"`` origin in quotes.  Three fail: a ``nan`` cost, a negative cost
-and a repeated ``AFG,AUS`` pair.  ``scenario``
+0.0.  Three are valid but only the row reader reads them: a ``blocked`` cost,
+an ``"AFG"`` origin in quotes and an origin `` AFG`` padded with a space.  Five
+fail: a ``nan`` cost, a negative cost, a repeated ``AFG,AUS`` pair, an origin
+``AFG`` followed by a NUL, which a bytes cell drops, and an origin ``AFGX``,
+longer than any code.  ``scenario``
 with a spec file naming an unknown code, or giving a negative barrier, takes
 an error path too; four commands get a flag they do not take, and one gets
 ``--weights r,s,o``, each a usage error.  The other error paths: a ``--q`` of
@@ -118,13 +121,16 @@ BUNDLE_EDITS = {
     # raw barriers that overflow to inf, blocked as any raw barrier >= 1e100 is
     "tiny-migration": ("migration.csv", "AFG,AUS,", 2, "1e-305"),
     "huge-population": ("countries.csv", "AFG,", 3, "1e200"),
+    # a code that is not ASCII, so no bytes cell of the C pass matches it: the row reader fails
+    "non-ascii-migration-origin": ("migration.csv", "AFG,AUS,", 0, "ÅFG"),
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
 # bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS: a domestic row loads as 0.0
 # whatever cost it gives, and a supply code's domestic pair with no row costs 0.0; a blocked
-# cell and a quoted origin are valid, and only the row reader reads them; a NaN cost, a
-# negative cost and a repeated pair each fail
+# cell, a quoted origin and a padded one are valid, and only the row reader reads them; a NaN
+# cost, a negative cost, a repeated pair, an origin AFG with a NUL after it, which a bytes cell
+# drops, and an origin longer than any code each fail
 PRE_ESTIMATED_EDITS = {
     "domestic-cost-5": ("pre_estimated/barriers.csv", "FRA,FRA,", 2, "5"),
     "domestic-row-deleted": ("pre_estimated/barriers.csv", "USA,USA,", 0, None),
@@ -133,6 +139,9 @@ PRE_ESTIMATED_EDITS = {
     "nan-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "nan"),
     "negative-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "-1"),
     "repeated-pair": ("pre_estimated/barriers.csv", None, 0, "AFG,AUS,0.5"),
+    "padded-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, " AFG"),
+    "nul-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFG\x00"),
+    "long-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFGX"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
 
