@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -66,6 +68,9 @@ class DataBundle:
 
 # cells per block of the table reader and of write_cells: bounds their memory, not what they do
 BLOCK_CELLS = 4096
+
+# bound at import: write_cells' forked child leaves by it even where a caller patches os._exit
+_exit = os._exit
 
 
 def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
@@ -415,6 +420,20 @@ def _write_lines(f, rows: Iterable) -> None:
     f.write("\r\n")
 
 
+def _cut(blocks: list[tuple[int, int]], n_cells: int) -> int:
+    """Where :func:`write_cells` hands ``blocks[cut:]`` to a second process: at the block
+    starting nearest the middle row, so each process formats about half the cells.
+
+    ``len(blocks)``, no split, below 4 * BLOCK_CELLS cells, where forking costs more than it
+    saves, or where this process may run on only one CPU (or cannot tell, off Linux).
+    """
+    cpus = getattr(os, "sched_getaffinity", None)
+    if n_cells < 4 * BLOCK_CELLS or len(blocks) < 2 or cpus is None or len(cpus(0)) < 2:
+        return len(blocks)
+    middle = blocks[-1][1] / 2
+    return min(range(1, len(blocks)), key=lambda k: abs(blocks[k][0] - middle))
+
+
 def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str | Path,
                 header: list[str], plot_path: str | Path | None = None,
                 json_file: tuple[str | Path, dict, str] | None = None) -> None:
@@ -431,10 +450,18 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
       with ``doc[key]`` the object mapping "row->col" to the value.  Its keys
       sort as the row's "code->" and then the column code, which is the sorted
       order whenever no code contains "->".
+
+    A large table is formatted on two CPUs (see :func:`_cut`): a forked child
+    writes the second half of the blocks to unlinked temporary files beside
+    the outputs, which are appended once both halves are done.  The files are
+    byte for byte those of one process, and an error in either process is raised
+    only after the child is reaped.
     """
     row_csv = np.array([_csv_cell(c) for c in rows], dtype=object)
     col_csv = np.array([_csv_cell(c) for c in cols], dtype=object)
     key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
+    blocks = list(_row_blocks(len(cols), key_order))
+    cut = _cut(blocks, values.size)
     with ExitStack() as stack:
         def open_csv(p: str | Path, head: list[str]):
             f = stack.enter_context(Path(p).open("w", newline="", encoding="utf-8"))
@@ -455,25 +482,70 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
             rank = np.argsort(key_order)  # each row's place in the key order
             row_key = np.array([f"    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
             col_key = np.array([f"{json.dumps(c)[1:]}: " for c in cols], dtype=object)
-        wrote = False
-        for start, end in _row_blocks(len(cols), key_order):
-            block = values[start:end]
-            r, c = np.nonzero(block)
-            if not r.size:
-                continue
-            v = block[r, c]
-            r += start
-            text = list(map(repr, v.tolist()))
-            cells = (row_csv[r], col_csv[c], text)
-            _write_lines(out, zip(*cells))
-            if plot:
-                _write_lines(plot, zip(*cells, map(repr, (v / peak).tolist())))
-            if js:
-                k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
-                js.write(",\n" if wrote else "\n")
-                js.write(",\n".join(map("".join, zip(row_key[r[k]], col_key[c[k]],
-                                                      map(text.__getitem__, k.tolist())))))
-            wrote = True
+
+        def write_run(run: list[tuple[int, int]], out, plot, js) -> bool:
+            """The cells of the row blocks ``run``, into the files given; whether there were any.
+            A JSON run starts with the newline before its first cell and ends with no comma."""
+            wrote = False
+            for start, end in run:
+                block = values[start:end]
+                r, c = np.nonzero(block)
+                if not r.size:
+                    continue
+                v = block[r, c]
+                r += start
+                text = list(map(repr, v.tolist()))
+                cells = (row_csv[r], col_csv[c], text)
+                _write_lines(out, zip(*cells))
+                if plot:
+                    _write_lines(plot, zip(*cells, map(repr, (v / peak).tolist())))
+                if js:
+                    k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
+                    js.write(",\n" if wrote else "\n")
+                    js.write(",\n".join(map("".join, zip(row_key[r[k]], col_key[c[k]],
+                                                          map(text.__getitem__, k.tolist())))))
+                wrote = True
+            return wrote
+
+        files = (out, plot, js)
+        if cut == len(blocks):
+            wrote = write_run(blocks, *files)
+        else:
+            import shutil
+            import tempfile
+            spill = [stack.enter_context(tempfile.TemporaryFile(dir=Path(f.name).parent))
+                     if f else None for f in files]
+            pid = os.fork()
+            if pid == 0:  # the child: leaves by _exit, never closing or flushing the outputs
+                code = 1
+                try:
+                    texts = [io.TextIOWrapper(f, encoding="utf-8", newline="") if f else None
+                             for f in spill]
+                    write_run(blocks[cut:], *texts)
+                    for f in filter(None, texts):
+                        f.flush()
+                    code = 0
+                except BaseException:
+                    import traceback
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    _exit(code)
+            try:
+                wrote = write_run(blocks[:cut], *files)
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status:
+                raise OSError(f"the process writing the second half of {path} ended with "
+                              f"exit code {os.waitstatus_to_exitcode(status)}")
+            more = spill[0].seek(0, os.SEEK_END) > 0  # whether the child wrote any cell
+            if js and wrote and more:
+                js.write(",")
+            for f, part in zip(files, spill):
+                if f:
+                    f.flush()
+                    part.seek(0)
+                    shutil.copyfileobj(part, f.buffer)
+            wrote = wrote or more
         if js:
             js.write(("\n  }" if wrote else "}") + tail + "\n")
-

@@ -10,13 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tnrisk import cli, solve
+from tnrisk import cli, dataset, solve
 from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
-from conftest import bundle_copy, cell_dict, child_env, fortress
+from conftest import (assert_no_child, bundle_copy, cell_dict, child_env, counting_forks,
+                      fortress, synthetic_data)
 
 
 def run(*argv: str) -> int:
@@ -744,6 +746,92 @@ def test_run_lets_a_crash_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "_exit", lambda c: pytest.fail(f"os._exit({c}) after a crash"))
     with pytest.raises(RuntimeError, match="unexpected"):
         cli.run(["validate", "--out", str(tmp_path / "out")])
+
+
+@pytest.fixture(scope="module")
+def large_data(tmp_path_factory) -> Path:
+    """Pre-estimated tables whose 150 x 120 matrix crosses write_cells' split threshold."""
+    assert 150 * 120 >= 4 * dataset.BLOCK_CELLS
+    return synthetic_data(tmp_path_factory.mktemp("large"), 150, 120)
+
+
+def test_forked_writer_never_runs_a_patched_exit(large_data, tmp_path, monkeypatch, two_cpus):
+    """write_cells' child leaves by the os._exit bound at import.  A child reaching a patched
+    one would run on in the test process; here it would fail the write with exit code 97."""
+    parent, real_exit = os.getpid(), os._exit
+    exits = []
+
+    def record(code):
+        if os.getpid() != parent:
+            real_exit(97)
+        exits.append(code)
+
+    monkeypatch.setattr(os, "_exit", record)
+    argv = ["solve", "--data", str(large_data), "--abandon", "-30", "--out"]
+    with counting_forks() as forks:
+        cli.run([*argv, str(tmp_path / "split")])
+    assert (exits, len(forks)) == ([0], 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cli.run([*argv, str(tmp_path / "serial")])
+    assert exits == [0, 0]
+    names = sorted(path.name for path in (tmp_path / "serial").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "split").iterdir())
+    for name in names:
+        assert ((tmp_path / "split" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes()), name
+
+
+def test_failed_writer_child_exit_2(large_data, tmp_path, capfd, monkeypatch, two_cpus):
+    """A forked writer that fails prints its traceback; main prints one error: line naming its
+    exit code and exits 2, with no child or temporary file left."""
+    parent = os.getpid()
+    write_lines = dataset._write_lines
+
+    def failing(f, rows):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        write_lines(f, rows)
+
+    monkeypatch.setattr(dataset, "_write_lines", failing)
+    out = tmp_path / "out"
+    assert run("solve", "--data", str(large_data), "--out", str(out)) == 2
+    err = capfd.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: the process writing the second half of {out / 'attack_matrix.csv'} ended "
+        "with exit code 1"]
+    assert "RuntimeError: formatting failed" in err
+    assert_no_child()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "attack_matrix.csv", "attack_matrix.json", "plot_data.csv"]
+
+
+def test_solve_across_cpu_dispatch_within_4_ulp(tmp_path):
+    """README "Outputs": with numpy's AVX-512 kernels switched off, bundle solve lists the same
+    cells in every CSV, each value within 4 ulp.  Where the CPU has no AVX-512, or numpy does
+    not know a name, the variable changes nothing."""
+    outs = []
+    for name, env in [("native", {}),
+                      ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})]:
+        outs.append(tmp_path / name)
+        done = subprocess.run([sys.executable, "-m", "tnrisk.cli", "solve", "--abandon", "-20",
+                               "--out", str(outs[-1])], env={**child_env(), **env},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    names = sorted(path.name for path in outs[0].glob("*.csv"))
+    assert names == sorted(path.name for path in outs[1].glob("*.csv"))
+    assert len(names) == 4
+    for name in names:
+        native, other = ((outs[k] / name).read_text(encoding="utf-8").splitlines() for k in (0, 1))
+        assert len(native) == len(other), name
+        for a, b in zip(native, other):
+            assert a.count(",") == b.count(","), name
+            for x, y in zip(a.split(","), b.split(",")):
+                try:
+                    x, y = float(x), float(y)
+                except ValueError:  # a code or a header cell
+                    assert x == y, (name, a, b)
+                else:
+                    assert abs(x - y) <= 4 * np.spacing(max(abs(x), abs(y))), (name, a, b)
 
 
 @pytest.mark.parametrize("unbuffered, code, err", [
