@@ -30,8 +30,7 @@ from .errors import (
     ModelError,
     NegativeValue,
 )
-from .params import (BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_floats,
-                     parse_number)
+from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_number
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
@@ -193,10 +192,21 @@ def load_country_table(path: str | Path) -> CountryTable:
                         is_target=columns[:, 8] == 1)
 
 
-def _pair_table(path: Path, value: str, codes: Iterable[str], parse=float) -> tuple[
+def _value(cell: str) -> float:
+    """A pair-table value cell: float(cell), else as parse_cost reads it ('blocked'), else NaN."""
+    try:
+        return float(cell)
+    except ValueError:
+        try:
+            return parse_cost(cell)
+        except ValueError:
+            return np.nan
+
+
+def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
         list[str], Sequence[int], np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
     """(axis, lines, rows, cols, values, cell): lines[k] lists axis[rows[k]], axis[cols[k]] and
-    the cell text cell(k), which ``parse`` reads as values[k] (NaN where it raises ValueError).
+    the cell text cell(k), which either path reads as :func:`_value` does, into values[k].
 
     A table with the exact header, rows, no blank row, no '"' or NUL, and every code cell
     exactly one of ``codes`` (stripped, not blank and without '->', as the loaders hold
@@ -233,7 +243,11 @@ def _pair_table(path: Path, value: str, codes: Iterable[str], parse=float) -> tu
     at = {c: index[c.strip()] for c in cells_of_codes}  # each distinct cell stripped once
     rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
                   for column in (origins, dests))
-    return axis, lines, rows, cols, parse_floats(cells, parse), cells.__getitem__
+    try:
+        values = np.array(cells, dtype=float)  # each cell as float() reads it
+    except ValueError:  # a word such as 'blocked', or bad text: cell by cell
+        values = np.array(list(map(_value, cells)))
+    return axis, lines, rows, cols, values, cells.__getitem__
 
 
 def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.ndarray,
@@ -312,8 +326,7 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
     for the first check it fails in the order origin, destination, cost, sign;
     a pair listed twice is reported after these.
     """
-    codes, lines, rows, cols, values, cell = _pair_table(path, "cost", {*supply, *targets},
-                                                         parse_cost)
+    codes, lines, rows, cols, values, cell = _pair_table(path, "cost", {*supply, *targets})
     in_supply = np.array([c in supply for c in codes], dtype=bool)
     in_targets = np.array([c in targets for c in codes], dtype=bool)
     values[is_blocked(values)] = BLOCKED  # as parse_cost folds them

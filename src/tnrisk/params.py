@@ -39,21 +39,6 @@ def parse_cost(v, name: str = "cost", sign: int = 0) -> float:
     return BLOCKED if value >= _BLOCKED_FLOOR else value
 
 
-def parse_floats(cells, parse=float) -> np.ndarray:
-    """Cells as ``parse`` reads each one, with NaN where it raises ValueError."""
-    try:
-        return np.array(cells, dtype=float)  # parses each cell as float() does
-    except ValueError:  # a word such as 'blocked', or bad text: cell by cell
-        return np.array([_or_nan(parse, c) for c in cells], dtype=float)
-
-
-def _or_nan(parse, cell) -> float:
-    try:
-        return parse(cell)
-    except ValueError:
-        return math.nan
-
-
 def cost_out(value: float) -> float | str:
     """A cost as written to a file or metadata: 'inf' when blocked."""
     return "inf" if is_blocked(value) else value

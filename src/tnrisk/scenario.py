@@ -148,15 +148,16 @@ def build_network(params: ModelParams) -> RouteNetwork:
                   for codes in (sources, targets))
     barrier = params.T.cost[np.ix_(rows, cols)]
     attack = np.array([params.I[j] + params.Y[j] for j in targets])
-    # a NaN makes a logit row NaN, as does an inf supply; a NaN supply drops out of the sources
+    supply = np.array([params.S[i] for i in sources], dtype=float)
+    # a NaN makes a logit row NaN, as does an inf supply; a NaN supply drops out of the sources;
+    # the sources' total bounds every attack total, so it must not overflow
     if (np.isnan(barrier).any() or np.isnan(attack).any() or math.isnan(params.A)
-            or not np.isfinite(list(params.S.values())).all()):
-        raise ModelError("NaN in the barriers, interception, yield or abandon yield, "
-                         "or a supply that is NaN or infinite")
+            or not np.isfinite([*params.S.values(), sum(supply.tolist())]).all()):
+        raise ModelError("NaN in the barriers, interception, yield or abandon yield, a supply "
+                         "that is NaN or infinite, or supplies whose sum overflows")
     routes = np.where(is_blocked(barrier) | is_blocked(attack), BLOCKED, barrier + attack)
     abandon = BLOCKED if is_blocked(params.A) else params.A
-    return RouteNetwork(sources=sources, targets=targets,
-                        supply=np.array([params.S[i] for i in sources], dtype=float),
+    return RouteNetwork(sources=sources, targets=targets, supply=supply,
                         cost=np.column_stack([routes, np.full(len(sources), abandon)]))
 
 
@@ -174,7 +175,8 @@ def _route_weights(cost: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray
     # blocked routes are dropped before scaling: 0 * inf is NaN at lam = 0
     route = np.isfinite(gap)
     weight = np.zeros_like(gap)
-    weight[route] = np.exp(-lam * gap[route])
+    with np.errstate(over="ignore"):  # a huge lam * gap overflows to inf: exp(-inf) is 0, its limit
+        weight[route] = np.exp(-lam * gap[route])
     return best, weight, live
 
 

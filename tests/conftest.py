@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# the benchmark's modules (bench/synth.py's tables, bench/closed_form.py) import as top-level
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tnrisk
 from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
@@ -187,26 +191,6 @@ def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None])
                 lines[k] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
     return data
-
-
-def synthetic_data(directory: Path, n_sources: int, n_targets: int, seed: int = 1) -> Path:
-    """``directory`` holding seeded pre-estimated tables in ``bench/synth.py``'s shape: disjoint
-    5-character codes, costs drawn as :func:`random_params` draws them, 30 % of pairs blocked."""
-    rng = np.random.default_rng(seed)
-    sources = [f"S{k:04d}" for k in range(n_sources)]
-    targets = [f"T{k:04d}" for k in range(n_targets)]
-    pre = directory / "pre_estimated"
-    pre.mkdir(parents=True)
-    for name, value, codes, low, high in [("supply.csv", "supply", sources, 1.0, 1000.0),
-                                          ("interception.csv", "cost", targets, 0.0, 5.0),
-                                          ("yield.csv", "yield", targets, -60.0, 0.0)]:
-        (pre / name).write_text(f"code,{value}\n" + "".join(
-            f"{c},{v!r}\n" for c, v in zip(codes, rng.uniform(low, high, len(codes)).tolist())))
-    cost = np.where(rng.random((n_sources, n_targets)) < 0.3, np.inf,
-                    rng.uniform(0.0, 10.0, (n_sources, n_targets)))
-    (pre / "barriers.csv").write_text("origin,dest,cost\n" + "".join(
-        f"{s},{t},{v!r}\n" for s, row in zip(sources, cost.tolist()) for t, v in zip(targets, row)))
-    return directory
 
 
 def bundled_countries_with(directory: Path, *rows: str) -> CountryTable:

@@ -17,8 +17,9 @@ from tnrisk import cli, dataset, solve
 from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
+import synth
 from conftest import (assert_no_child, bundle_copy, cell_dict, child_env, counting_forks,
-                      fortress, synthetic_data)
+                      fortress)
 
 
 def run(*argv: str) -> int:
@@ -205,6 +206,22 @@ def test_unreadable_table_exit_1(tmp_path, capsys, tail, reason):
     assert run("validate", "--data", str(data), "--out", str(out)) == 1
     assert capsys.readouterr().err == err
     assert (out / "validation_report.txt").read_text() == err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["scenario", "fortress-USA"], ["sweep"]],
+                         ids=["solve", "scenario", "sweep"])
+def test_supplies_whose_sum_overflows_exit_1(tmp_path, capsys, command):
+    """Supplies of 1.5e308 are each finite, but their sum, which bounds every attack total, is
+    inf: each command is one error: line, with nothing written."""
+    data = bundle_copy(tmp_path)
+    supply = data / "pre_estimated" / "supply.csv"
+    codes = [line.split(",")[0] for line in supply.read_text().split()[1:]]
+    supply.write_text("code,supply\n" + "".join(f"{c},1.5e308\n" for c in codes))
+    out = tmp_path / "out"
+    assert run(*command, "--data", str(data), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sum overflows" in err
+    assert not out.exists()
 
 
 class TestSolve:
@@ -750,9 +767,12 @@ def test_run_lets_a_crash_propagate(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def large_data(tmp_path_factory) -> Path:
-    """Pre-estimated tables whose 150 x 120 matrix crosses write_cells' split threshold."""
+    """bench/synth.py's pre-estimated tables, whose 150 x 120 matrix crosses write_cells'
+    split threshold."""
     assert 150 * 120 >= 4 * dataset.BLOCK_CELLS
-    return synthetic_data(tmp_path_factory.mktemp("large"), 150, 120)
+    directory = tmp_path_factory.mktemp("large")
+    synth.generate(directory, 1, 150, 120)
+    return directory
 
 
 def test_forked_writer_never_runs_a_patched_exit(large_data, tmp_path, monkeypatch, two_cpus):

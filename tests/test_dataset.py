@@ -460,6 +460,18 @@ def test_c_pass_reads_as_the_row_reader_on_odd_known_codes(tmp_path, known, row)
         _assert_c_pass_agrees(load, write(tmp_path, name, f"origin,dest,{value}\n{row}\n"))
 
 
+@pytest.mark.parametrize("other, tail", [("", []), ("BBB,AAA,blocked\n", [np.inf]),
+                                         ("BBB,AAA,#\n", [np.nan]), ('"BBB",AAA,7\n', [7.0])],
+                         ids=["c-pass", "blocked", "bad-text", "quoted-code"])
+def test_pair_table_reads_each_value_cell_by_one_rule(tmp_path, other, tail):
+    """A value cell reads as float() reads it, whatever the table's other cells hold: on the C
+    pass, and on the row reader beside a 'blocked' cell (inf), bad text (NaN) or a quoted code."""
+    path = write(tmp_path, "barriers.csv",
+                 f"origin,dest,cost\nAAA,BBB,-inf\nAAA,CCC,1e200\nBBB,CCC,1000\n{other}")
+    values = dataset._pair_table(path, "cost", PAIR_CODE_AXIS)[4]
+    np.testing.assert_array_equal(values, [-np.inf, 1e200, 1000.0, *tail])
+
+
 def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
     """The bundled pair tables, CRLF and clean, are each read by the C pass alone: the row
     reader reads only countries.csv and the three vector tables.  So is a barriers.csv with

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import re
 import statistics
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,11 +30,9 @@ from tnrisk.estimation import (
 )
 from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
+import closed_form
 import estimation_oracle
 from conftest import bundle_copy, bundled_countries_with, raw_tables, same_table
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import closed_form  # noqa: E402
 
 
 finite_lists = st.lists(

@@ -365,7 +365,8 @@ class TestLambdaLimits:
         yield params_from_dicts(S={"A": 3.0}, T={("A", "X"): 1.0, ("A", "Z"): 2.0},
                                 I={"X": 0.5, "Z": 0.0}, Y={"X": -1.0, "Z": -2.5}, A=-0.5)
 
-    @pytest.mark.parametrize("lam", [0.0, 1e6])
+    # 1e308 scales a route's cost gap past the float range: its weight is exp(-inf), 0
+    @pytest.mark.parametrize("lam", [0.0, 1e6, 1e308])
     def test_limit_matches_oracle(self, pre_params, lam):
         for p in self.cases(pre_params):
             p.lam = lam

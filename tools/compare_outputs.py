@@ -7,44 +7,14 @@ Usage (from anywhere):
 OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
-bundled dataset, with a fortress-USA spec file beside it, and a
-``bench/synth.py`` dataset (seed 1, 400 x 200).  ``validate``, ``estimate``
-and ``solve --mode estimate`` also run on bundle copies with one raw-table
-edit each (``BUNDLE_EDITS``): eight break a rule (a negative ``muslim_pop``, a
-reverse distance with another value, a zero distance, an unknown code in
-``migration.csv``, a migration pair with no distance, a negative migration, a
-``sec_fraction`` of 1e307, above 1, and a migration origin ``ÅFG``, which is
-not ASCII), one passes the rules but leaves a source
-that imputation cannot fill (CHN unsurveyed, with no surveyed EastAsia peer)
-and seven are valid (a zero migration, which blocks its pair; a USA ``gdp_usd``
-of 1e150; a ``sec_fraction`` of -0, the signed zero; TUN unsurveyed, which
-gets its region's survey means; a migration of ``1_000``, which ``np.loadtxt``
-refuses, so the table goes through the row reader; an AFG,AUS migration of
-1e-305 and an AFG population of 1e200, whose raw barriers overflow to inf and
-so are blocked).  ``solve``, ``scenario
-homegrown`` and ``validate`` run on ten bundle copies with one
-``pre_estimated/barriers.csv`` edit each (``PRE_ESTIMATED_EDITS``).  Two are of
-the loader's domestic rule: the ``FRA,FRA`` row given cost 5, which loads as
-0.0, and the ``USA,USA`` row deleted, so the USA's domestic pair defaults to
-0.0.  Three are valid but only the row reader reads them: a ``blocked`` cost,
-an ``"AFG"`` origin in quotes and an origin `` AFG`` padded with a space.  Five
-fail: a ``nan`` cost, a negative cost, a repeated ``AFG,AUS`` pair, an origin
-``AFG`` followed by a NUL, which a bytes cell drops, and an origin ``AFGX``,
-longer than any code.  ``scenario``
-with a spec file naming an unknown code, or giving a negative barrier, takes
-an error path too; four commands get a flag they do not take, and one gets
-``--weights r,s,o``, each a usage error.  The other error paths: a ``--q`` of
-1e300, whose estimated supply overflows, under ``estimate`` and ``solve --mode
-estimate``; a sweep grid whose points round together; ``solve`` and
-``validate`` with an ``--out`` that is a file or under one; ``scenario`` given
-a directory as its spec; and ``solve`` and ``validate`` on a bundle copy whose
-``pre_estimated/supply.csv`` ends in a byte that is not UTF-8.  ``sweep`` on a
-copy whose supplies are all 0 finds no threshold.  The synthetic dataset gets
-``solve``, its spec ``scenario`` and ``sweep --step 0.5``.  For every
-command the script prints "identical" or "DIFFERENT" for the exit code,
-standard output, standard error and each file written.  Beside a differing
-CSV whose rows, columns and non-numeric cells match, it prints the largest
-relative difference of the numeric cells.
+bundled dataset, copies of it with one edit each, spec files beside them, and
+a ``bench/synth.py`` dataset (seed 1, 400 x 200).  The tables below list the
+commands and edits, each with the path it takes; ``main`` adds, each with its
+comment, a supply.csv that is not UTF-8, I/O errors and the synthetic runs.
+For every command the script prints "identical" or "DIFFERENT" for the exit
+code, standard output, standard error and each file written.  Beside a
+differing CSV whose rows, columns and non-numeric cells match, it prints the
+largest relative difference of the numeric cells.
 ``run_metadata.json`` is compared with its ``config.data`` path left out.
 Exits 1 if anything differs, else 0.
 """
@@ -67,11 +37,14 @@ import synth  # noqa: E402
 
 SYNTH_SHAPE = (1, 400, 200)  # seed, sources, targets
 
+# run on the bundle itself
 BUNDLE_COMMANDS = [
     ["solve"],
     ["solve", "--mode", "estimate"],
     ["solve", "--mode", "estimate", "--weights", "high", "--q", "0.004"],
     ["solve", "--abandon", "-20"],
+    # a lambda whose scaled cost gaps overflow: each weight is exp(-inf), the least-cost limit
+    ["solve", "--lambda", "1e308"],
     ["scenario", "fortress-USA"],
     ["scenario", "fortress-USA", "--format", "json"],
     ["scenario", "homegrown"],
@@ -96,12 +69,15 @@ BUNDLE_COMMANDS = [
 
 # spec files written into the work directory, run on the bundle as `scenario SPEC`
 SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]},
+         # an error path: a code the parameters do not have
          "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]},
+         # an error path: a barrier below 0
          "negative-barrier.json": {"barrier_overrides": [["*", "USA", -5]]}}
 
 # bundle copies, each with one edit to a raw table: (table, row prefix, cell, value); an
 # edit with no row prefix appends its value as a new row, and one with no value deletes the row
 BUNDLE_EDITS = {
+    # edits that break a rule
     "negative-muslim-pop": ("countries.csv", "AFG,", 6, "-2.81e+07"),
     "reverse-distance-differs": ("distance_km.csv", None, 0, "AUS,AFG,9999"),
     "zero-distance": ("distance_km.csv", "AFG,AUS,", 2, "0"),
@@ -109,6 +85,7 @@ BUNDLE_EDITS = {
     "migration-without-distance": ("distance_km.csv", "AFG,AUS,", 0, None),
     "negative-migration": ("migration.csv", "AFG,AUS,", 2, "-5"),
     "overflowing-security": ("countries.csv", "USA,", 5, "1e307"),  # a sec_fraction above 1
+    # valid, but imputation cannot fill CHN: no EastAsia peer is surveyed
     "lonely-unsurveyed-source": ("countries.csv", "CHN,", 8, ""),
     # valid edits: a blocked pair, a yield far below the others, the least security at -0,
     # and a source whose survey fractions are imputed from its 13 regional peers
@@ -126,24 +103,34 @@ BUNDLE_EDITS = {
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
-# bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS: a domestic row loads as 0.0
-# whatever cost it gives, and a supply code's domestic pair with no row costs 0.0; a blocked
-# cell, a quoted origin and a padded one are valid, and only the row reader reads them; a NaN
-# cost, a negative cost, a repeated pair, an origin AFG with a NUL after it, which a bytes cell
-# drops, and an origin longer than any code each fail
+# bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS
 PRE_ESTIMATED_EDITS = {
+    # a domestic row loads as 0.0 whatever cost it gives
     "domestic-cost-5": ("pre_estimated/barriers.csv", "FRA,FRA,", 2, "5"),
+    # a supply code's domestic pair with no row costs 0.0
     "domestic-row-deleted": ("pre_estimated/barriers.csv", "USA,USA,", 0, None),
+    # valid cells that only the row reader reads
     "blocked-cost": ("pre_estimated/barriers.csv", "AFG,AUS,", 2, "blocked"),
     "quoted-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, '"AFG"'),
+    "padded-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, " AFG"),
+    # each fails
     "nan-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "nan"),
     "negative-cost": ("pre_estimated/barriers.csv", "AFG,AUT,", 2, "-1"),
     "repeated-pair": ("pre_estimated/barriers.csv", None, 0, "AFG,AUS,0.5"),
-    "padded-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, " AFG"),
+    # an origin AFG with a NUL after it, which a bytes cell drops
     "nul-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFG\x00"),
+    # an origin longer than any code
     "long-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFGX"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
+
+# bundle copies whose supply.csv gives every code one value: (value, commands)
+SUPPLY_COPIES = {
+    # every supply 0: a sweep with no threshold, which writes its files and exits 1
+    "no-supply": ("0", [["sweep"]]),
+    # each supply finite, their sum inf: each command is an error before it writes anything
+    "huge-supply": ("1.5e308", [["solve"], ["scenario", "fortress-USA"], ["sweep"]]),
+}
 
 
 def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: int,
@@ -212,7 +199,7 @@ def _relative_difference(old: bytes, new: bytes) -> float | None:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        print("\n\n".join(__doc__.strip().split("\n\n")[1:3]), file=sys.stderr)
         return 2
     old_src, new_src = (Path(a).resolve() for a in argv)
     for src in (old_src, new_src):
@@ -237,19 +224,22 @@ def main(argv: list[str]) -> int:
                 copy = _edited_copy(bundle, work / name, *edit)
                 commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
                              for c in edited_commands]
+        # a supply.csv ending in a byte that is not UTF-8: an error naming the table
         not_utf8 = work / "not-utf8-supply"
         shutil.copytree(bundle, not_utf8)
         with (not_utf8 / "pre_estimated" / "supply.csv").open("ab") as f:
             f.write(b"\xff")
         commands += [(f"not-utf8-supply {c}", [c, "--data", str(not_utf8)])
                      for c in ("solve", "validate")]
-        # every supply 0: a sweep with no threshold, which writes its files and exits 1
-        no_supply = work / "no-supply"
-        shutil.copytree(bundle, no_supply)
-        supply = no_supply / "pre_estimated" / "supply.csv"
-        codes = [line.split(",")[0] for line in supply.read_text(encoding="utf-8").split()[1:]]
-        supply.write_text("code,supply\n" + "".join(f"{c},0\n" for c in codes), encoding="utf-8")
-        commands.append(("no-supply sweep", ["sweep", "--data", str(no_supply)]))
+        for name, (value, supply_commands) in SUPPLY_COPIES.items():
+            copy = work / name
+            shutil.copytree(bundle, copy)
+            supply = copy / "pre_estimated" / "supply.csv"
+            codes = [line.split(",")[0] for line in supply.read_text(encoding="utf-8").split()[1:]]
+            supply.write_text("code,supply\n" + "".join(f"{c},{value}\n" for c in codes),
+                              encoding="utf-8")
+            commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
+                         for c in supply_commands]
         # I/O errors: an --out that is a file or under one, and a spec that is a directory
         file = work / "file"
         file.write_text("", encoding="utf-8")
