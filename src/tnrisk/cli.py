@@ -110,9 +110,11 @@ def cmd_validate(args: argparse.Namespace) -> None:
     try:
         codes = set(dataset.load_bundle(args.data).codes)
         if pre_dir.is_dir():
-            unknown = set(dataset.load_pre_estimated(pre_dir).T.codes) - codes
+            params = dataset.load_pre_estimated(pre_dir)
+            unknown = set(params.T.codes) - codes
             if unknown:
                 raise CodeMismatch(f"pre_estimated:{min(unknown)} is not in countries.csv")
+            scn.build_network(params)  # the model check solve runs before it writes anything
     except ModelError as e:
         report.write_text(f"error: {e}\n", encoding="utf-8")
         raise

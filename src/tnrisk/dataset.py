@@ -449,7 +449,7 @@ def _cut(blocks: list[tuple[int, int]], n_cells: int) -> int:
 
 def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str | Path,
                 header: list[str], plot_path: str | Path | None = None,
-                json_file: tuple[str | Path, dict, str] | None = None) -> None:
+                json_file: tuple[str | Path, dict] | None = None) -> None:
     """Write each nonzero cell of ``values`` as a CSV row (row code, column code, value).
 
     Rows follow row-major order, which is sorted order when the codes are
@@ -459,22 +459,24 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
 
     - ``plot_path``: the same rows under the header (*header[:2], "value",
       "normalized"), where normalized is the value over the largest value;
-    - ``json_file`` = (path, doc, key): ``doc`` as :func:`write_json` writes it,
-      with ``doc[key]`` the object mapping "row->col" to the value.  Its keys
-      sort as the row's "code->" and then the column code, which is the sorted
-      order whenever no code contains "->".
+    - ``json_file`` = (path, doc): ``doc`` as :func:`write_json` writes it,
+      with the value column's name, ``header[2]``, keying the object that maps
+      "row->col" to the value.  Its keys sort as the row's "code->" and then
+      the column code, which is the sorted order whenever no code contains "->".
 
-    A large table is formatted on two CPUs (see :func:`_cut`): a forked child
-    writes the second half of the blocks to unlinked temporary files beside
-    the outputs, which are appended once both halves are done.  The files are
-    byte for byte those of one process, and an error in either process is raised
-    only after the child is reaped.
+    A block's text depends only on ``values`` (its JSON cells follow a comma
+    exactly when a row above it has a cell), so a large table is formatted on two
+    CPUs (see :func:`_cut`): a forked child writes the second half of the blocks
+    to unlinked temporary files beside the outputs, appended once both halves
+    are done.  The files are byte for byte those of one process, and an error in
+    either process is raised only after the child is reaped.
     """
     row_csv = np.array([_csv_cell(c) for c in rows], dtype=object)
     col_csv = np.array([_csv_cell(c) for c in cols], dtype=object)
     key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
     blocks = list(_row_blocks(len(cols), key_order))
     cut = _cut(blocks, values.size)
+    before = np.concatenate([[0], np.count_nonzero(values, axis=1).cumsum()])  # cells above a row
     with ExitStack() as stack:
         def open_csv(p: str | Path, head: list[str]):
             f = stack.enter_context(Path(p).open("w", newline="", encoding="utf-8"))
@@ -486,7 +488,7 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
         peak = values.max(initial=0.0)
         js = None
         if json_file:
-            json_path, doc, key = json_file
+            (json_path, doc), key = json_file, header[2]
             # only top-level keys follow a newline and two spaces: the marker is key's own line
             marker = f"\n  {json.dumps(key)}: {{}}"
             head, _, tail = json.dumps({**doc, key: {}}, indent=2, sort_keys=True).partition(marker)
@@ -496,10 +498,8 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
             row_key = np.array([f"    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
             col_key = np.array([f"{json.dumps(c)[1:]}: " for c in cols], dtype=object)
 
-        def write_run(run: list[tuple[int, int]], out, plot, js) -> bool:
-            """The cells of the row blocks ``run``, into the files given; whether there were any.
-            A JSON run starts with the newline before its first cell and ends with no comma."""
-            wrote = False
+        def write_run(run: list[tuple[int, int]], out, plot, js) -> None:
+            """The cells of the row blocks ``run``, into the files given."""
             for start, end in run:
                 block = values[start:end]
                 r, c = np.nonzero(block)
@@ -514,28 +514,24 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
                     _write_lines(plot, zip(*cells, map(repr, (v / peak).tolist())))
                 if js:
                     k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
-                    js.write(",\n" if wrote else "\n")
+                    js.write(",\n" if before[start] else "\n")
                     js.write(",\n".join(map("".join, zip(row_key[r[k]], col_key[c[k]],
                                                           map(text.__getitem__, k.tolist())))))
-                wrote = True
-            return wrote
 
         files = (out, plot, js)
         if cut == len(blocks):
-            wrote = write_run(blocks, *files)
+            write_run(blocks, *files)
         else:
             import shutil
             import tempfile
-            spill = [stack.enter_context(tempfile.TemporaryFile(dir=Path(f.name).parent))
-                     if f else None for f in files]
+            spill = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
+                     dir=Path(f.name).parent)) if f else None for f in files]
             pid = os.fork()
             if pid == 0:  # the child: leaves by _exit, never closing or flushing the outputs
                 code = 1
                 try:
-                    texts = [io.TextIOWrapper(f, encoding="utf-8", newline="") if f else None
-                             for f in spill]
-                    write_run(blocks[cut:], *texts)
-                    for f in filter(None, texts):
+                    write_run(blocks[cut:], *spill)
+                    for f in filter(None, spill):
                         f.flush()
                     code = 0
                 except BaseException:
@@ -545,20 +541,16 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
                 finally:
                     _exit(code)
             try:
-                wrote = write_run(blocks[:cut], *files)
+                write_run(blocks[:cut], *files)
             finally:
                 status = os.waitpid(pid, 0)[1]
             if status:
                 raise OSError(f"the process writing the second half of {path} ended with "
                               f"exit code {os.waitstatus_to_exitcode(status)}")
-            more = spill[0].seek(0, os.SEEK_END) > 0  # whether the child wrote any cell
-            if js and wrote and more:
-                js.write(",")
             for f, part in zip(files, spill):
                 if f:
                     f.flush()
                     part.seek(0)
-                    shutil.copyfileobj(part, f.buffer)
-            wrote = wrote or more
+                    shutil.copyfileobj(part.buffer, f.buffer)
         if js:
-            js.write(("\n  }" if wrote else "}") + tail + "\n")
+            js.write(("\n  }" if before[-1] else "}") + tail + "\n")

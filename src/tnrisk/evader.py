@@ -54,7 +54,7 @@ def write_matrix_csv(matrix: AttackMatrix, path: str | Path, json_path: str | Pa
             "target_totals": totals,
             "grand_total": grand,
             "total_supply": matrix.total_plots,
-        }, "expected_plots")
+        })
     write_cells(matrix.N, matrix.sources, matrix.targets, path,
                 ["source", "target", "expected_plots"], plot_path, json_file)
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-# the benchmark's modules (bench/synth.py's tables, bench/closed_form.py) import as top-level
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+# the benchmark's modules (bench/synth.py's tables, bench/closed_form.py) and
+# tools/compare_outputs.py (edit_table) import as top-level
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("bench", "tools")]
 
 import tnrisk
 from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
@@ -19,6 +20,8 @@ from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_dat
 from tnrisk.dataset import COUNTRY_HEADER
 from tnrisk.params import Barriers
 from tnrisk.scenario import ScenarioSpec, apply_scenario
+
+from compare_outputs import edit_table
 
 
 @pytest.fixture(scope="session")
@@ -169,27 +172,12 @@ def raw_tables(directory: Path, migration: str, distance: str,
 
 
 def bundle_copy(tmp_path: Path, *edits: tuple[str, str | None, int, str | None]) -> Path:
-    """A copy of the bundled data with edits (file, row prefix, cell, value) made in order.
-
-    An edit with no row prefix appends its value as a new line; one with no
-    value deletes the row.
-    """
+    """A copy of the bundled data with edits (file, row prefix, cell, value) made in order,
+    each as :func:`compare_outputs.edit_table` makes it."""
     data = tmp_path / "data"
     shutil.copytree(bundled_data_dir(), data)
-    for name, row, cell, value in edits:
-        path = data / name
-        lines = path.read_text().splitlines()
-        if row is None:
-            lines.append(value)
-        else:
-            k = next(k for k, ln in enumerate(lines) if ln.startswith(row))
-            if value is None:
-                del lines[k]
-            else:
-                cells = lines[k].split(",")
-                cells[cell] = value
-                lines[k] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+    for name, *edit in edits:
+        edit_table(data / name, *edit)
     return data
 
 

@@ -212,7 +212,7 @@ def test_unreadable_table_exit_1(tmp_path, capsys, tail, reason):
                          ids=["solve", "scenario", "sweep"])
 def test_supplies_whose_sum_overflows_exit_1(tmp_path, capsys, command):
     """Supplies of 1.5e308 are each finite, but their sum, which bounds every attack total, is
-    inf: each command is one error: line, with nothing written."""
+    inf: each command is one error: line, with nothing written, and validate refuses them too."""
     data = bundle_copy(tmp_path)
     supply = data / "pre_estimated" / "supply.csv"
     codes = [line.split(",")[0] for line in supply.read_text().split()[1:]]
@@ -222,6 +222,9 @@ def test_supplies_whose_sum_overflows_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "sum overflows" in err
     assert not out.exists()
+    assert run("validate", "--data", str(data), "--out", str(out)) == 1
+    assert capsys.readouterr().err == err
+    assert (out / "validation_report.txt").read_text() == err
 
 
 class TestSolve:

@@ -129,14 +129,14 @@ SUPPLY_COPIES = {
     # every supply 0: a sweep with no threshold, which writes its files and exits 1
     "no-supply": ("0", [["sweep"]]),
     # each supply finite, their sum inf: each command is an error before it writes anything
-    "huge-supply": ("1.5e308", [["solve"], ["scenario", "fortress-USA"], ["sweep"]]),
+    "huge-supply": ("1.5e308", [["solve"], ["scenario", "fortress-USA"], ["sweep"], ["validate"]]),
 }
 
 
-def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: int,
-                 value: str | None) -> Path:
-    shutil.copytree(bundle, copy)
-    path = copy / table
+def edit_table(path: Path, row: str | None, cell: int, value: str | None) -> None:
+    """Set cell ``cell`` of the line starting with ``row`` to ``value``, the table read and
+    written as UTF-8; with no row prefix, append ``value`` as a new line, and with no value,
+    delete the line."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if row is None:
         lines.append(value)
@@ -149,7 +149,6 @@ def _edited_copy(bundle: Path, copy: Path, table: str, row: str | None, cell: in
             cells[cell] = value
             lines[k] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return copy
 
 
 def _run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
@@ -220,8 +219,10 @@ def main(argv: list[str]) -> int:
                      for name in SPECS]
         for edits, edited_commands in ((BUNDLE_EDITS, EDITED_BUNDLE_COMMANDS),
                                        (PRE_ESTIMATED_EDITS, PRE_ESTIMATED_COMMANDS)):
-            for name, edit in edits.items():
-                copy = _edited_copy(bundle, work / name, *edit)
+            for name, (table, *edit) in edits.items():
+                copy = work / name
+                shutil.copytree(bundle, copy)
+                edit_table(copy / table, *edit)
                 commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
                              for c in edited_commands]
         # a supply.csv ending in a byte that is not UTF-8: an error naming the table
