@@ -9,6 +9,7 @@ from .params import (
     BLOCKED,
     DEFAULT_LAMBDA,
     DEFAULT_Q,
+    ModelError,
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,

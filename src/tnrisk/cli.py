@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import dataset, evader, scenario as scn
-from .errors import CodeMismatch, ModelError, UnknownCode
-from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, SupportWeights, cost_out,
-                     parse_cost, parse_number)
+from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, ModelError, SupportWeights,
+                     cost_out, parse_cost, parse_number)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -113,7 +112,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
             params = dataset.load_pre_estimated(pre_dir)
             unknown = set(params.T.codes) - codes
             if unknown:
-                raise CodeMismatch(f"pre_estimated:{min(unknown)} is not in countries.csv")
+                raise ModelError(f"pre_estimated:{min(unknown)} is not in countries.csv")
             scn.build_network(params)  # the model check solve runs before it writes anything
     except ModelError as e:
         report.write_text(f"error: {e}\n", encoding="utf-8")
@@ -164,7 +163,7 @@ def cmd_scenario(args: argparse.Namespace) -> None:
     params = _load_params(args)
     try:
         alt_params = scn.apply_scenario(params, spec)
-    except UnknownCode as e:
+    except ModelError as e:
         raise ModelError(f"{args.spec}: {e}") from None
     base = _solve_to_dir(params, args, prefix="base_")
     alt = _solve_to_dir(alt_params, args, prefix="alt_")

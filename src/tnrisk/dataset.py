@@ -20,17 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AsymmetricDistance,
-    CodeMismatch,
-    DuplicateCode,
-    DuplicatePair,
-    MalformedRow,
-    MissingFile,
-    ModelError,
-    NegativeValue,
-)
-from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_number
+from .params import (BLOCKED, Barriers, ModelError, ModelParams, is_blocked, parse_cost,
+                     parse_number)
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
@@ -83,7 +74,7 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
     """
     path = Path(path)
     if not path.is_file():
-        raise MissingFile(str(path))
+        raise ModelError(f"table {path} not found")
     width = len(header)
     columns: list[list[str]] = [[] for _ in header]
     is_code = [name in ("code", "origin", "dest") for name in header]
@@ -93,7 +84,7 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
         with path.open(newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             if next(reader, None) != header:
-                raise MalformedRow(1, f"bad header in {path.name}, expected {','.join(header)}")
+                raise ModelError(f"line 1: bad header in {path.name}, expected {','.join(header)}")
             line = 2
             # one block of rows is held at a time, as tuples of strings, which the
             # cyclic garbage collector stops scanning
@@ -107,8 +98,8 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
                         if not any(map(str.strip, row)):
                             blank.add(n)
                         elif len(row) != width:
-                            raise MalformedRow(n, f"expected {width} cells in {path.name}, "
-                                                  f"got {len(row)}")
+                            raise ModelError(f"line {n}: expected {width} cells in {path.name}, "
+                                             f"got {len(row)}")
                         else:
                             kept.append(row)
                     rows = kept
@@ -125,8 +116,8 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
             bad = [c for c in set(column) if not c.strip() or "->" in c]
             if bad:
                 k = min(map(column.index, bad))
-                raise MalformedRow(lines[k], f"{name} in {path.name} must be a country code, "
-                                             f"not blank or with '->', got {column[k]!r}")
+                raise ModelError(f"line {lines[k]}: {name} in {path.name} must be a country "
+                                 f"code, not blank or with '->', got {column[k]!r}")
     return lines, columns
 
 
@@ -145,7 +136,7 @@ def _parse_float(cell: str, line: int, name: str, required: bool = True,
     try:
         return parse_number(cell, sign, name)
     except ValueError as e:
-        raise MalformedRow(line, str(e)) from None
+        raise ModelError(f"line {line}: {e}") from None
 
 
 def _parse_flag(cell: str, line: int, name: str) -> bool:
@@ -154,7 +145,7 @@ def _parse_flag(cell: str, line: int, name: str) -> bool:
         return True
     if cell in ("0", "false", "no", ""):
         return False
-    raise MalformedRow(line, f"bad flag {name}: {cell!r}")
+    raise ModelError(f"line {line}: bad flag {name}: {cell!r}")
 
 
 def load_country_table(path: str | Path) -> CountryTable:
@@ -170,20 +161,21 @@ def load_country_table(path: str | Path) -> CountryTable:
     for line, row in _rows(path, COUNTRY_HEADER):
         code = row[0].strip()
         if seen.setdefault(code, line) != line:
-            raise DuplicateCode(code, name, seen[code], line)
+            raise ModelError(f"duplicate country code {code!r} in {name} "
+                             f"on lines {seen[code]} and {line}")
         values = [_parse_float(row[i], line, f"{column} in {name}",
                                required=column in ("population", "muslim_pop"), sign=+1)
                   for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
         if values[0] == 0:  # raw_barrier divides by it
-            raise MalformedRow(line, f"population in {name} must be > 0, got {row[3]!r}")
+            raise ModelError(f"line {line}: population in {name} must be > 0, got {row[3]!r}")
         if values[2] is not None and values[2] > 1:  # a share of GDP
-            raise MalformedRow(line, f"sec_fraction in {name} must be <= 1, got {row[5]!r}")
+            raise ModelError(f"line {line}: sec_fraction in {name} must be <= 1, got {row[5]!r}")
         stated = [s for s in values[4:] if s is not None]
         if stated and (max(stated) > 1 or sum(stated) > 1 + 1e-9):
-            raise MalformedRow(line, f"survey fractions out of range: {stated}")
+            raise ModelError(f"line {line}: survey fractions out of range: {stated}")
         target = _parse_flag(row[12], line, "is_target")
         if target and values[2] is None:
-            raise MalformedRow(line, f"{code} is a target in {name} but has no sec_fraction")
+            raise ModelError(f"line {line}: {code} is a target in {name} but has no sec_fraction")
         _parse_flag(row[11], line, "is_oecd")  # checked; name, sigma_n and is_oecd are not held
         regions.append(row[2].strip())
         numbers.append([*values, target])
@@ -252,13 +244,13 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
 
 def _check_repeats(path: Path, axis: list[str], lines: Sequence[int], rows: np.ndarray,
                    cols: np.ndarray) -> None:
-    """A pair :func:`_pair_table` read twice is a DuplicatePair error naming both lines."""
+    """A pair :func:`_pair_table` read twice is a ModelError naming the table and both lines."""
     _, first, pair = np.unique(rows * len(axis) + cols, return_index=True, return_inverse=True)
     again = np.flatnonzero(first[pair] != np.arange(len(rows)))  # rows repeating an earlier one
     if again.size:
         k = int(again[0])
-        raise DuplicatePair((axis[rows[k]], axis[cols[k]]), path.name, lines[first[pair[k]]],
-                            lines[k])
+        raise ModelError(f"duplicate pair {axis[rows[k]]!r},{axis[cols[k]]!r} in {path.name} "
+                         f"on lines {lines[first[pair[k]]]} and {lines[k]}")
 
 
 def _raw_pairs(path: Path, codes: list[str]
@@ -269,12 +261,12 @@ def _raw_pairs(path: Path, codes: list[str]
     if bad.any():
         k = int(bad.argmax())
         _parse_float(cell(k), lines[k], f"value in {path.name}")  # raises if not finite
-        raise NegativeValue(f"line {lines[k]}: {axis[rows[k]]},{axis[cols[k]]} in {path.name} "
-                            f"= {float(values[k])}")
+        raise ModelError(f"line {lines[k]}: {axis[rows[k]]},{axis[cols[k]]} in {path.name} "
+                         f"= {float(values[k])}")
     _check_repeats(path, axis, lines, rows, cols)
     unknown = set(axis).difference(codes)
     if unknown:
-        raise CodeMismatch(f"{path.name} names {min(unknown)!r}, which is not in countries.csv")
+        raise ModelError(f"{path.name} names {min(unknown)!r}, which is not in countries.csv")
     return lines, rows, cols, values, cell
 
 
@@ -288,8 +280,8 @@ def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
         k = int(bad.argmax())
         rule = ("> 0" if values[k] == 0 else "< 1e154" if values[k] >= 1
                 else "about 1.6e-162 or more, so that its square is not 0")
-        raise MalformedRow(lines[k], f"distance {codes[rows[k]]},{codes[cols[k]]} in {path.name} "
-                                     f"must be {rule}, got {cell(k)!r}")
+        raise ModelError(f"line {lines[k]}: distance {codes[rows[k]]},{codes[cols[k]]} in "
+                         f"{path.name} must be {rule}, got {cell(k)!r}")
     at = np.full((len(codes),) * 2, -1)  # the row listing each pair; -1 picks the NaN appended
     at[rows, cols] = np.arange(len(rows))
     values = np.append(values, np.nan)
@@ -298,7 +290,8 @@ def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
     asymmetric = abs(given - given.T) / scale > 1e-6  # False where a direction is unlisted
     if asymmetric.any():
         k = int(later[asymmetric].min())
-        raise AsymmetricDistance(codes[rows[k]], codes[cols[k]])
+        raise ModelError(f"distance {codes[rows[k]]}-{codes[cols[k]]} given in both directions "
+                         "with different values")
     distance = values[later]
     np.fill_diagonal(distance, 0.0)
     return distance
@@ -311,7 +304,8 @@ def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
     for line, row in _rows(path, ["code", value_name]):
         code = row[0].strip()
         if seen.setdefault(code, line) != line:
-            raise DuplicateCode(code, path.name, seen[code], line)
+            raise ModelError(f"duplicate country code {code!r} in {path.name} "
+                             f"on lines {seen[code]} and {line}")
         out[code] = _parse_float(row[1], line, label, sign=sign)
     return out
 
@@ -338,15 +332,15 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
         k, check = divmod(int(faults.argmax()), faults.shape[1])
         origin, dest, line = codes[rows[k]], codes[cols[k]], lines[k]
         if check == 0:
-            raise CodeMismatch(f"barrier origin {origin!r} not in supply.csv")
+            raise ModelError(f"barrier origin {origin!r} not in supply.csv")
         if check == 1:
-            raise CodeMismatch(f"barrier destination {dest!r} has no interception/yield data")
+            raise ModelError(f"barrier destination {dest!r} has no interception/yield data")
         if check == 2:
             try:
                 parse_cost(cell(k), "cost in barriers.csv")
             except ValueError as e:
-                raise MalformedRow(line, str(e)) from None
-        raise NegativeValue(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
+                raise ModelError(f"line {line}: {e}") from None
+        raise ModelError(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
     _check_repeats(path, codes, lines, rows, cols)
     cost = np.full((len(codes),) * 2, BLOCKED)
     cost[rows, cols] = np.where(foreign, values, 0.0)
@@ -378,8 +372,8 @@ def load_bundle(data_dir: str | Path) -> DataBundle:
     unmeasured = np.isnan(distance[rows, cols])
     if unmeasured.any():
         k = int(unmeasured.argmax())
-        raise CodeMismatch(f"migration.csv pair {codes[rows[k]]},{codes[cols[k]]} "
-                           "has no row in distance_km.csv")
+        raise ModelError(f"migration.csv pair {codes[rows[k]]},{codes[cols[k]]} "
+                         "has no row in distance_km.csv")
     migration = np.full(distance.shape, np.nan)
     migration[rows, cols] = values
     return DataBundle(countries, codes, migration, distance)

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import CountryTable, DataBundle, write_csv
-from .errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from .params import (
     BLOCKED,
     DEFAULT_Q,
     Barriers,
+    ModelError,
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
@@ -42,12 +42,12 @@ def normalize_min_median(values, sign: str = "cost") -> np.ndarray:
     if not np.isfinite(values).all():
         raise ModelError("min-median normalization needs finite values")
     if values.size < 2:
-        raise DegenerateSpread("need at least two finite values")
+        raise ModelError("need at least two finite values")
     lo = float(values[values.argmin()])  # the first of equal minima, as min() takes 0.0 or -0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         med = float(np.median(values))
         if med == lo:
-            raise DegenerateSpread(f"median equals minimum ({lo})")
+            raise ModelError(f"median equals minimum ({lo})")
         out = (values - lo) / (med - lo) if sign == "cost" else (lo - values) / (med - lo)
     if not np.isfinite(out).all():  # no parameter table could hold the result
         raise ModelError(f"min-median normalization overflows: values up to {values.max()} "
@@ -68,7 +68,8 @@ def impute_survey(countries: CountryTable) -> CountryTable:
     peers = np.bincount(region[surveyed], minlength=len(names))[region]  # per row, its region's
     lonely = gap & (peers == 0)
     if lonely.any():
-        raise EmptyRegion(countries.regions[int(lonely.argmax())])
+        region = countries.regions[int(lonely.argmax())]
+        raise ModelError(f"region {region!r} has no surveyed country to impute from")
     # bincount adds in row order from 0.0, as a left-to-right sum over the peers does
     sums = [np.bincount(region[surveyed], f, len(names))[region[gap]] for f in sigma[surveyed].T]
     filled = sigma.copy()
@@ -83,7 +84,8 @@ def estimate_supply(countries: CountryTable,
     muslim_pop, (r, s, o) = countries.muslim_pop, countries.sigma.T
     missing = (muslim_pop > 0) & np.isnan(countries.sigma).any(axis=1)
     if missing.any():
-        raise MissingImputation(countries.codes[int(missing.argmax())])
+        code = countries.codes[int(missing.argmax())]
+        raise ModelError(f"country {code!r} has no survey data and no regional mean")
     with np.errstate(all="ignore"):  # an overflow is reported below
         supply = np.where(muslim_pop == 0, 0.0,
                           q * muslim_pop * (weights.s_r * r + weights.s_s * s + weights.s_o * o))
@@ -118,7 +120,7 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
         raw = raw_barrier(pop[:, None], pop, bundle.distance, bundle.migration)
     observed = listed & ~is_blocked(raw)  # never on the diagonal
     if np.count_nonzero(observed) < 2:
-        raise DegenerateSpread("fewer than two observed migration pairs")
+        raise ModelError("fewer than two observed migration pairs")
     cost = np.full(raw.shape, BLOCKED)
     cost[observed] = normalize_min_median(raw[observed], "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
@@ -134,7 +136,7 @@ def _per_target(countries: CountryTable, values, sign: str, what: str) -> dict[s
     """The targets' ``values``, where given, min-median normalised, by code in row order."""
     targets = np.flatnonzero(countries.is_target & ~np.isnan(values))
     if len(targets) < 2:
-        raise DegenerateSpread(f"need at least two target countries with {what}")
+        raise ModelError(f"need at least two target countries with {what}")
     codes = map(countries.codes.__getitem__, targets.tolist())
     return dict(zip(codes, normalize_min_median(values[targets], sign).tolist()))
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+
+class ModelError(Exception):
+    """A domain error: bad input data or parameters; its message says what and where."""
+
+
 BLOCKED = math.inf
 
 # any parsed cost at or above this is treated as untraversable

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import BLOCK_CELLS
-from .errors import EmptyTargets, IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from .evader import AttackMatrix
-from .params import BLOCKED, Barriers, ModelParams, is_blocked, parse_cost, parse_number
+from .params import (BLOCKED, Barriers, ModelError, ModelParams, is_blocked, parse_cost,
+                     parse_number)
 
 
 @dataclass
@@ -82,7 +82,7 @@ class ScenarioSpec:
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     """Return a new ModelParams with the scenario's overrides applied, in order.
 
-    A code the parameters do not have raises UnknownCode naming the spec field.
+    A code the parameters do not have raises a ModelError naming the spec field.
     """
     index = params.T.index
     barrier_codes = [c for row in spec.barrier_overrides for c in row[:2] if c != "*"]
@@ -91,7 +91,7 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
                               ("yield_overrides", spec.yield_overrides, params.Y)):
         for code in codes:
             if code not in known:
-                raise UnknownCode(code, key)
+                raise ModelError(f"scenario {key} names unknown country code {code!r}")
     out = params.copy()
     if spec.barrier_overrides:
         cost, listed = params.T.cost.copy(), params.T.listed.copy()
@@ -142,7 +142,7 @@ def build_network(params: ModelParams) -> RouteNetwork:
     """Route costs of every source with positive supply."""
     targets = params.targets
     if not targets:
-        raise EmptyTargets("no country has both interception and yield data")
+        raise ModelError("no country has both interception and yield data")
     sources = params.sources
     rows, cols = (np.array([params.T.index[c] for c in codes], dtype=np.intp)
                   for codes in (sources, targets))
@@ -242,7 +242,7 @@ THRESHOLD_FRACTION = 0.5
 def find_threshold(curve: SweepCurve) -> float:
     """Smallest A where the total reaches THRESHOLD_FRACTION * max, linearly interpolated."""
     if not curve.totals or max(curve.totals) <= 0.0:
-        raise ThresholdOutOfRange("curve carries no attack mass anywhere on the grid")
+        raise ModelError("curve carries no attack mass anywhere on the grid")
     target = THRESHOLD_FRACTION * max(curve.totals)
     if curve.totals[0] >= target:
         return curve.a_values[0]
@@ -251,7 +251,7 @@ def find_threshold(curve: SweepCurve) -> float:
             a0, a1 = curve.a_values[k - 1], curve.a_values[k]
             t0, t1 = curve.totals[k - 1], curve.totals[k]
             return a0 + (target - t0) * (a1 - a0) / (t1 - t0)
-    raise ThresholdOutOfRange(f"total never reaches {THRESHOLD_FRACTION:.0%} of its maximum")
+    raise ModelError(f"total never reaches {THRESHOLD_FRACTION:.0%} of its maximum")
 
 
 @dataclass
@@ -265,7 +265,7 @@ class DeltaMatrix:
 def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
     """Entrywise alt - base, with targets ranked by total increase, largest first, ties by code."""
     if base.sources != alt.sources or base.targets != alt.targets:
-        raise IndexMismatch("attack matrices have different source/target sets")
+        raise ModelError("attack matrices have different source/target sets")
     column_deltas = alt.N.sum(axis=0) - base.N.sum(axis=0)
     ranked = sorted(zip(base.targets, column_deltas.tolist()), key=lambda kv: (-kv[1], kv[0]))
     return DeltaMatrix(sources=list(base.sources), targets=list(base.targets),

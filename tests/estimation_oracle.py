@@ -20,8 +20,7 @@ import math
 import statistics
 from pathlib import Path
 
-from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
-from tnrisk.params import SupportWeights
+from tnrisk.params import ModelError, SupportWeights
 
 BLOCKED = math.inf
 SIGMA = ("sigma_r", "sigma_s", "sigma_o")
@@ -62,7 +61,7 @@ def impute_survey(rows: list[dict]) -> list[dict]:
             continue
         peers = by_region.get(row["region"])
         if not peers:
-            raise EmptyRegion(row["region"])
+            raise ModelError(f"region {row['region']!r} has no surveyed country to impute from")
         out.append({**row, **{k: left_sum(p[k] for p in peers) / len(peers) for k in SIGMA}})
     return out
 
@@ -74,7 +73,7 @@ def estimate_supply(rows: list[dict], weights: SupportWeights, q: float) -> dict
             supply[row["code"]] = 0.0
             continue
         if not has_survey(row):
-            raise MissingImputation(row["code"])
+            raise ModelError(f"country {row['code']!r} has no survey data and no regional mean")
         r, s, o = (row[k] for k in SIGMA)
         supply[row["code"]] = q * row["muslim_pop"] * (weights.s_r * r + weights.s_s * s
                                                        + weights.s_o * o)
@@ -107,7 +106,7 @@ def normalize_min_median(values: list[float], sign: str = "cost") -> list[float]
     """min, statistics.median and the per-value formula over a plain list."""
     lo, med = min(values), statistics.median(values)
     if med == lo:
-        raise DegenerateSpread(f"median equals minimum ({lo})")
+        raise ModelError(f"median equals minimum ({lo})")
     return [(v - lo) / (med - lo) if sign == "cost" else (lo - v) / (med - lo) for v in values]
 
 
@@ -121,7 +120,7 @@ def estimate_barriers(data_dir: Path) -> tuple[dict[tuple[str, str], float], lis
            for (i, j), m in migration.items() if i != j}
     finite = [k for k, v in raw.items() if v < 1e100]
     if len(finite) < 2:
-        raise DegenerateSpread("fewer than two observed migration pairs")
+        raise ModelError("fewer than two observed migration pairs")
     barriers = dict(zip(finite, normalize_min_median([raw[k] for k in finite])))
     barriers.update((k, BLOCKED) for k, v in raw.items() if v >= 1e100)
     barriers.update(((c["code"], c["code"]), 0.0) for c in countries)

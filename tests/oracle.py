@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tnrisk.errors import EmptyTargets, ModelError
-from tnrisk.params import BLOCKED, ModelParams, is_blocked
+from tnrisk.params import BLOCKED, ModelError, ModelParams, is_blocked
 
 SOURCE = "source"
 STAGED = "staged"
@@ -111,7 +110,7 @@ def build_network(params: ModelParams) -> ActivityNetwork:
     """Assemble the activity network for every source with positive supply."""
     targets = params.targets
     if not targets:
-        raise EmptyTargets("no country has both interception and yield data")
+        raise ModelError("no country has both interception and yield data")
     sources = params.sources
 
     nodes: list[NodeId] = [source(i) for i in sources]

@@ -52,7 +52,8 @@ class TestValidate:
         shutil.copytree(bundled_data_dir(), data)
         (data / "pre_estimated" / "yield.csv").unlink()
         assert run("validate", "--data", str(data), "--out", str(tmp_path / "out")) == 1
-        assert "yield.csv" in capsys.readouterr().err
+        missing = data / "pre_estimated" / "yield.csv"
+        assert capsys.readouterr().err == f"error: table {missing} not found\n"
         assert run("solve", "--data", str(data), "--out", str(tmp_path / "out")) == 1
 
     def test_unknown_code_in_parameter_tables_exit_1(self, tmp_path):

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import BLOCKED, estimation, is_blocked, load_bundle
+from tnrisk import BLOCKED, ModelError, estimation, is_blocked, load_bundle
 from tnrisk.dataset import COUNTRY_HEADER, load_country_table, load_pre_estimated
-from tnrisk.errors import DegenerateSpread, EmptyRegion, MissingImputation, ModelError
 from tnrisk.estimation import (
     estimate_barriers,
     estimate_interception,
@@ -78,8 +77,8 @@ class TestNormalize:
         overflows, it raises."""
         try:
             want = estimation_oracle.normalize_min_median(values, sign)
-        except DegenerateSpread:
-            with pytest.raises(DegenerateSpread):
+        except ModelError as e:
+            with pytest.raises(ModelError, match=f"^{re.escape(str(e))}$"):
                 normalize_min_median(np.array(values), sign)
             return
         if not all(map(math.isfinite, want)):  # an overflow is an error, not a parameter
@@ -90,9 +89,9 @@ class TestNormalize:
         assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSpread):
+        with pytest.raises(ModelError, match=r"^median equals minimum \(5.0\)$"):
             normalize_min_median([5.0, 5.0, 5.0], "cost")
-        with pytest.raises(DegenerateSpread):
+        with pytest.raises(ModelError, match="^need at least two finite values$"):
             normalize_min_median([5.0], "cost")
 
     def test_unknown_sign_rejected(self):
@@ -155,14 +154,16 @@ class TestImputation:
 
     def test_empty_region(self, tmp_path):
         lonely = "XXB,Nowhere,Atlantis,1e6,,,1000.0,,,,,0,0"
-        with pytest.raises(EmptyRegion):
+        with pytest.raises(ModelError,
+                           match="^region 'Atlantis' has no surveyed country to impute from$"):
             impute_survey(bundled_countries_with(tmp_path, lonely))
 
 
 class TestSupply:
     def test_requires_imputation(self, bundle, tmp_path):
         gap = f"XXC,Gap,{bundle.countries.regions[0]},1e6,,,1000.0,,,,,0,0"
-        with pytest.raises(MissingImputation):
+        with pytest.raises(ModelError,
+                           match="^country 'XXC' has no survey data and no regional mean$"):
             estimate_supply(bundled_countries_with(tmp_path, gap))
 
     def test_linear_in_q(self, bundle):
@@ -199,8 +200,8 @@ weights = st.one_of(st.sampled_from(list(WEIGHT_PRESETS.values())),
 def test_imputed_supply_matches_per_row_oracle(rows, weights, q):
     """The column path imputes and estimates supply with the oracle's bits, and fails with
     its error, over partial surveys, signed zeros, zero muslim_pop and regions with no
-    surveyed row; with imputation, and without it, where a gap is MissingImputation; and
-    with a q of 1e300, where a supply that overflows is a ModelError."""
+    surveyed row; with imputation, and without it, where a gap is an error naming the
+    country; and with a q of 1e300, where a supply that overflows is a ModelError."""
     lines = [",".join(COUNTRY_HEADER)]
     for k, (region, muslim_pop, sigma) in enumerate(rows):
         cells = ",".join("" if f is None else repr(f) for f in sigma)
@@ -283,7 +284,7 @@ class TestTooFewTargets:
         figure = getattr(countries, column).copy()
         figure[first[1:]] = np.nan  # the second target, if kept, gives no figure
         countries = dataclasses.replace(countries, is_target=is_target, **{column: figure})
-        with pytest.raises(DegenerateSpread,
+        with pytest.raises(ModelError,
                            match=f"^need at least two target countries with {what}$"):
             estimate(countries)
 
@@ -386,8 +387,8 @@ def test_barriers_match_per_pair_oracle(seed):
         bundle = load_bundle(data)
         try:
             expected, warned = estimation_oracle.estimate_barriers(data)
-        except DegenerateSpread as e:
-            with pytest.raises(DegenerateSpread, match=re.escape(str(e))):
+        except ModelError as e:
+            with pytest.raises(ModelError, match=re.escape(str(e))):
                 estimate_barriers(bundle)
             return
     with mock.patch.object(estimation.logger, "warning") as warning:

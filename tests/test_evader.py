@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import BLOCKED, apply_scenario, solve, target_totals
-from tnrisk.errors import EmptyTargets
+from tnrisk import BLOCKED, ModelError, apply_scenario, solve, target_totals
 from tnrisk.evader import write_matrix_csv
 from tnrisk.params import is_blocked
 from tnrisk.scenario import BUILTIN_SCENARIOS
@@ -162,7 +161,8 @@ class TestAttackMatrix:
         assert doc["expected_plots"] == {f"{i}->{t}": v for (i, t), v in cell_dict(m).items()}
 
     def test_empty_targets(self):
-        with pytest.raises(EmptyTargets):
+        with pytest.raises(ModelError,
+                           match="^no country has both interception and yield data$"):
             solve(params_from_dicts(S={"SRC": 1.0}, T={}, I={"SRC": 1.0}, Y={}))
 
     def test_unroutable_supply_reported(self):

@@ -5,8 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tnrisk import BLOCKED, is_blocked
-from tnrisk.errors import EmptyTargets
+from tnrisk import BLOCKED, ModelError, is_blocked
 
 from conftest import params_from_dicts, random_params, tiny_params
 from oracle import (
@@ -47,7 +46,8 @@ class TestTopology:
         assert net.weight(source("SRC"), ABANDON_NODE) == -3.0
 
     def test_empty_targets(self):
-        with pytest.raises(EmptyTargets):
+        with pytest.raises(ModelError,
+                           match="^no country has both interception and yield data$"):
             build_network(params_from_dicts(S={"SRC": 1.0}, T={}, I={}, Y={}))
 
     def test_isolated_source(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tnrisk import (
     BLOCKED,
     AttackMatrix,
+    ModelError,
     ModelParams,
     ScenarioSpec,
     apply_scenario,
@@ -23,7 +24,6 @@ from tnrisk import (
     solve,
     target_totals,
 )
-from tnrisk.errors import IndexMismatch, ModelError, ThresholdOutOfRange, UnknownCode
 from tnrisk import scenario
 from tnrisk.params import Barriers
 from tnrisk.scenario import BUILTIN_SCENARIOS
@@ -75,9 +75,11 @@ class TestApplyScenario:
         assert is_blocked(params.A)  # original untouched
 
     def test_unknown_code(self, params):
-        with pytest.raises(UnknownCode):
+        with pytest.raises(ModelError, match="^scenario barrier_overrides names unknown country "
+                                             "code 'ZZZ'$"):
             apply_scenario(params, ScenarioSpec(barrier_overrides=[("ZZZ", "USA", 1.0)]))
-        with pytest.raises(UnknownCode):
+        with pytest.raises(ModelError, match="^scenario interception_overrides names unknown "
+                                             "country code 'ZZZ'$"):
             apply_scenario(params, ScenarioSpec(interception_overrides={"ZZZ": 1.0}))
 
     def test_from_json(self, params, tmp_path):
@@ -207,7 +209,8 @@ class TestBuiltinsAreSpecs:
                                  self.solve_edited(p, lambda c: c[:, k].fill(BLOCKED)))
 
     def test_unknown_fortress_code(self, params):
-        with pytest.raises(UnknownCode):
+        with pytest.raises(ModelError, match="^scenario barrier_overrides names unknown country "
+                                             "code 'ZZZ'$"):
             fortress(params, "ZZZ")
 
 
@@ -317,7 +320,8 @@ class TestSweep:
                               I={"USA": 1.0}, Y={"USA": -2.0})
         curve = deterrence_sweep(p, [-10.0, 0.0, 10.0])
         assert curve.totals == [0.0, 0.0, 0.0]
-        with pytest.raises(ThresholdOutOfRange):
+        with pytest.raises(ModelError,
+                           match="^curve carries no attack mass anywhere on the grid$"):
             find_threshold(curve)
 
     def test_threshold_never_reached(self):
@@ -325,7 +329,7 @@ class TestSweep:
         totals = [math.nan, 1.0, 2.0]
         curve = scenario.SweepCurve(a_values=[-1.0, 0.0, 1.0], totals=totals, targets=["USA"],
                                     per_target=np.array(totals)[:, None])
-        with pytest.raises(ThresholdOutOfRange, match="^total never reaches 50% of its maximum$"):
+        with pytest.raises(ModelError, match="^total never reaches 50% of its maximum$"):
             find_threshold(curve)
 
     def test_deterministic(self, params, monkeypatch):
@@ -390,7 +394,8 @@ class TestDiff:
     def test_index_mismatch(self, params):
         base = solve(params)
         other = solve(tiny_params())
-        with pytest.raises(IndexMismatch):
+        with pytest.raises(ModelError,
+                           match="^attack matrices have different source/target sets$"):
             diff_matrices(base, other)
 
     def test_builtin_names(self, params):

@@ -85,6 +85,10 @@ BUNDLE_EDITS = {
     "migration-without-distance": ("distance_km.csv", "AFG,AUS,", 0, None),
     "negative-migration": ("migration.csv", "AFG,AUS,", 2, "-5"),
     "overflowing-security": ("countries.csv", "USA,", 5, "1e307"),  # a sec_fraction above 1
+    # a code or a pair listed twice
+    "repeated-country": ("countries.csv", None, 0,
+                         "AFG,Afghanistan,SouthAsia,2.8e+07,,,2.81e+07,,,,,0,0"),
+    "repeated-migration-pair": ("migration.csv", None, 0, "AFG,AUS,157604050015"),
     # valid, but imputation cannot fill CHN: no EastAsia peer is surveyed
     "lonely-unsurveyed-source": ("countries.csv", "CHN,", 8, ""),
     # valid edits: a blocked pair, a yield far below the others, the least security at -0,
@@ -103,7 +107,7 @@ BUNDLE_EDITS = {
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
-# bundle copies with one edit to barriers.csv, as in BUNDLE_EDITS
+# bundle copies with one edit to a pre-estimated table, as in BUNDLE_EDITS
 PRE_ESTIMATED_EDITS = {
     # a domestic row loads as 0.0 whatever cost it gives
     "domestic-cost-5": ("pre_estimated/barriers.csv", "FRA,FRA,", 2, "5"),
@@ -121,6 +125,10 @@ PRE_ESTIMATED_EDITS = {
     "nul-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFG\x00"),
     # an origin longer than any code
     "long-origin": ("pre_estimated/barriers.csv", "AFG,AUS,", 0, "AFGX"),
+    # a supply code listed twice
+    "repeated-supply-code": ("pre_estimated/supply.csv", None, 0, "AFG,10168.3"),
+    # a supply code countries.csv does not list: validate fails, solve does not
+    "unknown-supply-code": ("pre_estimated/supply.csv", None, 0, "ZZZ,5"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
 
