@@ -75,6 +75,8 @@ def _config(args: argparse.Namespace) -> None:
     if not (all(map(math.isfinite, (args.a_min, args.a_max, args.step)))
             and args.a_min < args.a_max and args.step > 0):
         raise ValueError("need finite a_min < a_max and step > 0")
+    if not math.isfinite(args.a_max - args.a_min):  # cmd_sweep counts the points from it
+        raise ValueError(f"need finite a_max - a_min: from {args.a_min} to {args.a_max} overflows")
 
 
 def _load_params(args: argparse.Namespace):
@@ -122,10 +124,8 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> None:
-    from . import estimation
     params = _load_params(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    estimation.write_params_csv(params, args.out)
+    dataset.write_pre_estimated(params, args.out)
     _write_report(args, params)
     print(f"wrote estimated parameter tables to {args.out}")
 

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import (BLOCKED, Barriers, ModelError, ModelParams, is_blocked, parse_cost,
-                     parse_number)
+from .params import (BLOCKED, Barriers, ModelError, ModelParams, cost_out, is_blocked,
+                     parse_cost, parse_number)
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
@@ -55,6 +55,12 @@ class DataBundle:
     migration: np.ndarray
     distance: np.ndarray
 
+
+# the pre-estimated format: the file, value column and value sign of each code -> value
+# parameter, and the file and value column (after origin and dest) of the barriers, T
+PRE_ESTIMATED = {"S": ("supply.csv", "supply", +1), "I": ("interception.csv", "cost", +1),
+                 "Y": ("yield.csv", "yield", -1)}
+BARRIERS = ("barriers.csv", "cost")
 
 # cells per block of the table reader and of write_cells: bounds their memory, not what they do
 BLOCK_CELLS = 4096
@@ -121,10 +127,17 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
     return lines, columns
 
 
-def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(line, cells) of every non-blank row of a table, as :func:`_table` reads it."""
+def _rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, str, tuple[str, ...]]]:
+    """(line, stripped code, cells) of each non-blank row of a one-code table, as :func:`_table`
+    reads it; a code listed again is a ModelError naming both lines, before its row is yielded."""
     lines, columns = _table(path, header)
-    return zip(lines, zip(*columns))
+    seen: dict[str, int] = {}  # code -> its line
+    for line, row in zip(lines, zip(*columns)):
+        code = row[0].strip()
+        if seen.setdefault(code, line) != line:
+            raise ModelError(f"duplicate country code {code!r} in {Path(path).name} "
+                             f"on lines {seen[code]} and {line}")
+        yield line, code, row
 
 
 def _parse_float(cell: str, line: int, name: str, required: bool = True,
@@ -154,15 +167,11 @@ def load_country_table(path: str | Path) -> CountryTable:
     A target (``is_target`` set) must give ``sec_fraction``; one without
     ``gdp_usd`` has no yield, so the model does not treat it as a target.
     """
-    seen: dict[str, int] = {}  # code -> its line, in row order
+    codes: list[str] = []
     regions: list[str] = []
     numbers: list[list] = []  # population through sigma_o, then is_target
     name = Path(path).name
-    for line, row in _rows(path, COUNTRY_HEADER):
-        code = row[0].strip()
-        if seen.setdefault(code, line) != line:
-            raise ModelError(f"duplicate country code {code!r} in {name} "
-                             f"on lines {seen[code]} and {line}")
+    for line, code, row in _rows(path, COUNTRY_HEADER):
         values = [_parse_float(row[i], line, f"{column} in {name}",
                                required=column in ("population", "muslim_pop"), sign=+1)
                   for i, column in enumerate(COUNTRY_HEADER[3:11], start=3)]
@@ -177,10 +186,11 @@ def load_country_table(path: str | Path) -> CountryTable:
         if target and values[2] is None:
             raise ModelError(f"line {line}: {code} is a target in {name} but has no sec_fraction")
         _parse_flag(row[11], line, "is_oecd")  # checked; name, sigma_n and is_oecd are not held
+        codes.append(code)
         regions.append(row[2].strip())
         numbers.append([*values, target])
     columns = np.array(numbers, dtype=float).reshape(-1, 9)  # None, a blank cell, is NaN
-    return CountryTable(list(seen), regions, *columns[:, :4].T, sigma=columns[:, 5:8],
+    return CountryTable(codes, regions, *columns[:, :4].T, sigma=columns[:, 5:8],
                         is_target=columns[:, 8] == 1)
 
 
@@ -297,30 +307,17 @@ def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
     return distance
 
 
-def _load_vector(path: Path, value_name: str, sign: int) -> dict[str, float]:
-    out: dict[str, float] = {}
-    seen: dict[str, int] = {}  # code -> its line
-    label = f"{value_name} in {path.name}"
-    for line, row in _rows(path, ["code", value_name]):
-        code = row[0].strip()
-        if seen.setdefault(code, line) != line:
-            raise ModelError(f"duplicate country code {code!r} in {path.name} "
-                             f"on lines {seen[code]} and {line}")
-        out[code] = _parse_float(row[1], line, label, sign=sign)
-    return out
-
-
 def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> Barriers:
-    """barriers.csv as one matrix whose axis is every code of the four tables.
+    """The barrier table as one matrix whose axis is every code of the four tables.
 
-    An off-diagonal row needs an origin in supply.csv and a destination with
+    An off-diagonal row needs an origin in the supply table and a destination with
     interception or yield data.  A diagonal row loads as 0.0, as does each
     supply code's domestic pair the file leaves out.  Each check runs once over
     whole columns; where rows fail several, the first failing row is reported,
     for the first check it fails in the order origin, destination, cost, sign;
     a pair listed twice is reported after these.
     """
-    codes, lines, rows, cols, values, cell = _pair_table(path, "cost", {*supply, *targets})
+    codes, lines, rows, cols, values, cell = _pair_table(path, BARRIERS[1], {*supply, *targets})
     in_supply = np.array([c in supply for c in codes], dtype=bool)
     in_targets = np.array([c in targets for c in codes], dtype=bool)
     values[is_blocked(values)] = BLOCKED  # as parse_cost folds them
@@ -332,12 +329,12 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
         k, check = divmod(int(faults.argmax()), faults.shape[1])
         origin, dest, line = codes[rows[k]], codes[cols[k]], lines[k]
         if check == 0:
-            raise ModelError(f"barrier origin {origin!r} not in supply.csv")
+            raise ModelError(f"barrier origin {origin!r} not in {PRE_ESTIMATED['S'][0]}")
         if check == 1:
             raise ModelError(f"barrier destination {dest!r} has no interception/yield data")
         if check == 2:
             try:
-                parse_cost(cell(k), "cost in barriers.csv")
+                parse_cost(cell(k), f"{BARRIERS[1]} in {path.name}")
             except ValueError as e:
                 raise ModelError(f"line {line}: {e}") from None
         raise ModelError(f"line {line}: barrier {origin},{dest} = {float(values[k])}")
@@ -353,13 +350,23 @@ def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> B
 
 
 def load_pre_estimated(directory: str | Path) -> ModelParams:
-    """Load the four pre-estimated parameter tables from a directory."""
+    """Load the four pre-estimated parameter tables from a directory, in PRE_ESTIMATED's order."""
     directory = Path(directory)
-    supply = _load_vector(directory / "supply.csv", "supply", +1)
-    interception = _load_vector(directory / "interception.csv", "cost", +1)
-    yields = _load_vector(directory / "yield.csv", "yield", -1)
-    barriers = _load_barriers(directory / "barriers.csv", supply, {*interception, *yields})
-    return ModelParams(S=supply, T=barriers, I=interception, Y=yields)
+    vectors = {param: {code: _parse_float(row[1], line, f"{column} in {name}", sign=sign)
+                       for line, code, row in _rows(directory / name, ["code", column])}
+               for param, (name, column, sign) in PRE_ESTIMATED.items()}
+    targets = {*vectors["I"], *vectors["Y"]}
+    return ModelParams(T=_load_barriers(directory / BARRIERS[0], vectors["S"], targets), **vectors)
+
+
+def write_pre_estimated(params: ModelParams, directory: str | Path) -> None:
+    """The four tables as :func:`load_pre_estimated` reads them, a blocked cost as 'inf'."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for param, (name, column, _) in PRE_ESTIMATED.items():
+        write_csv(directory / name, ["code", column], sorted(getattr(params, param).items()))
+    write_csv(directory / BARRIERS[0], ["origin", "dest", BARRIERS[1]],
+              ((i, j, cost_out(v)) for (i, j), v in params.T.items()))
 
 
 def load_bundle(data_dir: str | Path) -> DataBundle:

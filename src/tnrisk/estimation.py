@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import CountryTable, DataBundle, write_csv
+from .dataset import CountryTable, DataBundle
 from .params import (
     BLOCKED,
     DEFAULT_Q,
@@ -23,7 +22,6 @@ from .params import (
     ModelParams,
     SupportWeights,
     WEIGHT_PRESETS,
-    cost_out,
     is_blocked,
 )
 
@@ -159,14 +157,3 @@ def estimate_params(bundle: DataBundle,
     return ModelParams(S=estimate_supply(countries, weights, q), T=estimate_barriers(bundle),
                        I=estimate_interception(countries), Y=estimate_yield(countries), Q=q)
 
-
-def write_params_csv(params: ModelParams, directory: str | Path) -> None:
-    """Emit the four parameter tables in the pre-estimated schemas."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, column, data in (("supply.csv", "supply", params.S),
-                               ("interception.csv", "cost", params.I),
-                               ("yield.csv", "yield", params.Y)):
-        write_csv(directory / name, ["code", column], sorted(data.items()))
-    write_csv(directory / "barriers.csv", ["origin", "dest", "cost"],
-              ((i, j, cost_out(v)) for (i, j), v in params.T.items()))

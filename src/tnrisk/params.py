@@ -93,7 +93,7 @@ class Barriers:
     ``codes`` is the sorted axis of both the rows (origins) and the columns
     (destinations).  ``cost`` holds what the solver uses: the listed cost, or
     BLOCKED for a pair no table lists.  ``listed`` marks the pairs a table
-    lists, so a pair listed as blocked ('inf' in barriers.csv) stays apart from
+    lists, so a pair listed as blocked ('inf' in the barrier table) stays apart from
     a missing one.  Both arrays are read-only; a scenario edits copies.
     """
 

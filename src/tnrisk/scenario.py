@@ -26,7 +26,7 @@ class ScenarioSpec:
     """Overrides, checked on construction: a bad value raises ModelError naming its field.
 
     A spec file is one JSON object whose keys are these fields, each optional.
-    Barrier overrides are costs >= 0 as in barriers.csv, the abandon override any
+    Barrier overrides are costs >= 0 as in the barrier table, the abandon override any
     cost (a number, 'inf' or 'blocked'); lambda and interception overrides are
     finite and >= 0, yields finite and <= 0.
     """
@@ -224,8 +224,9 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
     columns = np.empty((len(a_values), len(net.targets)))
     # s is points x live sources: a block of points holds about BLOCK_CELLS of it
     step = max(BLOCK_CELLS // max(len(best), 1), 1)
-    # exp overflows where abandoning is far cheaper: s is then 0
-    with np.errstate(over="ignore"):
+    # exp overflows where abandoning is far cheaper: s is then 0.  block - best (best < 2e100)
+    # overflows only at a blocked A >= 1e100, where lam = 0 gives 0 * inf, a NaN np.where drops
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, len(a_values), step):
             block = np.array(a_values[k:k + step])[:, None]
             abandon = np.where(is_blocked(block), 0.0, np.exp(-params.lam * (block - best)))

@@ -370,6 +370,24 @@ class TestSolve:
         assert run("solve", "--out", str(tmp_path), f"--abandon={abandon}") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, code", [(["--abandon", "-1e3"], 2), (["--abandon=-1e3"], 0)],
+                             ids=["space", "equals"])
+    def test_negative_exponent_needs_the_equals_form(self, tmp_path, capsys, argv, code):
+        """argparse reads "-1e3" after a space as a flag, not a negative number (only "-30" or
+        "-.5" look like one to it), so only "--abandon=-1e3" passes it as the value."""
+        out = tmp_path / "out"
+        try:
+            done = run("solve", *argv, "--out", str(out))
+        except SystemExit as e:
+            done = e.code
+        assert done == code
+        if code:
+            assert "--abandon: expected one argument" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            meta = json.loads((out / "run_metadata.json").read_text())
+            assert meta["config"]["abandon"] == -1000.0
+
     @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
     def test_bad_lambda_exit_2(self, tmp_path, capsys, lam):
         assert run("solve", "--out", str(tmp_path), "--lambda", lam) == 2
@@ -617,11 +635,13 @@ class TestSweep:
         assert run("sweep", "--out", str(tmp_path), "--a-min", "5", "--a-max", "-5") == 2
 
     @pytest.mark.parametrize("bound", ["--a-max=inf", "--a-min=-inf", "--step=inf",
-                                       "--a-max=nan"])
+                                       "--a-max=nan",
+                                       "--a-min=-1e308 --a-max=1e308 --step=1e307"])
     def test_non_finite_grid_exit_2(self, tmp_path, bound):
         """Rejected before the grid is built; run in a child with a time and memory limit,
-        since building an unbounded grid never ends."""
-        done = sweep_in_child(tmp_path, bound)
+        since building an unbounded grid never ends.  The last grid has 21 points, but its
+        span, a_max - a_min, overflows to inf, from which no point count can be taken."""
+        done = sweep_in_child(tmp_path, *bound.split())
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: need finite")
         assert not (tmp_path / "out").exists()

@@ -26,8 +26,7 @@ from tnrisk import (
     solve,
 )
 from tnrisk import dataset
-from tnrisk.dataset import COUNTRY_HEADER
-from tnrisk.estimation import write_params_csv
+from tnrisk.dataset import COUNTRY_HEADER, write_pre_estimated
 from tnrisk.scenario import build_network
 
 from conftest import barrier, params_from_dicts, random_params, raw_tables
@@ -310,7 +309,7 @@ def test_written_tables_load_as_built(seed):
     """Written and loaded again, parameters built from dicts keep their pairs and their solve."""
     p = random_params(np.random.default_rng(seed), blocked_fraction=0.3)
     with tempfile.TemporaryDirectory() as tmp:
-        write_params_csv(p, tmp)
+        write_pre_estimated(p, tmp)
         q = load_pre_estimated(tmp)
     q.A, q.lam = p.A, p.lam
     barriers = dict(q.T.items())
@@ -327,7 +326,7 @@ def test_written_barriers_in_pair_order_with_huge_costs_as_inf(tmp_path):
     p = params_from_dicts(S={"B": 1.0, "A": 2.0},
                           T={("B", "C"): 1e150, ("A", "C"): 0.5, ("B", "A"): BLOCKED},
                           I={"C": 0.0, "A": 1.0}, Y={"C": -1.0, "A": -1.0})
-    write_params_csv(p, tmp_path)
+    write_pre_estimated(p, tmp_path)
     assert (tmp_path / "barriers.csv").read_text().splitlines() == [
         "origin,dest,cost", "A,A,0.0", "A,C,0.5", "B,A,inf", "B,B,0.0", "B,C,inf"]
 
@@ -551,6 +550,29 @@ def test_every_table_checks_its_codes(tmp_path, table, code):
     header, first, rest = path.read_text().split("\n", 2)
     path.write_text("\n".join([header, code + first[first.index(","):], rest]))
     with pytest.raises(ModelError, match=f"^line 2: {header.split(',')[0]} in {path.name}"):
+        load()
+
+
+@pytest.mark.parametrize("order", ["repeat-first", "bad-value-first", "both"])
+@pytest.mark.parametrize("table", ["countries.csv", "pre_estimated/supply.csv",
+                                   "pre_estimated/interception.csv", "pre_estimated/yield.csv"])
+def test_repeated_code_and_bad_value_report_the_first_row(tmp_path, table, order):
+    """In a one-code table, a repeated code and a bad value on different rows report whichever
+    row comes first; a row that is both a repeat and has a bad value reports the repeat."""
+    data, load = _bundle_copy_loader(tmp_path, table)
+    path = data / table
+    lines = path.read_text().splitlines()
+    first = lines[1].split(",")
+    at = 3 if table == "countries.csv" else 1  # population, or the value column
+    bad = [*first[:at], "x", *first[at + 1:]]
+    repeat, other = ",".join(first), ",".join(["ZZZ", *bad[1:]])
+    rows = {"repeat-first": [repeat, other], "bad-value-first": [other, repeat],
+            "both": [",".join(bad)]}[order]
+    path.write_text("\n".join([*lines, *rows]) + "\n")
+    n = len(lines) + 1  # the line of the first row appended
+    expected = (f"^line {n}: " if order == "bad-value-first" else
+                f"^duplicate country code {first[0]!r} in {path.name} on lines 2 and {n}$")
+    with pytest.raises(ModelError, match=expected):
         load()
 
 

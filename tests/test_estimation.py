@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnrisk import BLOCKED, ModelError, estimation, is_blocked, load_bundle
-from tnrisk.dataset import COUNTRY_HEADER, load_country_table, load_pre_estimated
+from tnrisk.dataset import (COUNTRY_HEADER, load_country_table, load_pre_estimated,
+                            write_pre_estimated)
 from tnrisk.estimation import (
     estimate_barriers,
     estimate_interception,
@@ -25,7 +26,6 @@ from tnrisk.estimation import (
     impute_survey,
     normalize_min_median,
     raw_barrier,
-    write_params_csv,
 )
 from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
@@ -320,7 +320,7 @@ class TestRoundTripAgainstBundled:
 
     def test_write_and_reload(self, bundle, tmp_path):
         params = estimate_params(bundle)
-        write_params_csv(params, tmp_path)
+        write_pre_estimated(params, tmp_path)
         reloaded = load_pre_estimated(tmp_path)
         assert reloaded.S == params.S
         assert reloaded.I == params.I
@@ -331,7 +331,7 @@ class TestRoundTripAgainstBundled:
         """The benchmark's reference reads estimated parameters through ``T.items()`` and the
         S, I and Y dicts, and gets bit for bit the problem it reads from the written tables."""
         params = estimate_params(bundle)
-        write_params_csv(params, tmp_path)
+        write_pre_estimated(params, tmp_path)
         read, written = closed_form.from_params(params), closed_form.read_pre_estimated(tmp_path)
         assert (read.sources, read.targets) == (written.sources, written.targets)
         for name in ("S", "T", "I", "Y"):

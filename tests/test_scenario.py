@@ -252,6 +252,16 @@ class TestSweep:
                 assert total == pytest.approx(target_totals(solved)[1], rel=1e-12)
                 assert row == pytest.approx(solved.N.sum(axis=0), rel=1e-12, abs=0)
 
+    def test_overflowing_gap_at_a_blocked_point_leaks_no_warning(self, params):
+        """With a yield of -1e308, A - b_i overflows at the blocked point A = 1e308, and at
+        lam = 0 the sweep's 0 * inf there is NaN, which it drops without a RuntimeWarning (an
+        error under pytest's filter): the totals are those of solve at A = 0 and A = +inf."""
+        params.Y["USA"], params.lam = -1e308, 0.0
+        curve = deterrence_sweep(params, [0.0, 1e308])
+        for a, total in zip([0.0, math.inf], curve.totals):
+            params.A = a
+            assert total == pytest.approx(target_totals(solve(params))[1], rel=1e-12)
+
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
             deterrence_sweep(params, [0.0, -1.0])

@@ -65,6 +65,8 @@ BUNDLE_COMMANDS = [
     ["estimate", "--q", "1e300"],
     # grid points that are equal once rounded to 9 decimals: a usage error
     ["sweep", "--a-min=-1e-10", "--a-max=1e-10", "--step=1e-11"],
+    # a 21-point grid whose span, a_max - a_min, overflows to inf: a usage error
+    ["sweep", "--a-min=-1e308", "--a-max=1e308", "--step=1e307"],
 ]
 
 # spec files written into the work directory, run on the bundle as `scenario SPEC`
