@@ -25,7 +25,6 @@ from .dataset import (
 )
 from .evader import AttackMatrix, target_totals
 from .scenario import (
-    DeltaMatrix,
     ScenarioSpec,
     apply_scenario,
     deterrence_sweep,

@@ -154,8 +154,9 @@ def cmd_solve(args: argparse.Namespace) -> None:
     matrix = _solve_to_dir(params, args)
     _write_report(args, params, unroutable=_unroutable(matrix))
     totals, grand = evader.target_totals(matrix)
-    top = max(totals.items(), key=lambda kv: kv[1]) if totals else ("-", 0.0)
-    print(f"solved: {grand:.1f} expected attacks; top target {top[0]} ({top[1]:.1f})")
+    code, top = max(totals.items(), key=lambda kv: kv[1], default=("-", 0.0))
+    # a summary line names a country only where its number is nonzero
+    print(f"solved: {grand:.1f} expected attacks; top target {code if top else '-'} ({top:.1f})")
 
 
 def cmd_scenario(args: argparse.Namespace) -> None:
@@ -167,15 +168,15 @@ def cmd_scenario(args: argparse.Namespace) -> None:
         raise ModelError(f"{args.spec}: {e}") from None
     base = _solve_to_dir(params, args, prefix="base_")
     alt = _solve_to_dir(alt_params, args, prefix="alt_")
-    delta = scn.diff_matrices(base, alt)
+    delta, ranked = scn.diff_matrices(base, alt)
     out = args.out
-    dataset.write_cells(delta.delta, delta.sources, delta.targets, out / "delta.csv",
+    dataset.write_cells(delta, base.sources, base.targets, out / "delta.csv",
                         ["source", "target", "delta"])
-    dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], delta.ranked_targets)
+    dataset.write_csv(out / "ranked_gainers.csv", ["target", "total_delta"], ranked)
     _write_report(args, params, scenario=spec.name,
                   base_unroutable=_unroutable(base), alt_unroutable=_unroutable(alt))
-    top = delta.ranked_targets[0] if delta.ranked_targets else ("-", 0.0)
-    print(f"scenario {spec.name}: largest per-target change {top[0]} ({top[1]:+.1f})")
+    code, top = ranked[0] if ranked else ("-", 0.0)
+    print(f"scenario {spec.name}: largest per-target change {code if top else '-'} ({top:+.1f})")
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -194,10 +195,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     dataset.write_csv(out / "sweep.csv", ["A", "total_attacks", *curve.targets],
                       ((a, total, *row.tolist()) for a, total, row in
-                       zip(curve.a_values, curve.totals, curve.per_target)))
+                       zip(grid, curve.totals, curve.per_target)))
     threshold = None
     try:  # with no threshold on the grid, the metadata is written before the error is raised
-        threshold = scn.find_threshold(curve)
+        threshold = scn.find_threshold(grid, curve.totals)
         print(f"threshold A* = {threshold:.2f} (fraction {scn.THRESHOLD_FRACTION})")
     finally:
         _write_report(args, params, threshold=threshold,

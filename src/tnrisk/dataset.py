@@ -1,8 +1,8 @@
 """Input file formats: country table, pair tables, pre-estimated parameter tables.
 
-All inputs are plain UTF-8 CSV.  A desk-scale dataset is bundled with the
-package (see :func:`bundled_data_dir`); larger datasets in the same formats can
-be supplied with ``--data``.
+All inputs are plain UTF-8 CSV, with or without a byte-order mark.  A desk-scale
+dataset is bundled with the package (see :func:`bundled_data_dir`); larger
+datasets in the same formats can be supplied with ``--data``.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[lis
     code_cells: dict[str, str] = {}  # each distinct code is held as one string, not once a row
     blank: set[int] = set()
     try:  # bytes that are not UTF-8, or a cell over the csv module's field size limit
-        with path.open(newline="", encoding="utf-8") as f:
+        with path.open(newline="", encoding="utf-8-sig") as f:  # drops a byte-order mark
             reader = csv.reader(f)
             if next(reader, None) != header:
                 raise ModelError(f"line 1: bad header in {path.name}, expected {','.join(header)}")

@@ -199,7 +199,6 @@ def solve(params: ModelParams) -> AttackMatrix:
 
 @dataclass
 class SweepCurve:
-    a_values: list[float]
     totals: list[float]
     targets: list[str]  # sorted
     per_target: np.ndarray  # points x targets
@@ -232,43 +231,35 @@ def deterrence_sweep(params: ModelParams, a_values: list[float]) -> SweepCurve:
             abandon = np.where(is_blocked(block), 0.0, np.exp(-params.lam * (block - best)))
             # einsum, not @: its sums do not depend on the BLAS build or its thread count
             columns[k:k + step] = np.einsum("gs,st->gt", 1.0 / (1.0 + abandon / total), share)
-    return SweepCurve(a_values=list(a_values), totals=[sum(r.tolist()) for r in columns],
-                      targets=net.targets, per_target=columns)
+    return SweepCurve(totals=[sum(r.tolist()) for r in columns], targets=net.targets,
+                      per_target=columns)
 
 
 # the share of the curve's maximum whose crossing find_threshold locates
 THRESHOLD_FRACTION = 0.5
 
 
-def find_threshold(curve: SweepCurve) -> float:
-    """Smallest A where the total reaches THRESHOLD_FRACTION * max, linearly interpolated."""
-    if not curve.totals or max(curve.totals) <= 0.0:
+def find_threshold(a_values: list[float], totals: list[float]) -> float:
+    """Smallest A where ``totals``, a sweep's totals on the grid ``a_values``, reach
+    THRESHOLD_FRACTION * max(totals), linearly interpolated between grid points."""
+    if not totals or max(totals) <= 0.0:
         raise ModelError("curve carries no attack mass anywhere on the grid")
-    target = THRESHOLD_FRACTION * max(curve.totals)
-    if curve.totals[0] >= target:
-        return curve.a_values[0]
-    for k in range(1, len(curve.totals)):
-        if curve.totals[k] >= target:
-            a0, a1 = curve.a_values[k - 1], curve.a_values[k]
-            t0, t1 = curve.totals[k - 1], curve.totals[k]
+    target = THRESHOLD_FRACTION * max(totals)
+    if totals[0] >= target:
+        return a_values[0]
+    for k in range(1, len(totals)):
+        if totals[k] >= target:
+            a0, a1, t0, t1 = a_values[k - 1], a_values[k], totals[k - 1], totals[k]
             return a0 + (target - t0) * (a1 - a0) / (t1 - t0)
     raise ModelError(f"total never reaches {THRESHOLD_FRACTION:.0%} of its maximum")
 
 
-@dataclass
-class DeltaMatrix:
-    sources: list[str]
-    targets: list[str]
-    delta: np.ndarray  # alt.N - base.N
-    ranked_targets: list[tuple[str, float]]  # by total increase, descending
-
-
-def diff_matrices(base: AttackMatrix, alt: AttackMatrix) -> DeltaMatrix:
-    """Entrywise alt - base, with targets ranked by total increase, largest first, ties by code."""
+def diff_matrices(base: AttackMatrix,
+                  alt: AttackMatrix) -> tuple[np.ndarray, list[tuple[str, float]]]:
+    """``(alt.N - base.N, ranked)``: the entrywise change on base's axes, and (target, total
+    change) pairs ranked by total increase, largest first, ties by code."""
     if base.sources != alt.sources or base.targets != alt.targets:
         raise ModelError("attack matrices have different source/target sets")
     column_deltas = alt.N.sum(axis=0) - base.N.sum(axis=0)
     ranked = sorted(zip(base.targets, column_deltas.tolist()), key=lambda kv: (-kv[1], kv[0]))
-    return DeltaMatrix(sources=list(base.sources), targets=list(base.targets),
-                       delta=alt.N - base.N, ranked_targets=ranked)
-
+    return alt.N - base.N, ranked

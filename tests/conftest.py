@@ -15,8 +15,8 @@ import pytest
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("bench", "tools")]
 
 import tnrisk
-from tnrisk import (BLOCKED, CountryTable, DeltaMatrix, ModelParams, bundled_data_dir,
-                    load_bundle, load_country_table, load_pre_estimated)
+from tnrisk import (BLOCKED, CountryTable, ModelParams, bundled_data_dir, load_bundle,
+                    load_country_table, load_pre_estimated)
 from tnrisk.dataset import COUNTRY_HEADER
 from tnrisk.params import Barriers
 from tnrisk.scenario import ScenarioSpec, apply_scenario
@@ -70,9 +70,10 @@ def counting_forks() -> Iterator[list[int]]:
     assert_no_child()
 
 
-def cell_dict(matrix) -> dict[tuple[str, str], float]:
-    """Nonzero cells keyed (source, target): an attack matrix's N or a delta matrix's delta."""
-    values = matrix.delta if isinstance(matrix, DeltaMatrix) else matrix.N
+def cell_dict(matrix, values: np.ndarray | None = None) -> dict[tuple[str, str], float]:
+    """Nonzero cells of ``values`` keyed (source, target) on an attack matrix's axes: by
+    default its N, or the delta diff_matrices returns with it as base."""
+    values = matrix.N if values is None else values
     return {(matrix.sources[r], matrix.targets[c]): float(values[r, c])
             for r, c in zip(*np.nonzero(values))}
 

@@ -156,18 +156,18 @@ def test_criterion_06_fortress_substitution(pre_params):
     t0 = time.perf_counter()
     base = solve(pre_params)
     alt = solve(fortress(pre_params, "USA"))
-    delta = diff_matrices(base, alt)
+    _, ranked = diff_matrices(base, alt)
     alt_usa_col = sum(v for (i, t), v in cell_dict(alt).items() if t == "USA" and i != "USA")
     assert alt_usa_col == 0.0
-    for t, v in delta.ranked_targets:
+    for t, v in ranked:
         if t != "USA":
             assert v >= -1e-9
-    gainers = [t for t, v in delta.ranked_targets if v > 0]
+    gainers = [t for t, v in ranked if v > 0]
     assert gainers[0] == "JPN"
     dt = time.perf_counter() - t0
     assert dt < 5.0
     report(6, f"foreign USA column exactly 0, all other target deltas >= 0, "
-              f"top gainer JPN (+{dict(delta.ranked_targets)['JPN']:.1f}); {dt:.2f}s")
+              f"top gainer JPN (+{dict(ranked)['JPN']:.1f}); {dt:.2f}s")
 
 
 def test_criterion_07_homegrown_collapse(pre_params):
@@ -188,7 +188,7 @@ def test_criterion_08_deterrence_curve(pre_params):
     peak_k = int(np.argmax(diffs))
     assert (np.diff(diffs[:peak_k + 1]) >= -1e-9).all()
     assert (np.diff(diffs[peak_k:]) <= 1e-9).all()
-    a_star = find_threshold(curve)
+    a_star = find_threshold(grid, curve.totals)
     assert -54.0 < a_star < -6.8
 
     # synthetic single-source fixture against the closed-form logistic midpoint
@@ -197,7 +197,7 @@ def test_criterion_08_deterrence_curve(pre_params):
                                I={"USA": 1.5}, Y={"USA": -54.0}, lam=0.1)
     sgrid = [float(a) for a in range(-80, 0)]
     scurve = deterrence_sweep(single, sgrid)
-    s_star = find_threshold(scurve)
+    s_star = find_threshold(sgrid, scurve.totals)
     half = 0.5 * max(scurve.totals)
     analytic = c - math.log(100.0 / half - 1.0) / 0.1
     assert abs(s_star - analytic) <= 1.0

@@ -242,6 +242,11 @@ class TestSolve:
         assert max(totals, key=totals.get) == "USA"
         assert "top target USA" in capsys.readouterr().out
 
+    def test_summary_names_no_target_when_every_plot_is_abandoned(self, tmp_path, capsys):
+        """The summary line names a country only where its number is nonzero."""
+        assert run("solve", "--abandon=-1e308", "--out", str(tmp_path / "out")) == 0
+        assert capsys.readouterr().out == "solved: 0.0 expected attacks; top target - (0.0)\n"
+
     def test_matrix_csv_lists_nonzero_cells_sorted(self, tmp_path, pre_params):
         out = tmp_path / "out"
         assert run("solve", "--out", str(out)) == 0
@@ -525,11 +530,13 @@ class TestScenario:
             if r["target"] == "USA":
                 assert r["source"] == "USA"
 
-    def test_homegrown_builtin(self, tmp_path):
+    def test_homegrown_builtin(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("scenario", "homegrown", "--out", str(out)) == 0
         alt = read_csv(out / "alt_attack_matrix.csv")
         assert all(r["source"] == r["target"] for r in alt)
+        # no target gains: the largest change, 0.0, is shared by twelve, and names none
+        assert capsys.readouterr().out == "scenario homegrown: largest per-target change - (+0.0)\n"
 
     def test_json_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -554,6 +561,16 @@ class TestScenario:
         rows = read_csv(out / "delta.csv")
         assert [(r["source"], r["target"]) for r in rows] == list(expected)
         assert all(float(r["delta"]) == expected[(r["source"], r["target"])] for r in rows)
+
+    def test_summary_names_no_target_when_nothing_changes(self, tmp_path, capsys):
+        """The bundle already blocks PSE -> JPN: blocking it again changes no cell, and the
+        summary line, which names a country only where its number is nonzero, names none."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"barrier_overrides": [["PSE", "JPN", "inf"]]}))
+        out = tmp_path / "out"
+        assert run("scenario", str(spec), "--out", str(out)) == 0
+        assert capsys.readouterr().out == "scenario unnamed: largest per-target change - (+0.0)\n"
+        assert read_csv(out / "delta.csv") == []
 
     @pytest.mark.parametrize("doc", [
         {"a_override": "nan"},

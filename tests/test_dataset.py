@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import re
@@ -574,6 +575,24 @@ def test_repeated_code_and_bad_value_report_the_first_row(tmp_path, table, order
                 f"^duplicate country code {first[0]!r} in {path.name} on lines 2 and {n}$")
     with pytest.raises(ModelError, match=expected):
         load()
+
+
+def _attributes(value):
+    """An object as nested dicts of its attributes, which np.testing.assert_equal compares."""
+    if hasattr(value, "__dict__"):
+        return {k: _attributes(v) for k, v in vars(value).items()}
+    return value
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_table_reads_the_same_with_a_byte_order_mark(tmp_path, table):
+    """A table saved with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" saves it, loads as
+    the same table without it."""
+    data, load = _bundle_copy_loader(tmp_path, table)
+    plain = load()
+    path = data / table
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    np.testing.assert_equal(_attributes(load()), _attributes(plain))
 
 
 @pytest.mark.parametrize("table", TABLES)

@@ -28,6 +28,7 @@ from tnrisk import scenario
 from tnrisk.params import Barriers
 from tnrisk.scenario import BUILTIN_SCENARIOS
 
+import closed_form
 from conftest import (barrier, cell_dict, child_env, fortress, params_from_dicts, random_params,
                       tiny_params)
 
@@ -104,8 +105,8 @@ class TestApplyScenario:
     def test_empty_spec_is_identity(self, params):
         base = solve(params)
         alt = solve(apply_scenario(params, ScenarioSpec()))
-        d = diff_matrices(base, alt)
-        assert cell_dict(d) == {}
+        delta, _ = diff_matrices(base, alt)
+        assert cell_dict(base, delta) == {}
 
 
 class TestFortress:
@@ -118,15 +119,14 @@ class TestFortress:
     def test_nonnegative_substitution(self, params):
         base = solve(params)
         alt = solve(fortress(params, "USA"))
-        d = diff_matrices(base, alt)
-        for t, v in d.ranked_targets:
+        _, ranked = diff_matrices(base, alt)
+        for t, v in ranked:
             if t != "USA":
                 assert v >= -1e-9
 
     def test_japan_top_gainer(self, params):
-        d = diff_matrices(solve(params), solve(fortress(params, "USA")))
-        ranked = [t for t, _ in d.ranked_targets]
-        assert ranked[0] == "JPN"
+        _, ranked = diff_matrices(solve(params), solve(fortress(params, "USA")))
+        assert ranked[0][0] == "JPN"
 
     def test_conservation_with_finite_abandon(self, params):
         params.A = -30.0
@@ -140,7 +140,7 @@ class TestFortress:
         p = apply_scenario(tiny_params(), ScenarioSpec(barrier_overrides=[("SRC", "FRA", BLOCKED)]))
         base = solve(p)
         alt = solve(fortress(p, "FRA"))
-        assert cell_dict(diff_matrices(base, alt)) == {}
+        assert cell_dict(base, diff_matrices(base, alt)[0]) == {}
 
 
 class TestHomegrown:
@@ -158,7 +158,7 @@ class TestHomegrown:
         # blocking a superset first changes nothing: homegrown . fortress = homegrown
         a = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
         b = solve(apply_scenario(fortress(params, "USA"), BUILTIN_SCENARIOS["homegrown"]))
-        assert cell_dict(diff_matrices(a, b)) == {}
+        assert cell_dict(a, diff_matrices(a, b)[0]) == {}
 
     def test_non_target_sources_dead_when_no_abandon(self, params):
         alt = solve(apply_scenario(params, BUILTIN_SCENARIOS["homegrown"]))
@@ -313,7 +313,7 @@ class TestSweep:
             expected = 100.0 / (1.0 + math.exp(-lam * (a - c)))
             assert total == pytest.approx(expected, abs=1e-9)
         # 50%-of-max threshold sits at the analytic crossing, within a grid step
-        a_star = find_threshold(curve)
+        a_star = find_threshold(grid, curve.totals)
         half = 0.5 * max(curve.totals)
         analytic = c - math.log(100.0 / half - 1.0) / lam
         assert abs(a_star - analytic) <= 1.0
@@ -321,26 +321,34 @@ class TestSweep:
 
     def test_flat_curve_first_grid_point(self):
         p = tiny_params()
-        curve = deterrence_sweep(p, [5.0, 6.0, 7.0])
-        assert find_threshold(curve) == 5.0
+        grid = [5.0, 6.0, 7.0]
+        assert find_threshold(grid, deterrence_sweep(p, grid).totals) == 5.0
 
     def test_threshold_out_of_range(self):
         # a source with no traversable attack option never generates attack mass
         p = params_from_dicts(S={"SRC": 10.0}, T={("SRC", "USA"): BLOCKED},
                               I={"USA": 1.0}, Y={"USA": -2.0})
-        curve = deterrence_sweep(p, [-10.0, 0.0, 10.0])
+        grid = [-10.0, 0.0, 10.0]
+        curve = deterrence_sweep(p, grid)
         assert curve.totals == [0.0, 0.0, 0.0]
         with pytest.raises(ModelError,
                            match="^curve carries no attack mass anywhere on the grid$"):
-            find_threshold(curve)
+            find_threshold(grid, curve.totals)
+
+    @given(st.lists(st.tuples(st.floats(-1e307, 1e307), st.floats(0.0, allow_infinity=False)),
+                    min_size=1, max_size=30, unique_by=lambda point: point[0])
+           .filter(lambda points: max(total for _, total in points) > 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_matches_the_benchmark_check(self, points):
+        """find_threshold locates the crossing as bench/closed_form.py's independent check does,
+        on any strictly ascending grid with non-negative totals whose maximum is positive."""
+        a_values, totals = map(list, zip(*sorted(points)))
+        assert find_threshold(a_values, totals) == closed_form.threshold(a_values, totals)
 
     def test_threshold_never_reached(self):
         """A curve whose totals start with NaN has a NaN maximum that no total reaches."""
-        totals = [math.nan, 1.0, 2.0]
-        curve = scenario.SweepCurve(a_values=[-1.0, 0.0, 1.0], totals=totals, targets=["USA"],
-                                    per_target=np.array(totals)[:, None])
         with pytest.raises(ModelError, match="^total never reaches 50% of its maximum$"):
-            find_threshold(curve)
+            find_threshold([-1.0, 0.0, 1.0], [math.nan, 1.0, 2.0])
 
     def test_deterministic(self, params, monkeypatch):
         """The same bits on a second run, and with one grid point per block."""
@@ -390,14 +398,13 @@ def test_sweep_bytes_independent_of_blas_threads():
 class TestDiff:
     def test_self_diff_zero(self, params):
         m = solve(params)
-        assert cell_dict(diff_matrices(m, m)) == {}
+        assert cell_dict(m, diff_matrices(m, m)[0]) == {}
 
     def test_antisymmetry(self, params):
         base = solve(params)
         alt = solve(fortress(params, "USA"))
-        ab = diff_matrices(base, alt)
-        ba = diff_matrices(alt, base)
-        ab_cells, ba_cells = cell_dict(ab), cell_dict(ba)
+        ab_cells = cell_dict(base, diff_matrices(base, alt)[0])
+        ba_cells = cell_dict(alt, diff_matrices(alt, base)[0])
         for key, v in ab_cells.items():
             assert ba_cells[key] == pytest.approx(-v)
 

@@ -10,7 +10,8 @@ each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, copies of it with one edit each, spec files beside them, and
 a ``bench/synth.py`` dataset (seed 1, 400 x 200).  The tables below list the
 commands and edits, each with the path it takes; ``main`` adds, each with its
-comment, a supply.csv that is not UTF-8, I/O errors and the synthetic runs.
+comment, a supply.csv that is not UTF-8, one that starts with a byte-order
+mark, I/O errors and the synthetic runs.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -21,6 +22,7 @@ Exits 1 if anything differs, else 0.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -45,6 +47,8 @@ BUNDLE_COMMANDS = [
     ["solve", "--abandon", "-20"],
     # a lambda whose scaled cost gaps overflow: each weight is exp(-inf), the least-cost limit
     ["solve", "--lambda", "1e308"],
+    # an abandon yield far below every route cost: every plot is abandoned, none attacks
+    ["solve", "--abandon=-1e308"],
     ["scenario", "fortress-USA"],
     ["scenario", "fortress-USA", "--format", "json"],
     ["scenario", "homegrown"],
@@ -74,7 +78,9 @@ SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*
          # an error path: a code the parameters do not have
          "unknown-code.json": {"barrier_overrides": [["*", "ZZZ", "inf"]]},
          # an error path: a barrier below 0
-         "negative-barrier.json": {"barrier_overrides": [["*", "USA", -5]]}}
+         "negative-barrier.json": {"barrier_overrides": [["*", "USA", -5]]},
+         # a pair the bundle already blocks: no cell changes
+         "already-blocked.json": {"barrier_overrides": [["PSE", "JPN", "inf"]]}}
 
 # bundle copies, each with one edit to a raw table: (table, row prefix, cell, value); an
 # edit with no row prefix appends its value as a new row, and one with no value deletes the row
@@ -235,13 +241,15 @@ def main(argv: list[str]) -> int:
                 edit_table(copy / table, *edit)
                 commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
                              for c in edited_commands]
-        # a supply.csv ending in a byte that is not UTF-8: an error naming the table
-        not_utf8 = work / "not-utf8-supply"
-        shutil.copytree(bundle, not_utf8)
-        with (not_utf8 / "pre_estimated" / "supply.csv").open("ab") as f:
-            f.write(b"\xff")
-        commands += [(f"not-utf8-supply {c}", [c, "--data", str(not_utf8)])
-                     for c in ("solve", "validate")]
+        # a supply.csv ending in a byte that is not UTF-8, an error naming the table, and one
+        # starting with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" saves it
+        for name, edit in (("not-utf8-supply", lambda data: data + b"\xff"),
+                           ("marked-supply", lambda data: codecs.BOM_UTF8 + data)):
+            copy = work / name
+            shutil.copytree(bundle, copy)
+            supply = copy / "pre_estimated" / "supply.csv"
+            supply.write_bytes(edit(supply.read_bytes()))
+            commands += [(f"{name} {c}", [c, "--data", str(copy)]) for c in ("solve", "validate")]
         for name, (value, supply_commands) in SUPPLY_COPIES.items():
             copy = work / name
             shutil.copytree(bundle, copy)
