@@ -8,7 +8,6 @@ sign).  The normalization is scale invariant, so the raw units never matter.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +23,6 @@ from .params import (
     WEIGHT_PRESETS,
     is_blocked,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def normalize_min_median(values, sign: str = "cost") -> np.ndarray:
@@ -43,7 +40,9 @@ def normalize_min_median(values, sign: str = "cost") -> np.ndarray:
         raise ModelError("need at least two finite values")
     lo = float(values[values.argmin()])  # the first of equal minima, as min() takes 0.0 or -0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        med = float(np.median(values))
+        # np.median's partition and middle mean, less its NaN check, which imports numpy.ma
+        kth = [values.size // 2 - 1, values.size // 2][values.size % 2:]  # the middle, or pair
+        med = float(np.partition(values, [*kth, -1])[kth[0]:kth[-1] + 1].mean())
         if med == lo:
             raise ModelError(f"median equals minimum ({lo})")
         out = (values - lo) / (med - lo) if sign == "cost" else (lo - values) / (med - lo)
@@ -123,8 +122,9 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     cost[observed] = normalize_min_median(raw[observed], "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
     channel = (~is_blocked(cost)).any(axis=1)  # the diagonal is still BLOCKED here
-    for k in np.flatnonzero((countries.muslim_pop > 0) & ~channel[at]).tolist():
-        logger.warning("source %s has no traversable outbound barrier", countries.codes[k])
+    for code in np.array(countries.codes)[(countries.muslim_pop > 0) & ~channel[at]].tolist():
+        import logging  # loaded only when a warning is logged
+        logging.getLogger(__name__).warning("source %s has no traversable outbound barrier", code)
     np.fill_diagonal(cost, 0.0)
     np.fill_diagonal(listed, True)  # a listed domestic migration row changes nothing
     return Barriers(bundle.codes, cost, listed)

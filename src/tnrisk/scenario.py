@@ -68,7 +68,7 @@ class ScenarioSpec:
     def from_json(path: str | Path) -> "ScenarioSpec":
         """Read a spec file; a file that is not a valid spec raises ModelError naming it."""
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
             if not isinstance(doc, dict):
                 raise ValueError(f"scenario spec must be one JSON object, got {doc!r:.40}")
             unknown = sorted(doc.keys() - {f.name for f in fields(ScenarioSpec)})

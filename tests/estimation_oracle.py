@@ -102,9 +102,10 @@ def raw_barrier(p_i: float, p_j: float, d_ij: float, m_ij: float) -> float:
     return (p_i * p_j / (d_ij * d_ij)) / m_ij  # d * d: Python's d ** 2 is libm pow
 
 
-def normalize_min_median(values: list[float], sign: str = "cost") -> list[float]:
-    """min, statistics.median and the per-value formula over a plain list."""
-    lo, med = min(values), statistics.median(values)
+def normalize_min_median(values: list[float], sign: str = "cost",
+                         median=statistics.median) -> list[float]:
+    """min, ``median`` (statistics.median) and the per-value formula over a plain list."""
+    lo, med = min(values), median(values)
     if med == lo:
         raise ModelError(f"median equals minimum ({lo})")
     return [(v - lo) / (med - lo) if sign == "cost" else (lo - v) / (med - lo) for v in values]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import importlib.metadata
 import io
@@ -551,6 +552,21 @@ class TestScenario:
             if r["target"] == "FRA":
                 assert r["source"] == "FRA"
 
+    def test_spec_with_a_byte_order_mark(self, tmp_path):
+        """A spec saved with a UTF-8 byte-order mark, as Windows editors save it, writes the
+        files the same spec writes without one."""
+        doc = json.dumps({"name": "fortress-USA", "barrier_overrides": [["*", "USA", "inf"]]})
+        outs = []
+        for name, head in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            spec = tmp_path / name / "spec.json"
+            spec.parent.mkdir()
+            spec.write_bytes(head + doc.encode())
+            outs.append(tmp_path / name / "out")
+            assert run("scenario", str(spec), "--out", str(outs[-1])) == 0
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
+
     def test_delta_csv_lists_changed_cells(self, tmp_path, pre_params):
         out = tmp_path / "out"
         assert run("scenario", "fortress-USA", "--out", str(out)) == 0
@@ -710,12 +726,31 @@ class TestSweep:
 
 
 def test_cli_import_loads_no_estimation():
-    """Only the commands that estimate load the estimators, and logging with them."""
+    """Only the commands that estimate load the estimators."""
     probe = ("import sys, tnrisk.cli; "
              "print(*(m in sys.modules for m in ('tnrisk.estimation', 'logging')))")
     done = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, "False False\n"), done.stderr
+
+
+def test_estimate_mode_loads_only_the_estimators(tmp_path):
+    """After an estimate-mode command, the only module a pre-mode solve has not loaded is
+    tnrisk.estimation: the median leaves numpy.ma unloaded, and a run that logs nothing
+    leaves logging unloaded."""
+    probe = ("import sys, tnrisk.cli; tnrisk.cli.main(sys.argv[1:]); "
+             "print(*sorted(sys.modules), file=sys.stderr)")
+
+    def modules(*argv: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", probe, *argv, "--out",
+                               str(tmp_path / "-".join(argv))], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.split())
+
+    solved = modules("solve")
+    for argv in (["solve", "--mode", "estimate"], ["estimate"]):
+        assert modules(*argv) - solved == {"tnrisk.estimation"}, argv
 
 
 def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import re
 import statistics
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnrisk import BLOCKED, ModelError, estimation, is_blocked, load_bundle
@@ -51,6 +52,30 @@ edge_lists = st.one_of(
 )
 
 
+def numpy_median(values: list[float]) -> float:
+    """np.median, NaN check included; a middle pair whose sum overflows gives inf, under the
+    np.errstate that covers it in normalize_min_median."""
+    with np.errstate(over="ignore"):
+        return float(np.median(values))
+
+
+def matches_reference(values: list[float], sign: str, median) -> None:
+    """The normaliser gives the bits of the list reference over ``median``, or raises its
+    error; where the reference overflows, it raises."""
+    try:
+        want = estimation_oracle.normalize_min_median(values, sign, median)
+    except ModelError as e:
+        with pytest.raises(ModelError, match=f"^{re.escape(str(e))}$"):
+            normalize_min_median(np.array(values), sign)
+        return
+    if not all(map(math.isfinite, want)):  # an overflow is an error, not a parameter
+        with pytest.raises(ModelError, match="overflows"):
+            normalize_min_median(np.array(values), sign)
+        return
+    got = normalize_min_median(np.array(values), sign)
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+
 class TestNormalize:
     def test_cost_anchors(self):
         out = normalize_min_median([2.0, 4.0, 10.0], "cost")
@@ -75,18 +100,22 @@ class TestNormalize:
         """The array expression gives the bits of the oracle's normaliser over a plain list
         (min, statistics.median, the per-value formula), signed zeros included; where that
         overflows, it raises."""
-        try:
-            want = estimation_oracle.normalize_min_median(values, sign)
-        except ModelError as e:
-            with pytest.raises(ModelError, match=f"^{re.escape(str(e))}$"):
-                normalize_min_median(np.array(values), sign)
-            return
-        if not all(map(math.isfinite, want)):  # an overflow is an error, not a parameter
-            with pytest.raises(ModelError, match="overflows"):
-                normalize_min_median(np.array(values), sign)
-            return
-        got = normalize_min_median(np.array(values), sign)
-        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+        matches_reference(values, sign, statistics.median)
+
+    @given(edge_lists, st.sampled_from(["cost", "yield"]))
+    # middle pairs whose sum overflows to inf, of either sign
+    @example([0.0, 1e308, 1.7976931348623157e308, 1.7976931348623157e308], "cost")
+    @example([-1.7976931348623157e308, -1.7976931348623157e308, -1e308, 3.0], "yield")
+    # signed zeros and subnormals in the middle, both parities
+    @example([-5.0, -0.0, 0.0, -0.0, 7.0], "cost")
+    @example([-5.0, 0.0, -0.0, 7.0], "yield")
+    @example([-5e-324, 5e-324, 5e-324, 2.2e-308], "cost")
+    @settings(max_examples=300, deadline=None)
+    def test_median_is_numpys(self, values, sign):
+        """The median the normaliser computes without np.median, whose NaN check imports
+        numpy.ma, is np.median's: compared with float.hex, the normaliser gives the bits of
+        the list reference over np.median, NaN check included, or its error."""
+        matches_reference(values, sign, numpy_median)
 
     def test_degenerate(self):
         with pytest.raises(ModelError, match=r"^median equals minimum \(5.0\)$"):
@@ -391,7 +420,7 @@ def test_barriers_match_per_pair_oracle(seed):
             with pytest.raises(ModelError, match=re.escape(str(e))):
                 estimate_barriers(bundle)
             return
-    with mock.patch.object(estimation.logger, "warning") as warning:
+    with mock.patch.object(logging.getLogger("tnrisk.estimation"), "warning") as warning:
         barriers = estimate_barriers(bundle)
     assert {k: v.hex() for k, v in barriers.items()} == {k: v.hex() for k, v in expected.items()}
     assert [call.args[1] for call in warning.call_args_list] == warned

@@ -10,8 +10,9 @@ each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, copies of it with one edit each, spec files beside them, and
 a ``bench/synth.py`` dataset (seed 1, 400 x 200).  The tables below list the
 commands and edits, each with the path it takes; ``main`` adds, each with its
-comment, a supply.csv that is not UTF-8, one that starts with a byte-order
-mark, I/O errors and the synthetic runs.
+comment, a spec and a supply.csv that start with a byte-order mark, a supply.csv
+that is not UTF-8, a migration.csv that gives AFG no route abroad, I/O errors
+and the synthetic runs.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -102,6 +103,9 @@ BUNDLE_EDITS = {
     # valid edits: a blocked pair, a yield far below the others, the least security at -0,
     # and a source whose survey fractions are imputed from its 13 regional peers
     "zero-migration": ("migration.csv", "AFG,AUS,", 2, "0"),
+    # a pair with no migration row: 568 observed pairs, where the bundle has 569, so the
+    # barriers' median is the mean of a middle pair
+    "migration-row-deleted": ("migration.csv", "AFG,AUS,", 0, None),
     "huge-gdp": ("countries.csv", "USA,", 4, "1e150"),
     "negative-zero-security": ("countries.csv", "AUS,", 5, "-0"),
     "unsurveyed-source": ("countries.csv", "TUN,", 8, ""),
@@ -230,9 +234,12 @@ def main(argv: list[str]) -> int:
         spec = synth.generate(synthetic, *SYNTH_SHAPE)
         for name, doc in SPECS.items():
             (work / name).write_text(json.dumps(doc), encoding="utf-8")
+        # a spec saved with a UTF-8 byte-order mark, as Windows editors save it
+        marked = work / "marked-fortress-USA.json"
+        marked.write_bytes(codecs.BOM_UTF8 + (work / "fortress-USA.json").read_bytes())
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
         commands += [(f"scenario {name}", ["scenario", str(work / name), "--data", str(bundle)])
-                     for name in SPECS]
+                     for name in [*SPECS, marked.name]]
         for edits, edited_commands in ((BUNDLE_EDITS, EDITED_BUNDLE_COMMANDS),
                                        (PRE_ESTIMATED_EDITS, PRE_ESTIMATED_COMMANDS)):
             for name, (table, *edit) in edits.items():
@@ -241,6 +248,15 @@ def main(argv: list[str]) -> int:
                 edit_table(copy / table, *edit)
                 commands += [(f"{name} {' '.join(c)}", [*c, "--data", str(copy)])
                              for c in edited_commands]
+        # every migration from AFG 0: estimating warns on stderr that AFG has no route abroad
+        copy = work / "afg-no-route-abroad"
+        shutil.copytree(bundle, copy)
+        migration = copy / "migration.csv"
+        for line in migration.read_text(encoding="utf-8").splitlines():
+            if line.startswith("AFG,"):
+                edit_table(migration, line, 2, "0")
+        commands += [(f"{copy.name} {' '.join(c)}", [*c, "--data", str(copy)])
+                     for c in EDITED_BUNDLE_COMMANDS]
         # a supply.csv ending in a byte that is not UTF-8, an error naming the table, and one
         # starting with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" saves it
         for name, edit in (("not-utf8-supply", lambda data: data + b"\xff"),
