@@ -15,7 +15,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -62,66 +61,51 @@ PRE_ESTIMATED = {"S": ("supply.csv", "supply", +1), "I": ("interception.csv", "c
                  "Y": ("yield.csv", "yield", -1)}
 BARRIERS = ("barriers.csv", "cost")
 
-# cells per block of the table reader and of write_cells: bounds their memory, not what they do
+# cells per block of write_cells and the sweep: bounds their memory, not what they do
 BLOCK_CELLS = 4096
 
 # bound at import: write_cells' forked child leaves by it even where a caller patches os._exit
 _exit = os._exit
 
 
-def _table(path: str | Path, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[str]]]:
     """(lines, columns) of the non-blank rows of a CSV table that has this header.
 
-    Row k is on line ``lines[k]`` and has ``columns[c][k]`` in column c.  Every
-    row must have one cell per header column.  A country code (column code,
-    origin or dest) must not be blank, and must not contain "->", which joins
-    the two codes of a JSON cell key; each distinct code is checked once.  A
-    bad cell count is reported before a bad code, each at its earliest row.
+    The reference reader, which reports every error: one csv pass, row by row.
+    Row k is on line ``lines[k]`` and has ``columns[c][k]`` in column c.  A blank
+    row is skipped; the first other row without one cell per header column, or
+    that the csv module cannot read, is reported as it is reached.  Then each
+    distinct country code (column code, origin or dest) is checked once: it must
+    not be blank, and must not contain "->", which joins the two codes of a JSON
+    cell key; the earliest row holding a bad one is reported.
     """
     path = Path(path)
     if not path.is_file():
         raise ModelError(f"table {path} not found")
     width = len(header)
-    columns: list[list[str]] = [[] for _ in header]
-    is_code = [name in ("code", "origin", "dest") for name in header]
-    code_cells: dict[str, str] = {}  # each distinct code is held as one string, not once a row
-    blank: set[int] = set()
+    lines: list[int] = []
+    rows: list[list[str]] = []
     try:  # bytes that are not UTF-8, or a cell over the csv module's field size limit
         with path.open(newline="", encoding="utf-8-sig") as f:  # drops a byte-order mark
             reader = csv.reader(f)
             if next(reader, None) != header:
                 raise ModelError(f"line 1: bad header in {path.name}, expected {','.join(header)}")
-            line = 2
-            # one block of rows is held at a time, as tuples of strings, which the
-            # cyclic garbage collector stops scanning
-            for rows in iter(lambda: list(map(tuple, islice(reader, BLOCK_CELLS // width))), []):
-                numbered = range(line, line + len(rows))
-                line = numbered.stop
-                # a blank row has a blank first cell; where one may exist, check rows one by one
-                if set(map(len, rows)) != {width} or not all(map(str.strip, {r[0] for r in rows})):
-                    kept = []
-                    for n, row in zip(numbered, rows):
-                        if not any(map(str.strip, row)):
-                            blank.add(n)
-                        elif len(row) != width:
-                            raise ModelError(f"line {n}: expected {width} cells in {path.name}, "
-                                             f"got {len(row)}")
-                        else:
-                            kept.append(row)
-                    rows = kept
-                for k, column in enumerate(columns):
-                    cells = [row[k] for row in rows]
-                    column += map(code_cells.setdefault, cells, cells) if is_code[k] else cells
+            for line, row in enumerate(reader, start=2):
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) != width:
+                    raise ModelError(f"line {line}: expected {width} cells in {path.name}, "
+                                     f"got {len(row)}")
+                lines.append(line)
+                rows.append(row)
     except (UnicodeDecodeError, csv.Error) as e:
         raise ModelError(f"{path.name} is not a UTF-8 CSV table: {e}") from None
-    lines: Sequence[int] = range(2, line)
-    if blank:
-        lines = [n for n in lines if n not in blank]
-    for name, column, code in zip(header, columns, is_code):
-        if code:
-            bad = [c for c in set(column) if not c.strip() or "->" in c]
+    columns = [[row[c] for row in rows] for c in range(width)]
+    for name, column in zip(header, columns):
+        if name in ("code", "origin", "dest"):
+            bad = {c for c in set(column) if not c.strip() or "->" in c}
             if bad:
-                k = min(map(column.index, bad))
+                k = next(k for k, c in enumerate(column) if c in bad)
                 raise ModelError(f"line {lines[k]}: {name} in {path.name} must be a country "
                                  f"code, not blank or with '->', got {column[k]!r}")
     return lines, columns
@@ -235,20 +219,17 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
             raise ValueError("a skipped row or a cell that is not exactly a known code")
 
         def cell(k: int) -> str:  # with no quotes, the text after the second comma is csv's cell
-            return path.read_text(encoding="utf-8").split("\n")[k + 1].split(",")[2]
+            with path.open(encoding="utf-8") as f:  # universal newlines, as read_text reads
+                row = next(line for i, line in enumerate(f) if i > k)
+            return row.rstrip("\n").split(",")[2]
         return axis, range(2, n + 2), *found, table[value].copy(), cell
     except (OSError, ValueError):  # the row reader raises the error, if there is one
         lines, (origins, dests, cells) = _table(path, header)
-    cells_of_codes = {*origins, *dests}
-    axis = sorted({*axis, *map(str.strip, cells_of_codes)})  # with the table's own codes
+    axis = sorted({*axis, *map(str.strip, origins), *map(str.strip, dests)})  # the table's too
     index = {c: k for k, c in enumerate(axis)}
-    at = {c: index[c.strip()] for c in cells_of_codes}  # each distinct cell stripped once
-    rows, cols = (np.fromiter(map(at.__getitem__, column), np.intp, len(column))
+    rows, cols = (np.fromiter((index[c.strip()] for c in column), np.intp, len(column))
                   for column in (origins, dests))
-    try:
-        values = np.array(cells, dtype=float)  # each cell as float() reads it
-    except ValueError:  # a word such as 'blocked', or bad text: cell by cell
-        values = np.array(list(map(_value, cells)))
+    values = np.fromiter(map(_value, cells), float, len(cells))
     return axis, lines, rows, cols, values, cells.__getitem__
 
 

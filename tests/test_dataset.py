@@ -7,6 +7,8 @@ import re
 import shutil
 import statistics
 import tempfile
+import time
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -271,12 +273,17 @@ class TestPreEstimated:
         assert barrier(p, "AAA", "BBB") == BLOCKED and barrier(p, "AAA", "CCC") == 1000.0
 
     def test_first_failing_row_reported(self, tmp_path):
-        """Of several bad rows the earliest is reported, whichever check it fails."""
+        """Of several bad rows the earliest is reported, whichever check it fails, even where
+        a later row holds a cell over the csv module's field size limit."""
         barriers = "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,-2\nZZZ,BBB,nan\n"
         with pytest.raises(ModelError, match="^line 3: barrier AAA,CCC = -2.0$"):
             load_pre_estimated(pre_tables(tmp_path, barriers))
         barriers = "origin,dest,cost\nAAA,BBB,1.0\nZZZ,CCC,-2\nAAA,BBB,nan\n"
         with pytest.raises(ModelError, match="^barrier origin 'ZZZ' not in supply.csv$"):
+            load_pre_estimated(pre_tables(tmp_path, barriers))
+        barriers = ("origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,2.0\nAAA,DDD\n"
+                    + "AAA,BBB,1.0\n" * 496 + "AAA,CCC," + "1" * 200_000 + "\n")
+        with pytest.raises(ModelError, match="^line 4: expected 3 cells in barriers.csv, got 2$"):
             load_pre_estimated(pre_tables(tmp_path, barriers))
 
     @pytest.mark.parametrize("again", ["AAA,BBB,3.0", " AAA , BBB ,1.0"])
@@ -490,6 +497,78 @@ def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
         **{(s, s): 0.0 for s in sources},
         **{(s, t): BLOCKED if (i + j) % 2 else 0.25 * (i + j)
            for i, s in enumerate(sources) for j, t in enumerate(targets)}}
+
+
+def test_row_reader_reads_a_large_table_as_the_c_pass(monkeypatch, tmp_path):
+    """A 5,000-row barriers.csv that only the row reader reads, for a 'blocked' cost, a blank
+    row and a padded code past its first rows, loads to the arrays and the barriers the C pass
+    reads from its clean twin, which has 'inf' there and no blank row or padding."""
+    sources = [f"S{i:02d}" for i in range(50)]
+    targets = [f"T{j:03d}" for j in range(100)]
+    rows = [[s, t, repr(0.25 * ((i * 7 + j) % 41))]
+            for i, s in enumerate(sources) for j, t in enumerate(targets)]
+
+    def table(name: str) -> Path:
+        return write(tmp_path, name, "".join(f"{','.join(row)}\n"
+                                             for row in [["origin", "dest", "cost"], *rows]))
+    rows[1][2] = "inf"
+    clean = table("clean.csv")
+    rows[1][2] = "blocked"
+    rows[3000][0] = f" {rows[3000][0]} "
+    rows.insert(2000, ["", "", ""])
+    dirty = table("dirty.csv")
+    read = []
+    row_reader = dataset._table
+    monkeypatch.setattr(dataset, "_table", lambda path, header: read.append(path.name)
+                        or row_reader(path, header))
+    codes = [*sources, *targets]
+    fast, slow = (dataset._pair_table(path, "cost", codes) for path in (clean, dirty))
+    assert read == ["dirty.csv"]
+    assert fast[0] == slow[0]
+    for a, b in zip(fast[2:5], slow[2:5]):
+        assert a.tobytes() == b.tobytes()
+    assert np.isinf(slow[4][1]) and slow[5](1) == "blocked" and fast[5](1) == "inf"
+    supply = dict.fromkeys(sources, 1.0)
+    fast, slow = (dataset._load_barriers(path, supply, set(targets)) for path in (clean, dirty))
+    assert fast.codes == slow.codes
+    assert fast.cost.tobytes() == slow.cost.tobytes()
+    assert fast.listed.tobytes() == slow.listed.tobytes()
+
+
+def test_c_pass_error_cell_reads_one_line(monkeypatch, tmp_path):
+    """The C pass's cell(k) quotes a cell by reading the table up to its line, not the whole
+    table: under 1 MB allocated for an early cell of a 200,000-row table."""
+    sources = [f"S{i:03d}" for i in range(400)]
+    targets = [f"T{j:03d}" for j in range(500)]
+    rows = [f"{s},{t},1.5\n" for s in sources for t in targets]
+    rows[2] = rows[2].replace("1.5", "nan")
+    path = write(tmp_path, "barriers.csv", "".join(["origin,dest,cost\n", *rows]))
+
+    def row_reader(path, header):
+        raise AssertionError("the table missed the C pass")
+    monkeypatch.setattr(dataset, "_table", row_reader)
+    _, lines, _, _, values, cell = dataset._pair_table(path, "cost", [*sources, *targets])
+    assert len(values) == 200_000 and lines[2] == 4 and np.isnan(values[2])
+    tracemalloc.start()
+    try:
+        quoted = cell(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quoted == "nan" and cell(3) == "1.5" and cell(199_999) == "1.5"
+    assert peak < 2**20
+
+
+def test_first_bad_code_found_in_one_scan(tmp_path):
+    """20,000 distinct bad codes report the first in well under a second: each code cell is
+    looked up in the set of bad ones, not searched for one bad code at a time."""
+    path = write(tmp_path, "supply.csv",
+                 "code,supply\n" + "".join(f"C{k}->X,1\n" for k in range(20_000)))
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=r"^line 2: code in supply.csv must be a country "
+                                         r"code, not blank or with '->', got 'C0->X'$"):
+        dataset._table(path, ["code", "supply"])
+    assert time.perf_counter() - start < 1.0
 
 
 class TestValidation:

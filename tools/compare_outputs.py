@@ -8,11 +8,11 @@ OLD_SRC and NEW_SRC are directories holding the ``tnrisk`` package (a
 checkout's ``src``).  Each command runs as ``python -m tnrisk.cli`` once with
 each tree on ``PYTHONPATH``, both reading one copy of the data: NEW_SRC's
 bundled dataset, copies of it with one edit each, spec files beside them, and
-a ``bench/synth.py`` dataset (seed 1, 400 x 200).  The tables below list the
-commands and edits, each with the path it takes; ``main`` adds, each with its
-comment, a spec and a supply.csv that start with a byte-order mark, a supply.csv
-that is not UTF-8, a migration.csv that gives AFG no route abroad, I/O errors
-and the synthetic runs.
+a ``bench/synth.py`` dataset (seed 1, 400 x 200) with copies of it edited in the
+same way.  The tables below list the commands and edits, each with the path it
+takes; ``main`` adds, each with its comment, a spec and a supply.csv that start
+with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
+gives AFG no route abroad, I/O errors and the synthetic runs.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -143,6 +143,15 @@ PRE_ESTIMATED_EDITS = {
     "unknown-supply-code": ("pre_estimated/supply.csv", None, 0, "ZZZ,5"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
+
+# copies of the synthetic dataset with one edit to its barriers.csv, as in BUNDLE_EDITS
+# without the table, and the labels of the synthetic commands run on each
+SYNTH_EDITS = {
+    # a 'blocked' cost: all 80,001 rows of barriers.csv take the row reader
+    "synthetic-blocked": (("S0000,T0000,", 2, "blocked"), ["solve", "scenario spec.json"]),
+    # a nan cost on line 4: an error quoting the cell the C pass read
+    "synthetic-nan-cost": (("S0000,T0002,", 2, "nan"), ["solve"]),
+}
 
 # bundle copies whose supply.csv gives every code one value: (value, commands)
 SUPPLY_COPIES = {
@@ -282,9 +291,16 @@ def main(argv: list[str]) -> int:
             ("solve --out FILE", ["solve", "--out", str(file)]),
             ("validate --out FILE/x", ["validate", "--out", str(file / "x")]),
             ("scenario DIRECTORY", ["scenario", str(bundle)]))]
-        commands += [(f"synthetic {label}", [*c, "--data", str(synthetic), "--abandon", "-30.0"])
-                     for label, c in (("solve", ["solve"]),
-                                      ("scenario spec.json", ["scenario", str(spec)]))]
+        synthetic_commands = {"solve": ["solve"], "scenario spec.json": ["scenario", str(spec)]}
+        datasets = [("synthetic", synthetic, list(synthetic_commands))]
+        for name, (edit, labels) in SYNTH_EDITS.items():
+            copy = work / name
+            shutil.copytree(synthetic, copy)
+            edit_table(copy / "pre_estimated" / "barriers.csv", *edit)
+            datasets.append((name, copy, labels))
+        commands += [(f"{name} {label}", [*synthetic_commands[label], "--data", str(data),
+                                          "--abandon", "-30.0"])
+                     for name, data, labels in datasets for label in labels]
         # sweep takes no --abandon: its grid sets the abandon yield
         commands.append(("synthetic sweep --step 0.5",
                          ["sweep", "--step", "0.5", "--data", str(synthetic)]))
