@@ -86,17 +86,24 @@ def _load_params(args: argparse.Namespace):
         params = estimation.estimate_params(dataset.load_bundle(args.data), args.weights, args.q)
     else:
         params = dataset.load_pre_estimated(args.data / "pre_estimated")
-    params.lam, params.A, params.weights_label = args.lam, args.abandon, args.weights_label
+    params.lam, params.A = args.lam, args.abandon
     return params
 
 
+def _echo(args: argparse.Namespace, params) -> dict:
+    """The parameters a run solved or estimated with, as its report and matrix JSON echo them."""
+    return {"lambda": params.lam, "abandon_yield": cost_out(params.A), "q": args.q,
+            "weights_preset": args.weights_label, "n_sources": len(params.sources),
+            "n_targets": len(params.targets)}
+
+
 def _write_report(args: argparse.Namespace, params, **fields) -> None:
-    """Every command's run report: the flags as run, ``params.echo()`` and its own ``fields``."""
+    """Every command's run report: the flags as run, ``_echo(args, params)`` and ``fields``."""
     config = {"data": str(args.data), "mode": args.mode, "lambda": args.lam,
               "abandon": cost_out(args.abandon), "weights": args.weights_label, "q": args.q,
               "format": args.format}
     dataset.write_json(args.out / "run_metadata.json",
-                       {"config": config, "params": params.echo(), **fields})
+                       {"config": config, "params": _echo(args, params), **fields})
 
 
 def _unroutable(matrix: evader.AttackMatrix) -> dict[str, float]:
@@ -139,7 +146,7 @@ def _solve_to_dir(params, args: argparse.Namespace, prefix: str = "") -> "evader
     with_json = args.format == "json" or not prefix
     evader.write_matrix_csv(
         matrix, out / f"{prefix}attack_matrix.csv",
-        json_path=out / f"{prefix}attack_matrix.json" if with_json else None,
+        json_file=(out / f"{prefix}attack_matrix.json", _echo(args, params)) if with_json else None,
         # circle areas proportional to plot counts; zero entries omitted
         plot_path=None if prefix else out / "plot_data.csv")
     evader.write_abandoned_csv(matrix, out / f"{prefix}abandoned.csv")

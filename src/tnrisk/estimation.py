@@ -152,8 +152,8 @@ def estimate_yield(countries: CountryTable) -> dict[str, float]:
 def estimate_params(bundle: DataBundle,
                     weights: SupportWeights = WEIGHT_PRESETS["default"],
                     q: float = DEFAULT_Q) -> ModelParams:
-    """Run all four estimators on a bundle; A, lambda and the weights label keep their defaults."""
+    """Run all four estimators on a bundle; A and lambda keep their defaults."""
     countries = impute_survey(bundle.countries)
     return ModelParams(S=estimate_supply(countries, weights, q), T=estimate_barriers(bundle),
-                       I=estimate_interception(countries), Y=estimate_yield(countries), Q=q)
+                       I=estimate_interception(countries), Y=estimate_yield(countries))
 

@@ -24,7 +24,6 @@ class AttackMatrix:
     abandoned: np.ndarray
     unroutable: np.ndarray
     total_plots: float
-    params_echo: dict
 
 
 def target_totals(matrix: AttackMatrix) -> tuple[dict[str, float], float]:
@@ -35,19 +34,21 @@ def target_totals(matrix: AttackMatrix) -> tuple[dict[str, float], float]:
 
 # --- exports -------------------------------------------------------------------
 
-def write_matrix_csv(matrix: AttackMatrix, path: str | Path, json_path: str | Path | None = None,
+def write_matrix_csv(matrix: AttackMatrix, path: str | Path,
+                     json_file: tuple[str | Path, dict] | None = None,
                      plot_path: str | Path | None = None) -> None:
     """Write the nonzero cells, in sorted (source, target) order, to ``path``.
 
-    In the same pass over the cells, optionally write the JSON document
-    (parameters, codes, cells keyed "source->target", abandoned plots and
-    totals) and the plot data (each cell also over the largest cell).
+    In the same pass over the cells, optionally write the JSON document to
+    ``json_file`` = (path, params): the run's ``params`` dict, codes, cells keyed
+    "source->target", abandoned plots and totals; and the plot data (each cell
+    also over the largest cell).
     """
-    json_file = None
-    if json_path is not None:
+    if json_file is not None:
+        json_path, params = json_file
         totals, grand = target_totals(matrix)
         json_file = (json_path, {
-            "params": matrix.params_echo,
+            "params": params,
             "sources": matrix.sources,
             "targets": matrix.targets,
             "abandoned": dict(zip(matrix.sources, matrix.abandoned.tolist())),

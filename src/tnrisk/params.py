@@ -114,7 +114,7 @@ class Barriers:
 
 @dataclass
 class ModelParams:
-    """Estimated model inputs for the attack-allocation solver.
+    """The model the attack-allocation solver reads, and nothing else.
 
     S: expected plot counts per source country
     T: translocation cost per (origin, destination) as :class:`Barriers`, whose
@@ -122,6 +122,7 @@ class ModelParams:
     I: interception cost per target country
     Y: attack yield per target country (non-positive)
     A: abandon yield; BLOCKED disables abandoning
+    lam: rationality parameter of the route logit
     """
 
     S: dict[str, float]
@@ -130,8 +131,6 @@ class ModelParams:
     Y: dict[str, float]
     A: float = BLOCKED
     lam: float = DEFAULT_LAMBDA
-    Q: float = DEFAULT_Q
-    weights_label: str = "default"
 
     @property
     def sources(self) -> list[str]:
@@ -144,14 +143,3 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         """A copy whose S, I and Y dicts are its own (T is read-only, so it is shared)."""
         return replace(self, S=dict(self.S), I=dict(self.I), Y=dict(self.Y))
-
-    def echo(self) -> dict:
-        """Scalar parameters for reproducibility metadata."""
-        return {
-            "lambda": self.lam,
-            "abandon_yield": cost_out(self.A),
-            "q": self.Q,
-            "weights_preset": self.weights_label,
-            "n_sources": len(self.sources),
-            "n_targets": len(self.targets),
-        }

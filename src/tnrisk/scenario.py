@@ -82,7 +82,8 @@ class ScenarioSpec:
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
     """Return a new ModelParams with the scenario's overrides applied, in order.
 
-    A code the parameters do not have raises a ModelError naming the spec field.
+    A code the parameters do not have, or a known code with no value to override, raises a
+    ModelError naming the spec field.
     """
     index = params.T.index
     barrier_codes = [c for row in spec.barrier_overrides for c in row[:2] if c != "*"]
@@ -91,7 +92,9 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
                               ("yield_overrides", spec.yield_overrides, params.Y)):
         for code in codes:
             if code not in known:
-                raise ModelError(f"scenario {key} names unknown country code {code!r}")
+                what = (f"{code!r}, which has no {key.split('_')[0]} value" if code in index
+                        else f"unknown country code {code!r}")
+                raise ModelError(f"scenario {key} names {what}")
     out = params.copy()
     if spec.barrier_overrides:
         cost, listed = params.T.cost.copy(), params.T.listed.copy()
@@ -194,7 +197,7 @@ def solve(params: ModelParams) -> AttackMatrix:
     plots[live] = net.supply[live, None] * (weight / weight.sum(axis=1, keepdims=True))
     return AttackMatrix(sources=net.sources, targets=net.targets, N=plots[:, :-1].copy(),
                         abandoned=plots[:, -1].copy(), unroutable=np.where(live, 0.0, net.supply),
-                        total_plots=sum(net.supply.tolist()), params_echo=params.echo())
+                        total_plots=sum(net.supply.tolist()))
 
 
 @dataclass

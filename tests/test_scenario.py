@@ -82,6 +82,11 @@ class TestApplyScenario:
         with pytest.raises(ModelError, match="^scenario interception_overrides names unknown "
                                              "country code 'ZZZ'$"):
             apply_scenario(params, ScenarioSpec(interception_overrides={"ZZZ": 1.0}))
+        # AFG is a source on the barriers' axis, but not a target: it has no I or Y to override
+        for key, what in (("interception_overrides", "interception"), ("yield_overrides", "yield")):
+            with pytest.raises(ModelError, match=f"^scenario {key} names 'AFG', which has no "
+                                                 f"{what} value$"):
+                apply_scenario(params, ScenarioSpec(**{key: {"AFG": 0.0}}))
 
     def test_from_json(self, params, tmp_path):
         doc = {"name": "t", "barrier_overrides": [["*", "USA", "inf"]],

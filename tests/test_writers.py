@@ -29,12 +29,16 @@ CODES = st.text(alphabet='AB!- ,"\né国', min_size=1, max_size=4)
 TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
 
 
+# the parameters the JSON document echoes, as the CLI passes them
+PARAMS = {"lambda": 0.1, "abandon_yield": "inf", "weights_preset": "default"}
+
+
 def assert_matches_oracle(matrix: AttackMatrix, directory: Path) -> None:
     new, old = directory / "new", directory / "old"
     new.mkdir()
     old.mkdir()
-    write_matrix_csv(matrix, new / FILES[0], new / FILES[1], new / FILES[2])
-    write_matrix_files(matrix, old)
+    write_matrix_csv(matrix, new / FILES[0], (new / FILES[1], PARAMS), new / FILES[2])
+    write_matrix_files(matrix, PARAMS, old)
     for name in FILES:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
@@ -83,8 +87,7 @@ def test_writers_match_oracle(seed, codes, block):
 def matrix(sources: list[str], targets: list[str], N: np.ndarray) -> AttackMatrix:
     n = len(sources)
     return AttackMatrix(sources=sources, targets=targets, N=N, abandoned=np.arange(n, dtype=float),
-                        unroutable=np.zeros(n), total_plots=float(N.sum()) + n * (n - 1) / 2,
-                        params_echo={"lambda": 0.1})
+                        unroutable=np.zeros(n), total_plots=float(N.sum()) + n * (n - 1) / 2)
 
 
 def test_json_keys_out_of_row_major_order(tmp_path):
@@ -184,6 +187,7 @@ def test_a_failed_half_reaps_the_child_and_leaves_no_file(tmp_path, monkeypatch,
     error, message = ((OSError, "ended with exit code 1") if failing == "child"
                       else (RuntimeError, "formatting failed in the parent"))
     with pytest.raises(error, match=message):
-        write_matrix_csv(m, *(tmp_path / name for name in FILES))
+        write_matrix_csv(m, tmp_path / FILES[0], (tmp_path / FILES[1], PARAMS),
+                         tmp_path / FILES[2])
     assert_no_child()
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(FILES)

@@ -25,10 +25,10 @@ def nonzero_cells(values: np.ndarray, sources: list[str], targets: list[str]) ->
         yield sources[r], targets[c], v
 
 
-def matrix_to_json(matrix: AttackMatrix) -> dict:
+def matrix_to_json(matrix: AttackMatrix, params: dict) -> dict:
     totals, grand = target_totals(matrix)
     return {
-        "params": matrix.params_echo,
+        "params": params,
         "sources": matrix.sources,
         "targets": matrix.targets,
         "expected_plots": {f"{i}->{t}": v
@@ -47,12 +47,13 @@ def write_rows(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_matrix_files(matrix: AttackMatrix, directory: Path) -> None:
-    """attack_matrix.csv, attack_matrix.json and plot_data.csv, as ``tnrisk solve`` writes them."""
+def write_matrix_files(matrix: AttackMatrix, params: dict, directory: Path) -> None:
+    """attack_matrix.csv, attack_matrix.json (echoing ``params``) and plot_data.csv, as
+    ``tnrisk solve`` writes them."""
     cells = list(nonzero_cells(matrix.N, matrix.sources, matrix.targets))
     write_rows(directory / "attack_matrix.csv", ["source", "target", "expected_plots"], cells)
     with (directory / "attack_matrix.json").open("w", encoding="utf-8") as f:
-        json.dump(matrix_to_json(matrix), f, indent=2, sort_keys=True)
+        json.dump(matrix_to_json(matrix, params), f, indent=2, sort_keys=True)
         f.write("\n")
     peak = float(matrix.N.max(initial=0.0))
     write_rows(directory / "plot_data.csv", ["source", "target", "value", "normalized"],

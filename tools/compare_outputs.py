@@ -81,7 +81,11 @@ SPECS = {"fortress-USA.json": {"name": "fortress-USA", "barrier_overrides": [["*
          # an error path: a barrier below 0
          "negative-barrier.json": {"barrier_overrides": [["*", "USA", -5]]},
          # a pair the bundle already blocks: no cell changes
-         "already-blocked.json": {"barrier_overrides": [["PSE", "JPN", "inf"]]}}
+         "already-blocked.json": {"barrier_overrides": [["PSE", "JPN", "inf"]]},
+         # an override of every other kind: the alt matrix JSON echoes its lambda and A
+         "overrides.json": {"lambda_override": 0.2, "a_override": -20,
+                            "interception_overrides": {"USA": 3},
+                            "yield_overrides": {"USA": -10}}}
 
 # bundle copies, each with one edit to a raw table: (table, row prefix, cell, value); an
 # edit with no row prefix appends its value as a new row, and one with no value deletes the row
@@ -249,6 +253,10 @@ def main(argv: list[str]) -> int:
         commands = [(" ".join(c), [*c, "--data", str(bundle)]) for c in BUNDLE_COMMANDS]
         commands += [(f"scenario {name}", ["scenario", str(work / name), "--data", str(bundle)])
                      for name in [*SPECS, marked.name]]
+        # the overrides spec with both sides' matrix JSON, whose params each side echoes
+        commands.append(("scenario overrides.json --format json",
+                         ["scenario", str(work / "overrides.json"), "--format", "json",
+                          "--data", str(bundle)]))
         for edits, edited_commands in ((BUNDLE_EDITS, EDITED_BUNDLE_COMMANDS),
                                        (PRE_ESTIMATED_EDITS, PRE_ESTIMATED_COMMANDS)):
             for name, (table, *edit) in edits.items():
