@@ -1,4 +1,4 @@
-"""Input file formats: country table, pair tables, pre-estimated parameter tables.
+"""Input file formats (countries, pair tables, pre-estimated parameters) and output writers.
 
 All inputs are plain UTF-8 CSV, with or without a byte-order mark.  A desk-scale
 dataset is bundled with the package (see :func:`bundled_data_dir`); larger
@@ -194,32 +194,32 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
     """(axis, lines, rows, cols, values, cell): lines[k] lists axis[rows[k]], axis[cols[k]] and
     the cell text cell(k), which either path reads as :func:`_value` does, into values[k].
 
-    A table with the exact header, rows, no blank row, no '"' or NUL, and every code cell
-    exactly one of ``codes`` (stripped, not blank and without '->', as the loaders hold
-    them) in ASCII is read in one C pass, on the sorted ``codes`` as its axis, if np.loadtxt
-    takes every cell (it refuses some that float() reads, such as '1_000'); any other goes
-    through :func:`_table`, which reports every error.
+    A table with the exact header after any byte-order mark, rows, no blank row but after the
+    last, no '"' or NUL, and every code cell exactly one of ``codes`` (stripped, not blank and
+    without '->', as the loaders hold them) in ASCII is read in one C pass, on the sorted
+    ``codes`` as its axis, if np.loadtxt takes every cell (it refuses some that float() reads,
+    such as '1_000'); any other goes through :func:`_table`, which reports every error.
     """
     header = ["origin", "dest", value]
     axis = sorted({*codes})
-    try:
-        text = path.read_text(encoding="utf-8")  # CRLF and lone CR read as "\n", as np.loadtxt
-        n = text.count("\n") - text.endswith("\n")  # the lines after the header
-        if (not text.startswith(",".join(header) + "\n") or '"' in text or "\n\n" in text or n < 1
+    try:  # as the row reader reads: a byte-order mark dropped, blank lines at the end skipped
+        text = path.read_text(encoding="utf-8-sig").rstrip()  # CRLF and lone CR read as "\n"
+        n = text.count("\n")  # lines after the header, at least one; more than rows if one is blank
+        if (not text.startswith(",".join(header) + "\n") or '"' in text  # '"' only exits early
                 or "\0" in text or "\0" in "".join(axis)):  # a bytes cell drops trailing NULs
             raise ValueError("not a clean table")
         del text
         known = np.array(axis, dtype=f"S{max(map(len, axis))}")  # raises if none, or not ASCII
         code = f"S{known.itemsize + 1}"  # a longer cell is cut to this, longer than any code
         table = np.loadtxt(path, dtype=[("origin", code), ("dest", code), (value, float)],
-                           delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+                           delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8-sig")
         code_cells = np.stack([table["origin"], table["dest"]])
         found = np.searchsorted(known, code_cells)  # where each cell is, if it is a known code
         if len(table) != n or (known.take(found, mode="clip") != code_cells).any():
             raise ValueError("a skipped row or a cell that is not exactly a known code")
 
         def cell(k: int) -> str:  # with no quotes, the text after the second comma is csv's cell
-            with path.open(encoding="utf-8") as f:  # universal newlines, as read_text reads
+            with path.open(encoding="utf-8-sig") as f:  # universal newlines, as read_text reads
                 row = next(line for i, line in enumerate(f) if i > k)
             return row.rstrip("\n").split(",")[2]
         return axis, range(2, n + 2), *found, table[value].copy(), cell

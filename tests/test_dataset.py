@@ -32,6 +32,7 @@ from tnrisk import dataset
 from tnrisk.dataset import COUNTRY_HEADER, write_pre_estimated
 from tnrisk.scenario import build_network
 
+import synth
 from conftest import barrier, params_from_dicts, random_params, raw_tables
 
 HEADER = ",".join(COUNTRY_HEADER)
@@ -285,6 +286,17 @@ class TestPreEstimated:
                     + "AAA,BBB,1.0\n" * 496 + "AAA,CCC," + "1" * 200_000 + "\n")
         with pytest.raises(ModelError, match="^line 4: expected 3 cells in barriers.csv, got 2$"):
             load_pre_estimated(pre_tables(tmp_path, barriers))
+        # a nan on line 4 of a table the C pass reads, marked and CRLF with two blank lines
+        # after its last row or not: the same line and cell quoted
+        barriers = "origin,dest,cost\nAAA,BBB,1.0\nAAA,CCC,2.0\nAAA,DDD,nan\n"
+        marked = codecs.BOM_UTF8 + (barriers + "\n\n").replace("\n", "\r\n").encode()
+        for data in (barriers.encode(), marked):
+            (pre_tables(tmp_path, "") / "barriers.csv").write_bytes(data)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset, "_table", partial(_no_row_reader, dataset._table))
+                with pytest.raises(ModelError, match="^line 4: cost in barriers.csv must be a "
+                                                     "number, 'inf' or 'blocked', got 'nan'$"):
+                    load_pre_estimated(tmp_path)
 
     @pytest.mark.parametrize("again", ["AAA,BBB,3.0", " AAA , BBB ,1.0"])
     def test_duplicate_pair(self, tmp_path, again):
@@ -300,6 +312,12 @@ class TestPreEstimated:
         assert statistics.median(pre_params.I.values()) == pytest.approx(1.0, abs=0.05)
         assert min(pre_params.I.values()) == 0.0
         assert max(pre_params.Y.values()) == 0.0
+
+
+def _no_row_reader(row_reader, path, header):
+    """``row_reader`` for a one-code table; a pair table that misses the C pass fails the test."""
+    assert header[0] == "code", f"{Path(path).name} missed the C pass"
+    return row_reader(path, header)
 
 
 def pre_tables(d: Path, barriers: str) -> Path:
@@ -414,31 +432,48 @@ def _refuse(*args, **kwargs):
 @given(header=st.sampled_from(["origin,dest,{}"] * 4 + ['"origin",dest,{}', "origin,dest"]),
        rows=pair_rows(),
        endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
-       last=st.booleans())
-@example(header="origin,dest,{}", rows=[], endings=["\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=[""], endings=["\r\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=["AAA,BBB,1", ",CCC,2"], endings=["\r\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=["AAA,  ,1"], endings=["\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=["A->B,CCC,1"], endings=["\n"] * 12, last=False)
+       last=st.booleans(), bom=st.booleans(),
+       tail=st.lists(st.sampled_from(["", "", " ", "\t", " \x0c"]), max_size=3))
+@example(header="origin,dest,{}", rows=[], endings=["\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=[""], endings=["\r\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", ",CCC,2"], endings=["\r\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AAA,  ,1"], endings=["\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["A->B,CCC,1"], endings=["\n"] * 12, last=False,
+         bom=False, tail=[])
 @example(header="origin,dest,{}", rows=['"AAA",BBB,1', "BBB,CCC,2"], endings=["\n"] * 12,
-         last=True)
+         last=True, bom=False, tail=[])
 @example(header="origin,dest,{}", rows=["AAA,BBB,1", "", "AAA,BBB,2"], endings=["\r"] * 12,
-         last=True)
+         last=True, bom=False, tail=[])
 @example(header="origin,dest,{}", rows=["AAA,BBB,1", "BBB,CCC, nan "], endings=["\n"] * 12,
-         last=True)
-@example(header="origin,dest,{}", rows=["AAA\x00,BBB,1"], endings=["\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=["AAA,BBBB,1"], endings=["\n"] * 12, last=True)
-@example(header="origin,dest,{}", rows=["AA,CCC,1"], endings=["\n"] * 12, last=True)
+         last=True, bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AAA\x00,BBB,1"], endings=["\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AAA,BBBB,1"], endings=["\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AA,CCC,1"], endings=["\n"] * 12, last=True,
+         bom=False, tail=[])
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", "BBB,CCC,2"], endings=["\r\n"] * 12,
+         last=True, bom=True, tail=["", ""])
+@example(header="origin,dest,{}", rows=["AAA,BBB,1"], endings=["\n"] * 12, last=False,
+         bom=False, tail=["", " ", "\t"])
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", "", "BBB,CCC,2"], endings=["\n"] * 12,
+         last=True, bom=True, tail=[""])
 @settings(max_examples=300, deadline=None)
-def test_c_pass_reads_as_the_row_reader(header, rows, endings, last):
+def test_c_pass_reads_as_the_row_reader(header, rows, endings, last, bom, tail):
     """Every pair table loads to the same arrays with the C pass as with only the row reader,
-    or fails with the same error type, message and line."""
-    ends = [*endings[:len(rows)], endings[-1] if last else ""]
+    or fails with the same error type, message and line: with or without a byte-order mark,
+    and with blank or whitespace-only lines after the last row or not."""
+    lines = ["\ufeff" * bom + header, *rows, *tail]
+    ends = [*(endings * 2)[:len(lines) - 1], endings[-1] if last else ""]
     with tempfile.TemporaryDirectory() as tmp:
         for name, value, load in PAIR_LOADERS:
             path = Path(tmp) / name
             with path.open("w", encoding="utf-8", newline="") as f:
-                f.write("".join(map("".join, zip([header.format(value), *rows], ends))))
+                f.write("".join(map("".join, zip([lines[0].format(value), *lines[1:]], ends))))
             _assert_c_pass_agrees(load, path)
 
 
@@ -476,7 +511,8 @@ def test_pair_table_reads_each_value_cell_by_one_rule(tmp_path, other, tail):
 def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
     """The bundled pair tables, CRLF and clean, are each read by the C pass alone: the row
     reader reads only countries.csv and the three vector tables.  So is a barriers.csv with
-    5-character codes, inf costs and no domestic pair, as large synthetic datasets have."""
+    5-character codes, inf costs and no domestic pair, as large synthetic datasets have, and
+    the 400 x 200 barriers.csv of bench/synth.py that the synthetic benchmark workload loads."""
     sources, targets = ["S0000", "S0001"], ["T0000", "T0001", "T0002"]
     write(tmp_path, "supply.csv", "code,supply\n" + "".join(f"{c},5.0\n" for c in sources))
     write(tmp_path, "interception.csv", "code,cost\n" + "".join(f"{c},1.5\n" for c in targets))
@@ -497,6 +533,31 @@ def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
         **{(s, s): 0.0 for s in sources},
         **{(s, t): BLOCKED if (i + j) % 2 else 0.25 * (i + j)
            for i, s in enumerate(sources) for j, t in enumerate(targets)}}
+    synth.generate(tmp_path / "synthetic", 1, 400, 200)
+    assert load_pre_estimated(tmp_path / "synthetic" / "pre_estimated").T.cost.shape == (600, 600)
+    assert headers == ["code"] * 10
+
+
+@pytest.mark.parametrize("bom, ending, tail", [
+    (True, "\n", "\n"), (False, "\r\n", "\r\n"), (False, "\r", "\r"), (False, "\n", ""),
+    (False, "\n", "\n\n"), (False, "\n", "\n\n\n\n"), (True, "\r\n", "\r\n" * 3),
+    (False, "\r", "\r\r")],
+    ids=["marked", "crlf", "lone-cr", "no-final-newline", "one-blank-line", "three-blank-lines",
+         "marked-crlf-two-blank-lines", "lone-cr-one-blank-line"])
+def test_c_pass_reads_marked_and_blank_ended_tables(monkeypatch, tmp_path, bom, ending, tail):
+    """A table with a byte-order mark, any line ending, no final newline or blank lines after
+    its last row is read by the C pass, as the row reader would read it: the arrays and the
+    cells of its plain twin, on the lines they are on."""
+    rows = ["origin,dest,cost", "AAA,BBB,-inf", "AAA,CCC,1e200", "BBB,CCC,1000"]
+    plain = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
+    path = tmp_path / "barriers.csv"
+    path.write_bytes(codecs.BOM_UTF8 * bom + (ending.join(rows) + tail).encode())
+    monkeypatch.setattr(dataset, "_table", partial(_no_row_reader, dataset._table))
+    want, got = (dataset._pair_table(p, "cost", PAIR_CODE_AXIS) for p in (plain, path))
+    assert got[0] == want[0] and list(got[1]) == list(want[1]) == [2, 3, 4]
+    for a, b in zip(want[2:5], got[2:5]):
+        assert a.tobytes() == b.tobytes()
+    assert [got[5](k) for k in range(3)] == [want[5](k) for k in range(3)]
 
 
 def test_row_reader_reads_a_large_table_as_the_c_pass(monkeypatch, tmp_path):

@@ -12,7 +12,8 @@ a ``bench/synth.py`` dataset (seed 1, 400 x 200) with copies of it edited in the
 same way.  The tables below list the commands and edits, each with the path it
 takes; ``main`` adds, each with its comment, a spec and a supply.csv that start
 with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
-gives AFG no route abroad, I/O errors and the synthetic runs.
+gives AFG no route abroad, I/O errors, the synthetic runs and a synthetic copy
+whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -306,6 +307,14 @@ def main(argv: list[str]) -> int:
             shutil.copytree(synthetic, copy)
             edit_table(copy / "pre_estimated" / "barriers.csv", *edit)
             datasets.append((name, copy, labels))
+        # a barriers.csv with a byte-order mark, CRLF line ends and two blank lines after its
+        # last row, as a spreadsheet may save it: the C pass reads it as the row reader does
+        copy = work / "synthetic-marked"
+        shutil.copytree(synthetic, copy)
+        barriers = copy / "pre_estimated" / "barriers.csv"
+        barriers.write_bytes(codecs.BOM_UTF8 + barriers.read_bytes().replace(b"\n", b"\r\n")
+                             + b"\r\n\r\n")
+        datasets.append((copy.name, copy, list(synthetic_commands)))
         commands += [(f"{name} {label}", [*synthetic_commands[label], "--data", str(data),
                                           "--abandon", "-30.0"])
                      for name, data, labels in datasets for label in labels]
