@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -195,10 +196,11 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
     the cell text cell(k), which either path reads as :func:`_value` does, into values[k].
 
     A table with the exact header after any byte-order mark, rows, no blank row but after the
-    last, no '"' or NUL, and every code cell exactly one of ``codes`` (stripped, not blank and
-    without '->', as the loaders hold them) in ASCII is read in one C pass, on the sorted
-    ``codes`` as its axis, if np.loadtxt takes every cell (it refuses some that float() reads,
-    such as '1_000'); any other goes through :func:`_table`, which reports every error.
+    last (where lines of spaces or tabs count as blank), no '"' or NUL, and every code cell
+    exactly one of ``codes`` (stripped, not blank and without '->', as the loaders hold them)
+    in ASCII is read in one C pass, on the sorted ``codes`` as its axis, if np.loadtxt takes
+    every cell (it refuses some that float() reads, such as '1_000'); any other goes through
+    :func:`_table`, which reports every error.
     """
     header = ["origin", "dest", value]
     axis = sorted({*codes})
@@ -211,8 +213,11 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
         del text
         known = np.array(axis, dtype=f"S{max(map(len, axis))}")  # raises if none, or not ASCII
         code = f"S{known.itemsize + 1}"  # a longer cell is cut to this, longer than any code
-        table = np.loadtxt(path, dtype=[("origin", code), ("dest", code), (value, float)],
-                           delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8-sig")
+        with warnings.catch_warnings():  # numpy >= 1.23 warns of a blank row, counted below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, dtype=[("origin", code), ("dest", code), (value, float)],
+                               delimiter=",", comments=None, skiprows=1, max_rows=n, ndmin=1,
+                               encoding="utf-8-sig")  # max_rows: not the blank lines after
         code_cells = np.stack([table["origin"], table["dest"]])
         found = np.searchsorted(known, code_cells)  # where each cell is, if it is a known code
         if len(table) != n or (known.take(found, mode="clip") != code_cells).any():
@@ -429,6 +434,37 @@ def _cut(blocks: list[tuple[int, int]], n_cells: int) -> int:
     return min(range(1, len(blocks)), key=lambda k: abs(blocks[k][0] - middle))
 
 
+def _outside(values: np.ndarray) -> np.ndarray:
+    """Where a float64 ``v`` is outside 1e-4 <= abs(v) < 1e16, orjson's range.
+
+    Inside it, orjson writes repr's text: both print the shortest digits that read back to
+    ``v``.  Outside it, orjson writes 1e-05 as 0.00001, 1e+16 as 1e16 and nan as null; 0.0
+    is outside it too.
+    """
+    size = abs(np.asarray(values, dtype=float))
+    return ~((size >= 1e-4) & (size < 1e16))  # nan too: it compares False
+
+
+def _reprs(values: np.ndarray, dumps: Callable[[list], bytes] | None) -> list[str]:
+    """The repr of each float of ``values``; with ``dumps``, orjson's, by one call to it.
+
+    Each value :func:`_outside` orjson's range takes repr.  Where they are at least three
+    quarters of the values, repr formats them all, as the one orjson call would then save
+    less than indexing them costs.  ``tolist`` hands either formatter float64's digits,
+    whatever ``values``' dtype.
+    """
+    floats = values.tolist()
+    if dumps is None:
+        return list(map(repr, floats))
+    other = np.flatnonzero(_outside(values))
+    if 4 * other.size >= 3 * len(floats):
+        return list(map(repr, floats))
+    text = dumps(floats).decode()[1:-1].split(",")
+    for k in other.tolist():
+        text[k] = repr(floats[k])
+    return text
+
+
 def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str | Path,
                 header: list[str], plot_path: str | Path | None = None,
                 json_file: tuple[str | Path, dict] | None = None) -> None:
@@ -437,7 +473,11 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
     Rows follow row-major order, which is sorted order when the codes are
     sorted.  One pass over blocks of about BLOCK_CELLS cells formats each
     value once, as its repr (what csv and json write for a float), and feeds
-    that text to every file:
+    that text to every file.  In a table of at least 4 * BLOCK_CELLS cells, more
+    than a quarter of whose nonzero cells are inside orjson's range (see
+    :func:`_outside`), one orjson call formats a block's values, in the same
+    text (see :func:`_reprs`).  Any other table never loads orjson, whose
+    import would cost more than it saves.  The files:
 
     - ``plot_path``: the same rows under the header (*header[:2], "value",
       "normalized"), where normalized is the value over the largest value;
@@ -459,6 +499,9 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
     blocks = list(_row_blocks(len(cols), key_order))
     cut = _cut(blocks, values.size)
     before = np.concatenate([[0], np.count_nonzero(values, axis=1).cumsum()])  # cells above a row
+    dumps = None  # orjson loads where it saves more than its import costs, before the fork
+    if values.size >= 4 * BLOCK_CELLS and 4 * np.count_nonzero(~_outside(values)) > before[-1]:
+        from orjson import dumps
     with ExitStack() as stack:
         def open_csv(p: str | Path, head: list[str]):
             f = stack.enter_context(Path(p).open("w", newline="", encoding="utf-8"))
@@ -489,11 +532,11 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
                     continue
                 v = block[r, c]
                 r += start
-                text = list(map(repr, v.tolist()))
+                text = _reprs(v, dumps)
                 cells = (row_csv[r], col_csv[c], text)
                 _write_lines(out, zip(*cells))
                 if plot:
-                    _write_lines(plot, zip(*cells, map(repr, (v / peak).tolist())))
+                    _write_lines(plot, zip(*cells, _reprs(v / peak, dumps)))
                 if js:
                     k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
                     js.write(",\n" if before[start] else "\n")

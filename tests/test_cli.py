@@ -774,6 +774,30 @@ def test_estimate_mode_loads_only_the_estimators(tmp_path):
         assert modules(*argv) - solved == {"tnrisk.estimation"}, argv
 
 
+def test_only_a_large_table_loads_orjson(large_data, tmp_path):
+    """orjson loads where write_cells formats a table of at least 4 * BLOCK_CELLS cells, over
+    a quarter of them in its range: large_data's 150 x 120 matrix, but not the same matrix at
+    lambda 2, where 8 % are, nor the bundle's smaller tables, nor for loading large_data's
+    tables, so it adds nothing to their start-up."""
+    def loaded(code: str, *argv: str) -> bool:
+        probe = f"import sys, tnrisk.cli; {code}; print('orjson' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-1] == "True"
+
+    def command(*argv: str) -> bool:
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        return loaded("tnrisk.cli.main(sys.argv[1:])", *argv, "--out", str(out))
+
+    for argv in (["solve"], ["scenario", "fortress-USA"], ["sweep"]):
+        assert not command(*argv), argv
+    assert not loaded("tnrisk.load_pre_estimated(sys.argv[1])", str(large_data / "pre_estimated"))
+    large = ["solve", "--data", str(large_data), "--abandon", "-30"]
+    assert command(*large)
+    assert not command(*large, "--lambda", "2")
+
+
 def sweep_in_child(tmp_path: Path, *grid: str) -> subprocess.CompletedProcess:
     """``tnrisk sweep`` in a child with a 20 s timeout and a 1 GiB address-space limit."""
     limit = None

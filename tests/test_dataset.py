@@ -462,6 +462,8 @@ def _refuse(*args, **kwargs):
          bom=False, tail=["", " ", "\t"])
 @example(header="origin,dest,{}", rows=["AAA,BBB,1", "", "BBB,CCC,2"], endings=["\n"] * 12,
          last=True, bom=True, tail=[""])
+@example(header="origin,dest,{}", rows=["AAA,BBB,1", "", "BBB,CCC,2"], endings=["\n"] * 12,
+         last=False, bom=False, tail=[" ", "\t"])
 @settings(max_examples=300, deadline=None)
 def test_c_pass_reads_as_the_row_reader(header, rows, endings, last, bom, tail):
     """Every pair table loads to the same arrays with the C pass as with only the row reader,
@@ -541,13 +543,15 @@ def test_clean_bundled_pair_tables_take_the_c_pass(monkeypatch, tmp_path):
 @pytest.mark.parametrize("bom, ending, tail", [
     (True, "\n", "\n"), (False, "\r\n", "\r\n"), (False, "\r", "\r"), (False, "\n", ""),
     (False, "\n", "\n\n"), (False, "\n", "\n\n\n\n"), (True, "\r\n", "\r\n" * 3),
-    (False, "\r", "\r\r")],
+    (False, "\r", "\r\r"), (False, "\n", "\n  \n\t\n"), (False, "\n", "\n   "),
+    (True, "\r\n", "\r\n \t\r\n\r\n"), (False, "\r", "\r\t\r")],
     ids=["marked", "crlf", "lone-cr", "no-final-newline", "one-blank-line", "three-blank-lines",
-         "marked-crlf-two-blank-lines", "lone-cr-one-blank-line"])
+         "marked-crlf-two-blank-lines", "lone-cr-one-blank-line", "space-and-tab-lines",
+         "spaces-no-final-newline", "marked-crlf-whitespace-lines", "lone-cr-tab-line"])
 def test_c_pass_reads_marked_and_blank_ended_tables(monkeypatch, tmp_path, bom, ending, tail):
-    """A table with a byte-order mark, any line ending, no final newline or blank lines after
-    its last row is read by the C pass, as the row reader would read it: the arrays and the
-    cells of its plain twin, on the lines they are on."""
+    """A table with a byte-order mark, any line ending, no final newline or blank lines, or
+    lines of spaces and tabs, after its last row is read by the C pass, as the row reader would
+    read it: the arrays and the cells of its plain twin, on the lines they are on."""
     rows = ["origin,dest,cost", "AAA,BBB,-inf", "AAA,CCC,1e200", "BBB,CCC,1000"]
     plain = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
     path = tmp_path / "barriers.csv"

@@ -9,6 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,32 @@ def test_writers_match_oracle(seed, codes, block):
         assert ((directory / "new" / "delta.csv").read_bytes()
                 == (directory / "old" / "delta.csv").read_bytes())
         assert len(forks) == splits(m.N, m.sources) + splits(delta, m.sources)
+
+
+def assert_reprs(floats: list[float]) -> None:
+    """_reprs with orjson gives each float's repr: on the floats as given, which repr may
+    format alone, and padded with 1.5s, so that orjson formats them and each value outside
+    its range takes repr."""
+    for values in (floats, [*floats, *[1.5] * (len(floats) + 1)]):
+        assert dataset._reprs(np.array(values, dtype=float), orjson.dumps) == [
+            repr(v) for v in values]
+
+
+@given(st.lists(st.floats() | st.floats(min_value=-1e16, max_value=1e16)))
+@settings(max_examples=500, deadline=None)
+def test_orjson_text_is_repr(floats):
+    """Any float64, nan, the infinities, subnormals and -0.0 included.  This checks the
+    installed orjson's float text, so a change to it fails here, not in a user's files."""
+    assert_reprs(floats)
+
+
+def test_orjson_text_is_repr_at_the_range_ends():
+    """The ends of orjson's range, 1e-4 <= abs(v) < 1e16, their neighbours, the integers
+    past 2**53, and the least and greatest floats, of either sign; no value, no text."""
+    edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+             1e15, 2.0**53, 2.0**53 + 2, 5e-324, 1.7976931348623157e308]
+    assert_reprs([float(v) for v in edges] + [-float(v) for v in edges])
+    assert dataset._reprs(np.array([]), orjson.dumps) == []
 
 
 def matrix(sources: list[str], targets: list[str], N: np.ndarray) -> AttackMatrix:

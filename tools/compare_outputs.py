@@ -12,8 +12,9 @@ a ``bench/synth.py`` dataset (seed 1, 400 x 200) with copies of it edited in the
 same way.  The tables below list the commands and edits, each with the path it
 takes; ``main`` adds, each with its comment, a spec and a supply.csv that start
 with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
-gives AFG no route abroad, I/O errors, the synthetic runs and a synthetic copy
-whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines.
+gives AFG no route abroad, I/O errors, the synthetic runs, a synthetic copy
+whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines,
+and the synthetic runs at ``--lambda 2``, most of whose values are below 1e-4.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -318,6 +319,11 @@ def main(argv: list[str]) -> int:
         commands += [(f"{name} {label}", [*synthetic_commands[label], "--data", str(data),
                                           "--abandon", "-30.0"])
                      for name, data, labels in datasets for label in labels]
+        # at lambda 2 most written values are below 1e-4, where orjson's float text is not
+        # repr's, so the large-table writer formats them by repr
+        commands += [(f"synthetic-steep {label}", [*command, "--data", str(synthetic),
+                                                   "--lambda", "2", "--abandon", "-30.0"])
+                     for label, command in synthetic_commands.items()]
         # sweep takes no --abandon: its grid sets the abandon yield
         commands.append(("synthetic sweep --step 0.5",
                          ["sweep", "--step", "0.5", "--data", str(synthetic)]))
