@@ -434,34 +434,35 @@ def _cut(blocks: list[tuple[int, int]], n_cells: int) -> int:
     return min(range(1, len(blocks)), key=lambda k: abs(blocks[k][0] - middle))
 
 
-def _outside(values: np.ndarray) -> np.ndarray:
-    """Where a float64 ``v`` is outside 1e-4 <= abs(v) < 1e16, orjson's range.
+def _e05(text: str) -> str:  # orjson's [-]0.0000ddd as repr's [-]d.dde-05
+    sign, _, digits = text.partition("0.0000")
+    return f"{sign}{digits[0]}.{digits[1:]}".rstrip(".") + "e-05"
 
-    Inside it, orjson writes repr's text: both print the shortest digits that read back to
-    ``v``.  Outside it, orjson writes 1e-05 as 0.00001, 1e+16 as 1e16 and nan as null; 0.0
-    is outside it too.
-    """
-    size = abs(np.asarray(values, dtype=float))
-    return ~((size >= 1e-4) & (size < 1e16))  # nan too: it compares False
+
+# (low, high, fix): fix turns orjson's text of a finite v, low <= abs(v) < high, into repr's
+_FIXES = ((1e16, np.inf, lambda text: text.replace("e", "e+")),
+          (1e-9, 1e-5, lambda text: f"{text[:-1]}0{text[-1]}"),  # e-7 as e-07
+          (1e-5, 1e-4, _e05))
 
 
 def _reprs(values: np.ndarray, dumps: Callable[[list], bytes] | None) -> list[str]:
-    """The repr of each float of ``values``; with ``dumps``, orjson's, by one call to it.
-
-    Each value :func:`_outside` orjson's range takes repr.  Where they are at least three
-    quarters of the values, repr formats them all, as the one orjson call would then save
-    less than indexing them costs.  ``tolist`` hands either formatter float64's digits,
-    whatever ``values``' dtype.
-    """
+    """The repr of each float of ``values``; with ``dumps``, orjson's shortest round-trip
+    digits by one call to it, in repr's form where :data:`_FIXES` puts it back, and repr for
+    nan and the infinities, which orjson writes as null.  ``tolist`` hands either formatter
+    float64's digits, whatever ``values``' dtype."""
     floats = values.tolist()
-    if dumps is None:
-        return list(map(repr, floats))
-    other = np.flatnonzero(_outside(values))
-    if 4 * other.size >= 3 * len(floats):
+    if dumps is None or not floats:  # orjson's "[]" would split into one empty text
         return list(map(repr, floats))
     text = dumps(floats).decode()[1:-1].split(",")
-    for k in other.tolist():
-        text[k] = repr(floats[k])
+    size = abs(values.astype(float, copy=False))
+    other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))  # nan too: it compares False
+    if other.size:
+        size = size[other]
+        for low, high, fix in _FIXES:
+            for k in other[(size >= low) & (size < high)].tolist():
+                text[k] = fix(text[k])
+        for k in other[~np.isfinite(size)].tolist():
+            text[k] = repr(floats[k])
     return text
 
 
@@ -473,11 +474,9 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
     Rows follow row-major order, which is sorted order when the codes are
     sorted.  One pass over blocks of about BLOCK_CELLS cells formats each
     value once, as its repr (what csv and json write for a float), and feeds
-    that text to every file.  In a table of at least 4 * BLOCK_CELLS cells, more
-    than a quarter of whose nonzero cells are inside orjson's range (see
-    :func:`_outside`), one orjson call formats a block's values, in the same
-    text (see :func:`_reprs`).  Any other table never loads orjson, whose
-    import would cost more than it saves.  The files:
+    that text to every file: one orjson call per block in a table of at least
+    4 * BLOCK_CELLS cells (see :func:`_reprs`), and repr in a smaller one, where
+    importing orjson would cost more than it saves.  The files:
 
     - ``plot_path``: the same rows under the header (*header[:2], "value",
       "normalized"), where normalized is the value over the largest value;
@@ -500,7 +499,7 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
     cut = _cut(blocks, values.size)
     before = np.concatenate([[0], np.count_nonzero(values, axis=1).cumsum()])  # cells above a row
     dumps = None  # orjson loads where it saves more than its import costs, before the fork
-    if values.size >= 4 * BLOCK_CELLS and 4 * np.count_nonzero(~_outside(values)) > before[-1]:
+    if values.size >= 4 * BLOCK_CELLS:
         from orjson import dumps
     with ExitStack() as stack:
         def open_csv(p: str | Path, head: list[str]):

@@ -86,15 +86,17 @@ def test_writers_match_oracle(seed, codes, block):
 
 
 def assert_reprs(floats: list[float]) -> None:
-    """_reprs with orjson gives each float's repr: on the floats as given, which repr may
-    format alone, and padded with 1.5s, so that orjson formats them and each value outside
-    its range takes repr."""
-    for values in (floats, [*floats, *[1.5] * (len(floats) + 1)]):
-        assert dataset._reprs(np.array(values, dtype=float), orjson.dumps) == [
-            repr(v) for v in values]
+    """_reprs with orjson gives each float's repr."""
+    assert dataset._reprs(np.array(floats, dtype=float), orjson.dumps) == list(map(repr, floats))
 
 
-@given(st.lists(st.floats() | st.floats(min_value=-1e16, max_value=1e16)))
+# log-uniform over 1e-320 ... 1e308, of either sign: each band whose form _reprs fixes
+# up is sampled densely
+LOG_UNIFORM = st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([1, -1]),
+                        st.floats(min_value=-320, max_value=308))
+
+
+@given(st.lists(st.floats() | st.floats(min_value=-1e16, max_value=1e16) | LOG_UNIFORM))
 @settings(max_examples=500, deadline=None)
 def test_orjson_text_is_repr(floats):
     """Any float64, nan, the infinities, subnormals and -0.0 included.  This checks the
@@ -103,9 +105,12 @@ def test_orjson_text_is_repr(floats):
 
 
 def test_orjson_text_is_repr_at_the_range_ends():
-    """The ends of orjson's range, 1e-4 <= abs(v) < 1e16, their neighbours, the integers
-    past 2**53, and the least and greatest floats, of either sign; no value, no text."""
-    edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+    """The ends of the bands where orjson's form differs from repr's, 1e-9, 1e-5, 1e-4 and
+    1e16, with their neighbours, a value of each exponent in those bands, the integers past
+    2**53, and the least and greatest floats, of either sign; no value, no text."""
+    ends = [1e-9, 1e-5, 1e-4, 1e16]
+    edges = [*ends, *np.nextafter(ends, 0), *np.nextafter(ends, np.inf),
+             *(float(f"1.2345e{e}") for e in [*range(-9, -4), *range(16, 309)]),
              1e15, 2.0**53, 2.0**53 + 2, 5e-324, 1.7976931348623157e308]
     assert_reprs([float(v) for v in edges] + [-float(v) for v in edges])
     assert dataset._reprs(np.array([]), orjson.dumps) == []

@@ -14,7 +14,9 @@ takes; ``main`` adds, each with its comment, a spec and a supply.csv that start
 with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
 gives AFG no route abroad, I/O errors, the synthetic runs, a synthetic copy
 whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines,
-and the synthetic runs at ``--lambda 2``, most of whose values are below 1e-4.
+a synthetic copy whose supplies are 1e15 times as large, some of whose values are
+1e16 or more, and the synthetic runs at ``--lambda 2``, most of whose values are below
+1e-4.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -316,11 +318,20 @@ def main(argv: list[str]) -> int:
         barriers.write_bytes(codecs.BOM_UTF8 + barriers.read_bytes().replace(b"\n", b"\r\n")
                              + b"\r\n\r\n")
         datasets.append((copy.name, copy, list(synthetic_commands)))
+        # each supply times 1e15, written by repr: about a tenth of the values written are
+        # 1e16 or more, whose orjson text the large-table writer gives repr's "e+"
+        copy = work / "synthetic-huge"
+        shutil.copytree(synthetic, copy)
+        supply = copy / "pre_estimated" / "supply.csv"
+        head, *rows = supply.read_text(encoding="utf-8").split()
+        rows = [f"{code},{float(value) * 1e15!r}" for code, value in (r.split(",") for r in rows)]
+        supply.write_text("\n".join([head, *rows]) + "\n", encoding="utf-8")
+        datasets.append((copy.name, copy, list(synthetic_commands)))
         commands += [(f"{name} {label}", [*synthetic_commands[label], "--data", str(data),
                                           "--abandon", "-30.0"])
                      for name, data, labels in datasets for label in labels]
-        # at lambda 2 most written values are below 1e-4, where orjson's float text is not
-        # repr's, so the large-table writer formats them by repr
+        # at lambda 2 most written values are below 1e-4, where orjson's float text differs
+        # from repr's in form, which the large-table writer puts back
         commands += [(f"synthetic-steep {label}", [*command, "--data", str(synthetic),
                                                    "--lambda", "2", "--abandon", "-30.0"])
                      for label, command in synthetic_commands.items()]
