@@ -46,12 +46,13 @@ class CountryTable:
 
 @dataclass
 class DataBundle:
-    """The raw tables.  Both matrices are indexed [origin, dest] on the sorted ``codes``:
-    ``migration`` is NaN where no row is listed, and ``distance`` is mirrored, 0.0 on
-    the diagonal and NaN where neither direction is listed."""
+    """The raw tables: migration.csv's pairs in row order, ``rows`` and ``cols`` indexing the
+    sorted ``codes``, with each pair's ``migration`` and ``distance`` (0.0 for a domestic pair)."""
 
     countries: CountryTable
     codes: list[str]
+    rows: np.ndarray
+    cols: np.ndarray
     migration: np.ndarray
     distance: np.ndarray
 
@@ -266,31 +267,38 @@ def _raw_pairs(path: Path, codes: list[str]
     return lines, rows, cols, values, cell
 
 
-def _load_distances(path: Path, codes: list[str]) -> np.ndarray:
-    """distance_km.csv as :attr:`DataBundle.distance`."""
-    lines, rows, cols, values, cell = _raw_pairs(path, codes)
+def _load_distances(path: Path, codes: list[str], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The distance of each pair (``codes[rows[k]]``, ``codes[cols[k]]``): 0.0 if domestic, else
+    distance_km.csv's row for either direction.  A pair listed both ways must agree to 1e-6 of
+    the larger value, and its later row holds both ways; else the earliest such row is reported."""
+    lines, origins, dests, values, cell = _raw_pairs(path, codes)
     with np.errstate(over="ignore"):  # raw_barrier divides by the square: not 0, not inf
         bad = (values * values == 0) | (values >= 1e154)
-    bad &= rows != cols
+    bad &= origins != dests
     if bad.any():
         k = int(bad.argmax())
         rule = ("> 0" if values[k] == 0 else "< 1e154" if values[k] >= 1
                 else "about 1.6e-162 or more, so that its square is not 0")
-        raise ModelError(f"line {lines[k]}: distance {codes[rows[k]]},{codes[cols[k]]} in "
+        raise ModelError(f"line {lines[k]}: distance {codes[origins[k]]},{codes[dests[k]]} in "
                          f"{path.name} must be {rule}, got {cell(k)!r}")
-    at = np.full((len(codes),) * 2, -1)  # the row listing each pair; -1 picks the NaN appended
-    at[rows, cols] = np.arange(len(rows))
-    values = np.append(values, np.nan)
-    given, later = values[at], np.maximum(at, at.T)  # the later row holds both ways
-    scale = np.maximum(np.maximum(given, given.T), 1e-30)  # every value is >= 0
-    asymmetric = abs(given - given.T) / scale > 1e-6  # False where a direction is unlisted
+    n = len(codes)
+    key = np.minimum(origins, dests) * n + np.maximum(origins, dests)  # a pair, either way
+    order = np.argsort(key, kind="stable")  # a pair listed both ways: adjacent, the later second
+    key, given = np.append(-1, key[order]), np.append(np.nan, values[order])  # -1 keys no pair
+    scale = np.maximum(np.maximum(given[:-1], given[1:]), 1e-30)  # every value is >= 0
+    asymmetric = (key[:-1] == key[1:]) & (abs(np.diff(given)) / scale > 1e-6)
     if asymmetric.any():
-        k = int(later[asymmetric].min())
-        raise ModelError(f"distance {codes[rows[k]]}-{codes[cols[k]]} given in both directions "
-                         "with different values")
-    distance = values[later]
-    np.fill_diagonal(distance, 0.0)
-    return distance
+        k = int(order[asymmetric].min())  # asymmetric[i] marks the later row of two, order[i]
+        raise ModelError(f"distance {codes[origins[k]]}-{codes[dests[k]]} given in both "
+                         "directions with different values")
+    pair = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    at = np.searchsorted(key, pair, side="right") - 1  # the later row listing it, if any
+    unmeasured = (key[at] != pair) & (rows != cols)
+    if unmeasured.any():
+        k = int(unmeasured.argmax())
+        raise ModelError(f"migration.csv pair {codes[rows[k]]},{codes[cols[k]]} "
+                         "has no row in distance_km.csv")
+    return np.where(rows == cols, 0.0, given[at])
 
 
 def _load_barriers(path: Path, supply: dict[str, float], targets: set[str]) -> Barriers:
@@ -360,16 +368,9 @@ def load_bundle(data_dir: str | Path) -> DataBundle:
     data_dir = Path(data_dir)
     countries = load_country_table(data_dir / "countries.csv")
     codes = sorted(countries.codes)
-    _, rows, cols, values, _ = _raw_pairs(data_dir / "migration.csv", codes)
-    distance = _load_distances(data_dir / "distance_km.csv", codes)
-    unmeasured = np.isnan(distance[rows, cols])
-    if unmeasured.any():
-        k = int(unmeasured.argmax())
-        raise ModelError(f"migration.csv pair {codes[rows[k]]},{codes[cols[k]]} "
-                         "has no row in distance_km.csv")
-    migration = np.full(distance.shape, np.nan)
-    migration[rows, cols] = values
-    return DataBundle(countries, codes, migration, distance)
+    _, rows, cols, migration, _ = _raw_pairs(data_dir / "migration.csv", codes)
+    distance = _load_distances(data_dir / "distance_km.csv", codes, rows, cols)
+    return DataBundle(countries, codes, rows, cols, migration, distance)
 
 
 def bundled_data_dir() -> Path:

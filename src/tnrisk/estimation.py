@@ -106,27 +106,26 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     A zero migration lists its pair as BLOCKED; a pair with no migration row is not
     listed, so it is BLOCKED downstream.  Domestic barriers are zero by assumption.
     """
-    countries = bundle.countries
+    countries, rows, cols = bundle.countries, bundle.rows, bundle.cols
     at = np.searchsorted(bundle.codes, countries.codes)  # each row's place on the axis
-    pop = np.empty(len(at))
-    pop[at] = countries.population
-    listed = ~np.isnan(bundle.migration)
-    # zero migration, and the diagonal's zero distance: inf; an overflow is a raw barrier
+    pop = countries.population[np.argsort(at)]  # on the axis
+    # zero migration, and a domestic pair's zero distance: inf; an overflow is a raw barrier
     # >= 1e100, which folds into BLOCKED like any other
     with np.errstate(divide="ignore", over="ignore"):
-        raw = raw_barrier(pop[:, None], pop, bundle.distance, bundle.migration)
-    observed = listed & ~is_blocked(raw)  # never on the diagonal
+        raw = raw_barrier(pop[rows], pop[cols], bundle.distance, bundle.migration)
+    observed = ~is_blocked(raw)  # never a domestic pair
     if np.count_nonzero(observed) < 2:
         raise ModelError("fewer than two observed migration pairs")
-    cost = np.full(raw.shape, BLOCKED)
-    cost[observed] = normalize_min_median(raw[observed], "cost")
+    cost = np.full((len(at),) * 2, BLOCKED)
+    cost[rows[observed], cols[observed]] = normalize_min_median(raw[observed], "cost")
     # a source with zero recorded migration everywhere cannot attack abroad
     channel = (~is_blocked(cost)).any(axis=1)  # the diagonal is still BLOCKED here
     for code in np.array(countries.codes)[(countries.muslim_pop > 0) & ~channel[at]].tolist():
         import logging  # loaded only when a warning is logged
         logging.getLogger(__name__).warning("source %s has no traversable outbound barrier", code)
     np.fill_diagonal(cost, 0.0)
-    np.fill_diagonal(listed, True)  # a listed domestic migration row changes nothing
+    listed = np.eye(len(at), dtype=bool)  # a listed domestic migration row changes nothing
+    listed[rows, cols] = True
     return Barriers(bundle.codes, cost, listed)
 
 

@@ -108,25 +108,41 @@ class TestCountryTable:
             load_country_table(p)
 
 
-def pair_cell(bundle, table: str, origin: str, dest: str) -> float:
-    """The (origin, dest) cell of the bundle's migration or distance matrix."""
-    at = {c: k for k, c in enumerate(bundle.codes)}
-    return float(getattr(bundle, table)[at[origin], at[dest]])
+def pair_cell(bundle, origin: str, dest: str) -> tuple[float, float] | None:
+    """(migration, distance) of the bundle's listed migration pair (origin, dest), else None."""
+    pairs = zip(*(map(bundle.codes.__getitem__, axis) for axis in (bundle.rows, bundle.cols)))
+    at = {pair: k for k, pair in enumerate(pairs)}.get((origin, dest))
+    return None if at is None else (float(bundle.migration[at]), float(bundle.distance[at]))
 
 
 class TestPairTable:
     """The rules of migration.csv and distance_km.csv, as load_bundle reads them."""
 
     def test_distance_mirrors(self, tmp_path):
-        b = load_bundle(raw_tables(tmp_path, "FRA,DEU,3\n", "FRA,DEU,500\n"))
-        assert pair_cell(b, "distance", "DEU", "FRA") == 500
-        assert pair_cell(b, "distance", "FRA", "FRA") == 0.0
-        assert math.isnan(pair_cell(b, "distance", "FRA", "ITA"))
+        """A distance row holds both ways, and a domestic pair needs none; a foreign migration
+        pair with a row in neither direction is an error."""
+        b = load_bundle(raw_tables(tmp_path, "FRA,DEU,3\nDEU,FRA,2\nFRA,FRA,7\n", "FRA,DEU,500\n"))
+        assert pair_cell(b, "DEU", "FRA") == (2.0, 500.0)
+        assert pair_cell(b, "FRA", "FRA") == (7.0, 0.0)
+        d = raw_tables(tmp_path, "FRA,DEU,3\nFRA,ITA,1\n", "FRA,DEU,500\n")
+        with pytest.raises(ModelError, match="^migration.csv pair FRA,ITA has no row in "
+                                             "distance_km.csv$"):
+            load_bundle(d)
 
     def test_self_distance_zero_accepted(self, tmp_path):
-        b = load_bundle(raw_tables(tmp_path, "", "USA,USA,0\nFRA,FRA,7\n"))
-        assert pair_cell(b, "distance", "USA", "USA") == 0.0
-        assert pair_cell(b, "distance", "FRA", "FRA") == 0.0
+        b = load_bundle(raw_tables(tmp_path, "USA,USA,1\nFRA,FRA,2\n", "USA,USA,0\nFRA,FRA,7\n"))
+        assert pair_cell(b, "USA", "USA") == (1.0, 0.0)
+        assert pair_cell(b, "FRA", "FRA") == (2.0, 0.0)
+
+    def test_header_only_distance_table(self, tmp_path):
+        """With no distance row, domestic migration pairs load, at distance 0.0, and a foreign
+        one is an error."""
+        b = load_bundle(raw_tables(tmp_path, "FRA,FRA,2\nUSA,USA,1\n", ""))
+        assert pair_cell(b, "FRA", "FRA") == (2.0, 0.0) and pair_cell(b, "USA", "USA") == (1.0, 0.0)
+        d = raw_tables(tmp_path, "FRA,FRA,2\nFRA,DEU,3\n", "")
+        with pytest.raises(ModelError, match="^migration.csv pair FRA,DEU has no row in "
+                                             "distance_km.csv$"):
+            load_bundle(d)
 
     def test_zero_distance_between_countries(self, tmp_path):
         d = raw_tables(tmp_path, "", "FRA,DEU,500\nFRA,ITA,0\n")
@@ -146,16 +162,22 @@ class TestPairTable:
             load_bundle(d)
 
     def test_asymmetric_distance(self, tmp_path):
-        d = raw_tables(tmp_path, "", "FRA,DEU,500\nFRA,ITA,900\nDEU,FRA,600\n")
-        with pytest.raises(ModelError, match="^distance DEU-FRA given in both directions "
-                                             "with different values$"):
-            load_bundle(d)
+        """Of the pairs whose two directions differ, the one whose later row comes first is
+        reported, in that row's direction."""
+        for distance, pair in (("FRA,DEU,500\nFRA,ITA,900\nDEU,FRA,600\n", "DEU-FRA"),
+                               ("FRA,DEU,500\nFRA,ITA,900\nITA,FRA,950\nDEU,FRA,600\n",
+                                "ITA-FRA")):
+            d = raw_tables(tmp_path, "", distance)
+            with pytest.raises(ModelError, match=f"^distance {pair} given in both directions "
+                                                 "with different values$"):
+                load_bundle(d)
 
     def test_both_directions_within_tolerance(self, tmp_path):
         """Both directions may be listed if they agree to 1e-6; the later row holds both ways."""
-        b = load_bundle(raw_tables(tmp_path, "", "FRA,DEU,500\nDEU,FRA,500.0001\n"))
-        assert pair_cell(b, "distance", "FRA", "DEU") == 500.0001
-        assert pair_cell(b, "distance", "DEU", "FRA") == 500.0001
+        b = load_bundle(raw_tables(tmp_path, "FRA,DEU,3\nDEU,FRA,4\n",
+                                   "FRA,DEU,500\nDEU,FRA,500.0001\n"))
+        assert pair_cell(b, "FRA", "DEU") == (3.0, 500.0001)
+        assert pair_cell(b, "DEU", "FRA") == (4.0, 500.0001)
 
     def test_negative_value(self, tmp_path):
         d = raw_tables(tmp_path, "FRA,DEU,-3\n", "FRA,DEU,500\n")
@@ -169,8 +191,8 @@ class TestPairTable:
 
     def test_migration_missing_pair_distinct_from_zero(self, tmp_path):
         b = load_bundle(raw_tables(tmp_path, "FRA,DEU,0\n", "FRA,DEU,500\n"))
-        assert pair_cell(b, "migration", "FRA", "DEU") == 0.0
-        assert math.isnan(pair_cell(b, "migration", "DEU", "FRA"))
+        assert pair_cell(b, "FRA", "DEU") == (0.0, 500.0)
+        assert pair_cell(b, "DEU", "FRA") is None
 
     @pytest.mark.parametrize("table, again", [
         ("migration.csv", "FRA,DEU,1"), ("migration.csv", " FRA , DEU ,3"),
@@ -407,7 +429,13 @@ def _raw_pairs(path: Path, axis=PAIR_CODE_AXIS):
 
 
 def _distances(path: Path, axis=PAIR_CODE_AXIS):
-    return dataset._load_distances(path, axis).tobytes()
+    """The distance of each listed row's pair, queried in both directions."""
+    try:
+        _, rows, cols, _, _ = dataset._raw_pairs(path, axis)
+    except ModelError:  # which _load_distances raises too
+        rows = cols = np.array([], dtype=np.intp)
+    return dataset._load_distances(path, axis, np.append(rows, cols),
+                                   np.append(cols, rows)).tobytes()
 
 
 PAIR_LOADERS = [("barriers.csv", "cost", _barriers), ("migration.csv", "value", _raw_pairs),
@@ -624,6 +652,27 @@ def test_c_pass_error_cell_reads_one_line(monkeypatch, tmp_path):
     assert peak < 2**20
 
 
+def test_raw_pairs_load_as_pair_lists(tmp_path):
+    """2,000 countries and 2,000 pairs load in less memory than one code x code float matrix
+    (30.5 MiB): migration.csv and distance_km.csv stay lists of their pairs, both ways listed
+    for a tenth of the distances."""
+    n = 2000
+    codes = [f"C{k:04d}" for k in range(n)]
+    pairs = [(codes[k], codes[(7 * k + 1) % n]) for k in range(n)]
+    distance = [f"{o},{d},{100 + k}\n" for k, (o, d) in enumerate(pairs)]
+    distance += [f"{d},{o},{100 + k}\n" for k, (o, d) in enumerate(pairs) if k % 10 == 0]
+    data = raw_tables(tmp_path, "".join(f"{o},{d},5\n" for o, d in pairs), "".join(distance),
+                      dict.fromkeys(codes, (1e6, 0.0)))
+    tracemalloc.start()
+    try:
+        bundle = load_bundle(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    np.testing.assert_array_equal(bundle.distance, 100 + np.arange(n))
+
+
 def test_first_bad_code_found_in_one_scan(tmp_path):
     """20,000 distinct bad codes report the first in well under a second: each code cell is
     looked up in the set of bad ones, not searched for one bad code at a time."""
@@ -641,11 +690,15 @@ class TestValidation:
 
     def test_bundled_is_clean(self, bundle):
         codes = set(bundle.countries.codes)
+        tables = {}
         for name in ("migration.csv", "distance_km.csv"):
             with (bundled_data_dir() / name).open(newline="", encoding="utf-8") as f:
-                assert {c for row in list(csv.reader(f))[1:] for c in row[:2]} <= codes
+                tables[name] = list(filter(None, csv.reader(f)))[1:]
+            assert {c for row in tables[name] for c in row[:2]} <= codes
         assert bundle.codes == sorted(codes)
-        assert bundle.migration.shape == bundle.distance.shape == (len(codes), len(codes))
+        # one entry per migration.csv row
+        pairs = (bundle.rows, bundle.cols, bundle.migration, bundle.distance)
+        assert [a.shape for a in pairs] == [(len(tables["migration.csv"]),)] * 4
 
     def test_unknown_code_in_pairs(self, tmp_path):
         data = tmp_path / "data"

@@ -15,8 +15,9 @@ with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
 gives AFG no route abroad, I/O errors, the synthetic runs, a synthetic copy
 whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines,
 a synthetic copy whose supplies are 1e15 times as large, some of whose values are
-1e16 or more, and the synthetic runs at ``--lambda 2``, most of whose values are below
-1e-4.
+1e16 or more, the synthetic runs at ``--lambda 2``, most of whose values are below
+1e-4, and a seeded raw dataset (:func:`write_raw_dataset`, 300 sources and 300 targets)
+run in estimate mode.
 For every command the script prints "identical" or "DIFFERENT" for the exit
 code, standard output, standard error and each file written.  Beside a
 differing CSV whose rows, columns and non-numeric cells match, it prints the
@@ -39,10 +40,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import synth  # noqa: E402
 
 SYNTH_SHAPE = (1, 400, 200)  # seed, sources, targets
+RAW_SHAPE = (1, 300, 300, 40)  # seed, sources, targets, migration pairs per source
 
 # run on the bundle itself
 BUNDLE_COMMANDS = [
@@ -124,6 +128,10 @@ BUNDLE_EDITS = {
     "huge-population": ("countries.csv", "AFG,", 3, "1e200"),
     # a code that is not ASCII, so no bytes cell of the C pass matches it: the row reader fails
     "non-ascii-migration-origin": ("migration.csv", "AFG,AUS,", 0, "ÅFG"),
+    # AFG,AUS,1977 listed the other way within 1e-6: the later row holds both ways
+    "reverse-distance-within-tolerance": ("distance_km.csv", None, 0, "AUS,AFG,1977.0001"),
+    # a domestic migration row with no distance row: it loads, at distance 0
+    "domestic-migration-row": ("migration.csv", None, 0, "AFG,AFG,5"),
 }
 EDITED_BUNDLE_COMMANDS = [["validate"], ["estimate"], ["solve", "--mode", "estimate"]]
 
@@ -168,6 +176,46 @@ SUPPLY_COPIES = {
     # each supply finite, their sum inf: each command is an error before it writes anything
     "huge-supply": ("1.5e308", [["solve"], ["scenario", "fortress-USA"], ["sweep"], ["validate"]]),
 }
+
+
+def write_raw_dataset(directory: Path, seed: int, n_sources: int, n_targets: int,
+                      per_source: int) -> None:
+    """Write countries.csv, migration.csv and distance_km.csv, every float by repr.
+
+    Each source has survey fractions and migrates to ``per_source`` random targets, a
+    twentieth of them with zero migration; each target has GDP and security data.  Each
+    migration pair has a distance row, a tenth of them listed the other way too, within
+    1e-7, and the distance rows are shuffled, so either direction's row may come later.
+    """
+    rng = np.random.default_rng(seed)
+    sources = [f"S{k:04d}" for k in range(n_sources)]
+    targets = [f"T{k:04d}" for k in range(n_targets)]
+    population = rng.uniform(1e6, 1e8, n_sources + n_targets).tolist()
+    muslim = (rng.uniform(0.01, 0.9, n_sources) * population[:n_sources]).tolist()
+    survey = rng.dirichlet(np.ones(4), n_sources).tolist()  # sigma_n, _r, _s, _o
+    gdp = rng.uniform(1e10, 1e13, n_targets).tolist()
+    security = rng.uniform(0.001, 0.05, n_targets).tolist()
+    countries = ["code,name,region,population,gdp_usd,sec_fraction,muslim_pop,sigma_n,sigma_r,"
+                 "sigma_s,sigma_o,is_oecd,is_target"]
+    countries += [f"{c},{c},R{k % 5},{population[k]!r},,,{muslim[k]!r},"
+                  f"{','.join(map(repr, survey[k]))},0,0" for k, c in enumerate(sources)]
+    countries += [f"{c},{c},R{k % 5},{population[n_sources + k]!r},{gdp[k]!r},"
+                  f"{security[k]!r},0,,,,,1,1" for k, c in enumerate(targets)]
+    pairs = [(s, targets[j]) for s in sources
+             for j in rng.choice(n_targets, per_source, replace=False).tolist()]
+    flows = rng.uniform(1.0, 1e6, len(pairs)) * (rng.random(len(pairs)) >= 0.05)
+    km = rng.uniform(500.0, 15000.0, len(pairs))
+    mirror = np.flatnonzero(rng.random(len(pairs)) < 0.1).tolist()
+    twins = km[mirror] * (1 + rng.uniform(-1e-7, 1e-7, len(mirror)))
+    distance = [*zip(pairs, km.tolist()),
+                *(((pairs[k][1], pairs[k][0]), v) for k, v in zip(mirror, twins.tolist()))]
+    distance = [distance[k] for k in rng.permutation(len(distance)).tolist()]
+    directory.mkdir(parents=True)
+    (directory / "countries.csv").write_text("\n".join(countries) + "\n", encoding="utf-8")
+    for name, rows in (("migration.csv", zip(pairs, flows.tolist())),
+                       ("distance_km.csv", distance)):
+        lines = ["origin,dest,value", *(f"{o},{d},{v!r}" for (o, d), v in rows)]
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def edit_table(path: Path, row: str | None, cell: int, value: str | None) -> None:
@@ -335,6 +383,12 @@ def main(argv: list[str]) -> int:
         commands += [(f"synthetic-steep {label}", [*command, "--data", str(synthetic),
                                                    "--lambda", "2", "--abandon", "-30.0"])
                      for label, command in synthetic_commands.items()]
+        # estimate mode above the bundle's 68 countries: 12,000 migration pairs, some zero,
+        # and distance rows listed both ways in either order
+        raw = work / "raw"
+        write_raw_dataset(raw, *RAW_SHAPE)
+        commands += [(f"raw {' '.join(c)}", [*c, "--data", str(raw)])
+                     for c in (["estimate"], ["solve", "--mode", "estimate"])]
         # sweep takes no --abandon: its grid sets the abandon yield
         commands.append(("synthetic sweep --step 0.5",
                          ["sweep", "--step", "0.5", "--data", str(synthetic)]))
