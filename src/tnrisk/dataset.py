@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
@@ -65,9 +63,6 @@ BARRIERS = ("barriers.csv", "cost")
 
 # cells per block of write_cells and the sweep: bounds their memory, not what they do
 BLOCK_CELLS = 4096
-
-# bound at import: write_cells' forked child leaves by it even where a caller patches os._exit
-_exit = os._exit
 
 
 def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[str]]]:
@@ -415,24 +410,14 @@ def _row_blocks(n_cols: int, key_order: list[int]) -> Iterator[tuple[int, int]]:
             start = end
 
 
-def _write_lines(f, rows: Iterable) -> None:
-    """CSV lines of cells already formatted as the csv module writes them."""
-    f.write("\r\n".join(map(",".join, rows)))
-    f.write("\r\n")
-
-
-def _cut(blocks: list[tuple[int, int]], n_cells: int) -> int:
-    """Where :func:`write_cells` hands ``blocks[cut:]`` to a second process: at the block
-    starting nearest the middle row, so each process formats about half the cells.
-
-    ``len(blocks)``, no split, below 4 * BLOCK_CELLS cells, where forking costs more than it
-    saves, or where this process may run on only one CPU (or cannot tell, off Linux).
-    """
-    cpus = getattr(os, "sched_getaffinity", None)
-    if n_cells < 4 * BLOCK_CELLS or len(blocks) < 2 or cpus is None or len(cpus(0)) < 2:
-        return len(blocks)
-    middle = blocks[-1][1] / 2
-    return min(range(1, len(blocks)), key=lambda k: abs(blocks[k][0] - middle))
+def _text(pattern: tuple[str | None, ...], *columns: Sequence[str]) -> str:
+    """Cell k of the columns as ``pattern`` with its None slots filled by columns[0][k],
+    columns[1][k], ..., cell after cell: one join over one list interleaving the columns
+    and the separators."""
+    parts = list(pattern) * len(columns[0])
+    for slot, column in zip([i for i, p in enumerate(pattern) if p is None], columns):
+        parts[slot::len(pattern)] = column
+    return "".join(parts)
 
 
 def _e05(text: str) -> str:  # orjson's [-]0.0000ddd as repr's [-]d.dde-05
@@ -475,7 +460,8 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
     Rows follow row-major order, which is sorted order when the codes are
     sorted.  One pass over blocks of about BLOCK_CELLS cells formats each
     value once, as its repr (what csv and json write for a float), and feeds
-    that text to every file: one orjson call per block in a table of at least
+    that text to every file, each block's as one string per file (see
+    :func:`_text`): one orjson call per block in a table of at least
     4 * BLOCK_CELLS cells (see :func:`_reprs`), and repr in a smaller one, where
     importing orjson would cost more than it saves.  The files:
 
@@ -485,21 +471,13 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
       with the value column's name, ``header[2]``, keying the object that maps
       "row->col" to the value.  Its keys sort as the row's "code->" and then
       the column code, which is the sorted order whenever no code contains "->".
-
-    A block's text depends only on ``values`` (its JSON cells follow a comma
-    exactly when a row above it has a cell), so a large table is formatted on two
-    CPUs (see :func:`_cut`): a forked child writes the second half of the blocks
-    to unlinked temporary files beside the outputs, appended once both halves
-    are done.  The files are byte for byte those of one process, and an error in
-    either process is raised only after the child is reaped.
     """
-    row_csv = np.array([_csv_cell(c) for c in rows], dtype=object)
-    col_csv = np.array([_csv_cell(c) for c in cols], dtype=object)
+    # each code's CSV cell and the comma after it; below, each JSON key's row half, after
+    # the comma and newline that end the cell before it
+    row_csv = np.array([_csv_cell(c) + "," for c in rows], dtype=object)
+    col_csv = np.array([_csv_cell(c) + "," for c in cols], dtype=object)
     key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
-    blocks = list(_row_blocks(len(cols), key_order))
-    cut = _cut(blocks, values.size)
-    before = np.concatenate([[0], np.count_nonzero(values, axis=1).cumsum()])  # cells above a row
-    dumps = None  # orjson loads where it saves more than its import costs, before the fork
+    dumps = None  # orjson loads where it saves more than its import costs
     if values.size >= 4 * BLOCK_CELLS:
         from orjson import dumps
     with ExitStack() as stack:
@@ -520,62 +498,29 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
             js = stack.enter_context(Path(json_path).open("w", encoding="utf-8"))
             js.write(head + marker[:-1])
             rank = np.argsort(key_order)  # each row's place in the key order
-            row_key = np.array([f"    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
+            reordered = key_order != list(range(len(rows)))  # a row's key sorts out of row order
+            row_key = np.array([f",\n    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
             col_key = np.array([f"{json.dumps(c)[1:]}: " for c in cols], dtype=object)
-
-        def write_run(run: list[tuple[int, int]], out, plot, js) -> None:
-            """The cells of the row blocks ``run``, into the files given."""
-            for start, end in run:
-                block = values[start:end]
-                r, c = np.nonzero(block)
-                if not r.size:
-                    continue
-                v = block[r, c]
-                r += start
-                text = _reprs(v, dumps)
-                cells = (row_csv[r], col_csv[c], text)
-                _write_lines(out, zip(*cells))
-                if plot:
-                    _write_lines(plot, zip(*cells, _reprs(v / peak, dumps)))
-                if js:
-                    k = np.argsort(rank[r], kind="stable")  # the block's cells in key order
-                    js.write(",\n" if before[start] else "\n")
-                    js.write(",\n".join(map("".join, zip(row_key[r[k]], col_key[c[k]],
-                                                          map(text.__getitem__, k.tolist())))))
-
-        files = (out, plot, js)
-        if cut == len(blocks):
-            write_run(blocks, *files)
-        else:
-            import shutil
-            import tempfile
-            spill = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
-                     dir=Path(f.name).parent)) if f else None for f in files]
-            pid = os.fork()
-            if pid == 0:  # the child: leaves by _exit, never closing or flushing the outputs
-                code = 1
-                try:
-                    write_run(blocks[cut:], *spill)
-                    for f in filter(None, spill):
-                        f.flush()
-                    code = 0
-                except BaseException:
-                    import traceback
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    _exit(code)
-            try:
-                write_run(blocks[:cut], *files)
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status:
-                raise OSError(f"the process writing the second half of {path} ended with "
-                              f"exit code {os.waitstatus_to_exitcode(status)}")
-            for f, part in zip(files, spill):
-                if f:
-                    f.flush()
-                    part.seek(0)
-                    shutil.copyfileobj(part.buffer, f.buffer)
+        written = False  # whether the JSON object holds a cell yet
+        for start, end in _row_blocks(len(cols), key_order):
+            block = values[start:end]
+            r, c = np.nonzero(block)
+            if not r.size:
+                continue
+            v = block[r, c]
+            r += start
+            text = _reprs(v, dumps)
+            codes = (row_csv[r].tolist(), col_csv[c].tolist())
+            out.write(_text((None, None, None, "\r\n"), *codes, text))
+            if plot:
+                plot.write(_text((None, None, None, ",", None, "\r\n"), *codes, text,
+                                 _reprs(v / peak, dumps)))
+            if js:
+                if reordered:  # the block's cells in key order
+                    k = np.argsort(rank[r], kind="stable")
+                    r, c, text = r[k], c[k], list(map(text.__getitem__, k.tolist()))
+                lines = _text((None, None, None), row_key[r].tolist(), col_key[c].tolist(), text)
+                js.write(lines if written else lines[1:])  # the object's first cell: no comma
+                written = True
         if js:
-            js.write(("\n  }" if before[-1] else "}") + tail + "\n")
+            js.write(("\n  }" if written else "}") + tail + "\n")

@@ -109,11 +109,12 @@ def estimate_barriers(bundle: DataBundle) -> Barriers:
     countries, rows, cols = bundle.countries, bundle.rows, bundle.cols
     at = np.searchsorted(bundle.codes, countries.codes)  # each row's place on the axis
     pop = countries.population[np.argsort(at)]  # on the axis
-    # zero migration, and a domestic pair's zero distance: inf; an overflow is a raw barrier
-    # >= 1e100, which folds into BLOCKED like any other
-    with np.errstate(divide="ignore", over="ignore"):
+    # zero migration: inf; an overflow is a raw barrier >= 1e100, which folds into BLOCKED
+    # like any other; a domestic pair's zero distance: inf, or NaN where the population
+    # squared underflows to 0, and never observed
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = raw_barrier(pop[rows], pop[cols], bundle.distance, bundle.migration)
-    observed = ~is_blocked(raw)  # never a domestic pair
+    observed = ~is_blocked(raw) & (rows != cols)
     if np.count_nonzero(observed) < 2:
         raise ModelError("fewer than two observed migration pairs")
     cost = np.full((len(at),) * 2, BLOCKED)

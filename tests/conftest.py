@@ -3,8 +3,6 @@ from __future__ import annotations
 import os
 import shutil
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,37 +35,6 @@ def pre_params():
 @pytest.fixture()
 def params(pre_params):
     return pre_params.copy()
-
-
-@pytest.fixture()
-def two_cpus(monkeypatch):
-    """This process as if it may run on two CPUs, so that write_cells splits a large table."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def assert_no_child() -> None:
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def counting_forks() -> Iterator[list[int]]:
-    """The pids of the children os.fork makes in this process while the block runs, each
-    reaped by the time it exits."""
-    forks: list[int] = []
-    fork = os.fork
-
-    def counted() -> int:
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "fork", counted)
-        yield forks
-    assert_no_child()
 
 
 def cell_dict(matrix, values: np.ndarray | None = None) -> dict[tuple[str, str], float]:

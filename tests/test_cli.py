@@ -19,8 +19,7 @@ from tnrisk.cli import FLAG_DEFAULTS, MAX_GRID_CELLS, build_parser, main
 from tnrisk.dataset import bundled_data_dir
 
 import synth
-from conftest import (assert_no_child, bundle_copy, cell_dict, child_env, counting_forks,
-                      fortress)
+from conftest import bundle_copy, cell_dict, child_env, fortress
 
 
 def run(*argv: str) -> int:
@@ -889,61 +888,11 @@ def test_run_lets_a_crash_propagate(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def large_data(tmp_path_factory) -> Path:
     """bench/synth.py's pre-estimated tables, whose 150 x 120 matrix crosses write_cells'
-    split threshold."""
+    orjson threshold."""
     assert 150 * 120 >= 4 * dataset.BLOCK_CELLS
     directory = tmp_path_factory.mktemp("large")
     synth.generate(directory, 1, 150, 120)
     return directory
-
-
-def test_forked_writer_never_runs_a_patched_exit(large_data, tmp_path, monkeypatch, two_cpus):
-    """write_cells' child leaves by the os._exit bound at import.  A child reaching a patched
-    one would run on in the test process; here it would fail the write with exit code 97."""
-    parent, real_exit = os.getpid(), os._exit
-    exits = []
-
-    def record(code):
-        if os.getpid() != parent:
-            real_exit(97)
-        exits.append(code)
-
-    monkeypatch.setattr(os, "_exit", record)
-    argv = ["solve", "--data", str(large_data), "--abandon", "-30", "--out"]
-    with counting_forks() as forks:
-        cli.run([*argv, str(tmp_path / "split")])
-    assert (exits, len(forks)) == ([0], 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    cli.run([*argv, str(tmp_path / "serial")])
-    assert exits == [0, 0]
-    names = sorted(path.name for path in (tmp_path / "serial").iterdir())
-    assert names == sorted(path.name for path in (tmp_path / "split").iterdir())
-    for name in names:
-        assert ((tmp_path / "split" / name).read_bytes()
-                == (tmp_path / "serial" / name).read_bytes()), name
-
-
-def test_failed_writer_child_exit_2(large_data, tmp_path, capfd, monkeypatch, two_cpus):
-    """A forked writer that fails prints its traceback; main prints one error: line naming its
-    exit code and exits 2, with no child or temporary file left."""
-    parent = os.getpid()
-    write_lines = dataset._write_lines
-
-    def failing(f, rows):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting failed")
-        write_lines(f, rows)
-
-    monkeypatch.setattr(dataset, "_write_lines", failing)
-    out = tmp_path / "out"
-    assert run("solve", "--data", str(large_data), "--out", str(out)) == 2
-    err = capfd.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: the process writing the second half of {out / 'attack_matrix.csv'} ended "
-        "with exit code 1"]
-    assert "RuntimeError: formatting failed" in err
-    assert_no_child()
-    assert sorted(path.name for path in out.iterdir()) == [
-        "attack_matrix.csv", "attack_matrix.json", "plot_data.csv"]
 
 
 def test_solve_across_cpu_dispatch_within_4_ulp(tmp_path):

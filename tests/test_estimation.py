@@ -32,7 +32,8 @@ from tnrisk.params import WEIGHT_PRESETS, SupportWeights
 
 import closed_form
 import estimation_oracle
-from conftest import bundle_copy, bundled_countries_with, raw_tables, same_table
+from conftest import (RAW_COUNTRIES, bundle_copy, bundled_countries_with, raw_tables,
+                      same_table)
 
 
 finite_lists = st.lists(
@@ -284,6 +285,15 @@ class TestBarriers:
         barriers = dict(estimate_barriers(load_bundle(d)).items())
         assert barriers[("FRA", "DEU")] == BLOCKED
         assert ("DEU", "FRA") not in barriers and ("USA", "USA") in barriers
+
+    def test_domestic_row_whose_population_squared_underflows(self, tmp_path):
+        """USA's population squared is 0, so its listed domestic row's raw barrier is 0/0: not
+        observed, listed at 0.0, with no warning (pyproject makes a RuntimeWarning an error)."""
+        countries = {**RAW_COUNTRIES, "USA": (1e-170, 3.5e6)}
+        d = raw_tables(tmp_path, "FRA,DEU,5\nFRA,ITA,5\nDEU,ITA,7\nUSA,USA,1\n",
+                       "FRA,DEU,500\nFRA,ITA,900\nDEU,ITA,700\n", countries)
+        barriers = dict(estimate_barriers(load_bundle(d)).items())
+        assert barriers[("USA", "USA")] == 0.0
 
     def test_estimated_diagonal_zero(self, bundle):
         barriers = dict(estimate_barriers(bundle).items())

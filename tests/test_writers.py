@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from tnrisk import AttackMatrix, ModelParams, dataset, solve
 from tnrisk.evader import write_matrix_csv
 
-from conftest import assert_no_child, counting_forks, params_from_dicts, random_params
+from conftest import params_from_dicts, random_params
 from writer_oracle import write_delta_csv, write_matrix_files
 
 FILES = ("attack_matrix.csv", "attack_matrix.json", "plot_data.csv")
@@ -25,10 +24,6 @@ FILES = ("attack_matrix.csv", "attack_matrix.json", "plot_data.csv")
 # codes the csv module must quote (",", '"', space, newline), non-ASCII codes, and
 # "!" and "-", which sort below or at the "-" of a "source->target" JSON key
 CODES = st.text(alphabet='AB!- ,"\né国', min_size=1, max_size=4)
-
-# whether this process may run on two CPUs, as write_cells reads it
-TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
-
 
 # the parameters the JSON document echoes, as the CLI passes them
 PARAMS = {"lambda": 0.1, "abandon_yield": "inf", "weights_preset": "default"}
@@ -42,14 +37,6 @@ def assert_matches_oracle(matrix: AttackMatrix, directory: Path) -> None:
     write_matrix_files(matrix, PARAMS, old)
     for name in FILES:
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
-
-
-def splits(values: np.ndarray, rows: list[str]) -> bool:
-    """Whether write_cells forks for this table: two CPUs, at least 4 * BLOCK_CELLS cells and
-    more than one row block."""
-    key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
-    return (TWO_CPUS and values.size >= 4 * dataset.BLOCK_CELLS
-            and len(list(dataset._row_blocks(values.shape[1], key_order))) > 1)
 
 
 def relabel(p: ModelParams, codes: list[str]) -> ModelParams:
@@ -67,14 +54,14 @@ def relabel(p: ModelParams, codes: list[str]) -> ModelParams:
 @settings(max_examples=100, deadline=None)
 def test_writers_match_oracle(seed, codes, block):
     """Byte for byte the oracle's files, whatever the codes and however the cells are blocked;
-    with blocks of 1 and 3 cells many tables cross the threshold, and these fork."""
+    with blocks of 1 and 3 cells many tables cross the orjson threshold, 4 * BLOCK_CELLS."""
     p = relabel(random_params(np.random.default_rng(seed), blocked_fraction=0.5), codes)
     m = solve(p)
     alt = p.copy()
     alt.lam = p.lam / 2
     delta = solve(alt).N - m.N
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataset, "BLOCK_CELLS", block), counting_forks() as forks:
+            mock.patch.object(dataset, "BLOCK_CELLS", block):
         directory = Path(tmp)
         assert_matches_oracle(m, directory)
         dataset.write_cells(delta, m.sources, m.targets, directory / "new" / "delta.csv",
@@ -82,7 +69,6 @@ def test_writers_match_oracle(seed, codes, block):
         write_delta_csv(delta, m.sources, m.targets, directory / "old" / "delta.csv")
         assert ((directory / "new" / "delta.csv").read_bytes()
                 == (directory / "old" / "delta.csv").read_bytes())
-        assert len(forks) == splits(m.N, m.sources) + splits(delta, m.sources)
 
 
 def assert_reprs(floats: list[float]) -> None:
@@ -159,67 +145,46 @@ def test_matrix_larger_than_one_block(tmp_path):
     assert_matches_oracle(m, tmp_path)
 
 
-def test_split_inside_a_reordered_pair(tmp_path, monkeypatch, two_cpus):
-    """59 pairs of one-row blocks: the middle row, 59, is inside the pair ("029", "029!"), so
-    the child's half starts at a whole pair."""
+def test_split_inside_a_reordered_pair(tmp_path, monkeypatch):
+    """59 pairs of one-row blocks: no block ends between a "k!" and its "k", so each pair is
+    one block and its JSON cells are reordered within it."""
     monkeypatch.setattr(dataset, "BLOCK_CELLS", 60)
     m = reordered_pairs(59)
     key_order = sorted(range(len(m.sources)), key=lambda r: m.sources[r] + "->")
-    blocks = list(dataset._row_blocks(60, key_order))
-    assert blocks[dataset._cut(blocks, m.N.size)][0] == 58
-    with counting_forks() as forks:
-        assert_matches_oracle(m, tmp_path)
-    assert len(forks) == 1
+    assert list(dataset._row_blocks(60, key_order)) == [(r, r + 2) for r in range(0, 118, 2)]
+    assert_matches_oracle(m, tmp_path)
 
 
 @pytest.mark.parametrize("zero", ["first", "second", "both"])
-def test_split_with_a_half_of_zeros(tmp_path, monkeypatch, two_cpus, zero):
-    """One process, or both, has no cell to write: the JSON object still joins as one."""
+def test_split_with_a_half_of_zeros(tmp_path, monkeypatch, zero):
+    """Leading, trailing or only zero rows, one row a block: the JSON object's first cell
+    follows no comma and every later one follows one, wherever the first nonzero block is."""
     N = np.arange(1.0, 17.0).reshape(8, 2)
     if zero != "second":
         N[:4] = 0.0
     if zero != "first":
         N[4:] = 0.0
-    monkeypatch.setattr(dataset, "BLOCK_CELLS", 2)  # one row a block; the split is at row 4
-    with counting_forks() as forks:
-        assert_matches_oracle(matrix([f"S{k}" for k in range(8)], ["X", "Y"], N), tmp_path)
-    assert len(forks) == 1
+    monkeypatch.setattr(dataset, "BLOCK_CELLS", 2)
+    assert_matches_oracle(matrix([f"S{k}" for k in range(8)], ["X", "Y"], N), tmp_path)
 
 
-@pytest.mark.parametrize("mask", ["one-cpu", "no-affinity-call"])
-def test_serial_on_one_cpu(tmp_path, monkeypatch, mask):
-    """A large table on a one-CPU mask, or where the mask cannot be read, is written by this
-    process alone, in the same bytes."""
-    if mask == "one-cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(dataset, "BLOCK_CELLS", 60)
-    with counting_forks() as forks:
-        assert_matches_oracle(reordered_pairs(59), tmp_path)
-    assert forks == []
+@pytest.mark.parametrize("failing", ["first", "later"])
+def test_a_failed_write_raises_and_leaves_only_the_outputs(tmp_path, monkeypatch, failing):
+    """A formatting failure in the first block, or in a later one, is raised as it is, and
+    leaves no file but the outputs."""
+    reprs = dataset._reprs
+    calls = []
 
+    def failing_reprs(values, dumps):
+        calls.append(None)
+        if failing == "first" or len(calls) > 4:
+            raise RuntimeError("formatting failed")
+        return reprs(values, dumps)
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_a_failed_half_reaps_the_child_and_leaves_no_file(tmp_path, monkeypatch, two_cpus,
-                                                          failing):
-    """A failure in either process is raised once the child is reaped, and leaves no
-    temporary file: a failed child as an OSError naming its exit code."""
-    parent = os.getpid()
-    write_lines = dataset._write_lines
-
-    def failing_write(f, rows):
-        if (os.getpid() == parent) == (failing == "parent"):
-            raise RuntimeError(f"formatting failed in the {failing}")
-        write_lines(f, rows)
-
-    monkeypatch.setattr(dataset, "_write_lines", failing_write)
+    monkeypatch.setattr(dataset, "_reprs", failing_reprs)
     monkeypatch.setattr(dataset, "BLOCK_CELLS", 2)
     m = matrix([f"S{k}" for k in range(8)], ["X", "Y"], np.arange(1.0, 17.0).reshape(8, 2))
-    error, message = ((OSError, "ended with exit code 1") if failing == "child"
-                      else (RuntimeError, "formatting failed in the parent"))
-    with pytest.raises(error, match=message):
+    with pytest.raises(RuntimeError, match="formatting failed"):
         write_matrix_csv(m, tmp_path / FILES[0], (tmp_path / FILES[1], PARAMS),
                          tmp_path / FILES[2])
-    assert_no_child()
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(FILES)
