@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dataset, evader, scenario as scn
 from .params import (DEFAULT_LAMBDA, DEFAULT_Q, WEIGHT_PRESETS, ModelError, SupportWeights,
-                     cost_out, parse_cost, parse_number)
+                     cost_out, parse_cost, parse_number, to_float)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -30,7 +30,7 @@ def _parse_weights(text: str) -> tuple[SupportWeights, str]:
     if key in WEIGHT_PRESETS:
         return WEIGHT_PRESETS[key], key
     try:
-        return SupportWeights(*map(float, text.split(","))), text
+        return SupportWeights(*map(to_float, text.split(","))), text
     except (TypeError, ValueError):  # not three numbers, or not 0 < r <= s <= o <= 1
         raise ValueError(f"--weights must be default, high, low or r,s,o with "
                          f"0 < r <= s <= o <= 1, got {text!r}") from None

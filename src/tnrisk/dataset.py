@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import (BLOCKED, Barriers, ModelError, ModelParams, cost_out, is_blocked,
-                     parse_cost, parse_number)
+                     parse_cost, parse_number, to_float)
 
 COUNTRY_HEADER = [
     "code", "name", "region", "population", "gdp_usd", "sec_fraction",
@@ -175,21 +175,10 @@ def load_country_table(path: str | Path) -> CountryTable:
                         is_target=columns[:, 8] == 1)
 
 
-def _value(cell: str) -> float:
-    """A pair-table value cell: float(cell), else as parse_cost reads it ('blocked'), else NaN."""
-    try:
-        return float(cell)
-    except ValueError:
-        try:
-            return parse_cost(cell)
-        except ValueError:
-            return np.nan
-
-
 def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
         list[str], Sequence[int], np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
     """(axis, lines, rows, cols, values, cell): lines[k] lists axis[rows[k]], axis[cols[k]] and
-    the cell text cell(k), which either path reads as :func:`_value` does, into values[k].
+    the cell text cell(k), which either path reads as :func:`to_float` does, into values[k].
 
     A table with the exact header after any byte-order mark, rows, no blank row but after the
     last (where lines of spaces or tabs count as blank), no '"' or NUL, and every code cell
@@ -230,7 +219,7 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
     index = {c: k for k, c in enumerate(axis)}
     rows, cols = (np.fromiter((index[c.strip()] for c in column), np.intp, len(column))
                   for column in (origins, dests))
-    values = np.fromiter(map(_value, cells), float, len(cells))
+    values = np.fromiter(map(to_float, cells), float, len(cells))
     return axis, lines, rows, cols, values, cells.__getitem__
 
 

@@ -29,15 +29,21 @@ def is_blocked(value: float) -> bool:
     return value >= _BLOCKED_FLOOR
 
 
+def to_float(v) -> float:
+    """The one reading of a number: float(v) where float() takes v, else BLOCKED for 'blocked'
+    in any case and with any spaces around it, else NaN, a bool included (JSON true is not 1)."""
+    try:
+        return math.nan if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
+        return BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
+
+
 def parse_cost(v, name: str = "cost", sign: int = 0) -> float:
     """A route cost: a number (>= 0 for sign +1) or 'inf'/'blocked'; >= 1e100 folds into BLOCKED.
 
     Raises ValueError, naming the value, for NaN, -inf, the wrong sign or anything else.
     """
-    try:
-        value = math.nan if isinstance(v, bool) else float(v)  # JSON true is not 1
-    except (TypeError, ValueError):
-        value = BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
+    value = to_float(v)
     if math.isnan(value) or value == -math.inf or (sign > 0 and value < 0):
         bound = " >= 0" if sign > 0 else ""
         raise ValueError(f"{name} must be a number{bound}, 'inf' or 'blocked', got {v!r}")
@@ -54,10 +60,7 @@ def parse_number(v, sign: int = 0, name: str = "value") -> float:
 
     Raises ValueError, naming the value, otherwise.
     """
-    try:
-        value = math.nan if isinstance(v, bool) else float(v)  # JSON true is not 1
-    except (TypeError, ValueError):
-        value = math.nan
+    value = to_float(v)
     if not math.isfinite(value) or value * sign < 0:
         bound = {1: " >= 0", -1: " <= 0"}.get(sign, "")
         raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")

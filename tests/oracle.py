@@ -16,16 +16,22 @@ exp(-lambda * (w(u,v) + cost_to_end(v) - cost_to_end(u))); the exponent is
 shifted by its row maximum before exponentiation so large cost magnitudes
 cannot overflow.  The chain is absorbed at End.  Exhaustive path enumeration
 and seeded Monte Carlo sampling give the path distribution from a source.
+
+:func:`exact_solve` is the one exception to the separate layout: a 50-digit
+evaluation of the closed form on the solver's own float route costs, so that
+what it measures is the solver's rounding alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
 from tnrisk.params import BLOCKED, ModelError, ModelParams, is_blocked
+from tnrisk.scenario import build_network as route_network
 
 SOURCE = "source"
 STAGED = "staged"
@@ -281,3 +287,25 @@ def sample_paths(chain: EvaderChain, start: NodeId, n: int, seed: int) -> dict[s
         raise AssertionError("a sampled walk reached End without passing a staged or abandon node")
     counts = np.bincount(key, minlength=len(key_names))
     return {key_names[k]: counts[k] / n for k in range(len(key_names)) if counts[k] > 0}
+
+
+def exact_solve(params: ModelParams) -> list[list[Decimal]]:
+    """The closed form of :func:`tnrisk.scenario.solve` in 50-digit decimal arithmetic.
+
+    Row k holds the expected plots of the k-th source of ``route_network(params)``
+    (tnrisk's ``build_network``) on each route, the abandon route last.  Its float
+    route costs and supplies are taken as given and converted exactly, so the
+    distance from solve's output is solve's own rounding.  A blocked route (+inf)
+    gets 0, as does every route of a source with no open route.
+    """
+    net = route_network(params)
+    matrix = []
+    with localcontext(Context(prec=50)):
+        lam = Decimal(params.lam)
+        for supply, costs in zip(net.supply.tolist(), net.cost.tolist()):
+            best = min(costs)
+            weights = [(-lam * (Decimal(c) - Decimal(best))).exp() if math.isfinite(c)
+                       else Decimal(0) for c in costs]
+            total = sum(weights) if math.isfinite(best) else Decimal(1)  # all 0: nothing routed
+            matrix.append([Decimal(supply) * w / total for w in weights])
+    return matrix

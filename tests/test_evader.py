@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from tnrisk import BLOCKED, ModelError, apply_scenario, solve, target_totals
 from tnrisk.evader import write_matrix_csv
 from tnrisk.params import is_blocked
-from tnrisk.scenario import BUILTIN_SCENARIOS
+from tnrisk.scenario import BUILTIN_SCENARIOS, build_network as route_network
 
 from conftest import cell_dict, fortress, params_from_dicts, random_params, tiny_params
 from oracle import (
@@ -22,6 +24,7 @@ from oracle import (
     DeadSource,
     build_network,
     enumerate_path_distribution,
+    exact_solve,
     least_cost_to_end,
     sample_paths,
     source,
@@ -196,6 +199,35 @@ class TestAttackMatrix:
     def test_bad_lambda(self, lam):
         with pytest.raises(ValueError):
             solve(tiny_params(lam=lam))
+
+
+# half the least subnormal float: a value below it rounds to 0
+HALF_SUBNORMAL = Decimal(2) ** -1075
+
+
+@pytest.mark.parametrize("lam, abandon", [(0.0, BLOCKED), (0.1, BLOCKED), (0.1, -53.0),
+                                          (2.0, -30.0), (10.0, -53.0)])
+def test_solve_is_within_its_rounding_of_the_exact_logit(pre_params, lam, abandon):
+    """solve on the bundle against :func:`exact_solve`, the logit at 50 digits on the same float
+    route costs: each normal cell is within (1 + lam gap) eps of it, relative, where gap is the
+    route's cost above its row's cheapest, since exp(-lam gap) inherits the rounding of lam gap.
+    A cell is 0 only where the exact value is below half the least subnormal; a subnormal cell,
+    which holds fewer digits, is not held to the bound.  The factor 1 is measured, not derived:
+    the worst cell reads 0.93 of the bound (lam = 0.1, A = -53), while summing the worst
+    rounding of a row's 27 weights gives a factor of about 25."""
+    p = replace(pre_params, lam=lam, A=abandon)
+    m = solve(p)
+    got = np.column_stack([m.N, m.abandoned])
+    cost = route_network(p).cost
+    gap = cost - cost.min(axis=1, keepdims=True)
+    for (i, j), exact in np.ndenumerate(np.array(exact_solve(p), dtype=object)):
+        x = got[i, j]
+        where = f"{m.sources[i]}, route {j}: {x!r} against {exact:.17e}"
+        if x == 0:
+            assert exact < HALF_SUBNORMAL, where
+        elif abs(x) >= np.finfo(float).tiny:
+            error = abs(Decimal(x) - exact) / exact
+            assert error <= (1 + lam * gap[i, j]) * np.finfo(float).eps, where
 
 
 class TestOracleTriangle:
