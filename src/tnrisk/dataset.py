@@ -8,8 +8,8 @@ datasets in the same formats can be supplied with ``--data``.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
@@ -64,6 +64,10 @@ BARRIERS = ("barriers.csv", "cost")
 # cells per block of write_cells and the sweep: bounds their memory, not what they do
 BLOCK_CELLS = 4096
 
+# a country code once stripped: no cell of it needs CSV quoting or JSON escaping, and each
+# character sorts above the "-" of a JSON cell key "row->col"
+CODE = re.compile(r"[A-Za-z0-9_]+")
+
 
 def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[str]]]:
     """(lines, columns) of the non-blank rows of a CSV table that has this header.
@@ -72,9 +76,9 @@ def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[st
     Row k is on line ``lines[k]`` and has ``columns[c][k]`` in column c.  A blank
     row is skipped; the first other row without one cell per header column, or
     that the csv module cannot read, is reported as it is reached.  Then each
-    distinct country code (column code, origin or dest) is checked once: it must
-    not be blank, and must not contain "->", which joins the two codes of a JSON
-    cell key; the earliest row holding a bad one is reported.
+    distinct country code (column code, origin or dest) is checked once: stripped,
+    it must be ASCII letters, digits and '_' (:data:`CODE`); the earliest row
+    holding a bad one is reported.
     """
     path = Path(path)
     if not path.is_file():
@@ -100,11 +104,11 @@ def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[st
     columns = [[row[c] for row in rows] for c in range(width)]
     for name, column in zip(header, columns):
         if name in ("code", "origin", "dest"):
-            bad = {c for c in set(column) if not c.strip() or "->" in c}
+            bad = {c for c in set(column) if not CODE.fullmatch(c.strip())}
             if bad:
                 k = next(k for k, c in enumerate(column) if c in bad)
                 raise ModelError(f"line {lines[k]}: {name} in {path.name} must be a country "
-                                 f"code, not blank or with '->', got {column[k]!r}")
+                                 f"code of ASCII letters, digits and '_', got {column[k]!r}")
     return lines, columns
 
 
@@ -182,10 +186,10 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
 
     A table with the exact header after any byte-order mark, rows, no blank row but after the
     last (where lines of spaces or tabs count as blank), no '"' or NUL, and every code cell
-    exactly one of ``codes`` (stripped, not blank and without '->', as the loaders hold them)
-    in ASCII is read in one C pass, on the sorted ``codes`` as its axis, if np.loadtxt takes
-    every cell (it refuses some that float() reads, such as '1_000'); any other goes through
-    :func:`_table`, which reports every error.
+    exactly one of ``codes`` (codes of :data:`CODE`, as the loaders hold them) is read in one
+    C pass, on the sorted ``codes`` as its axis, if np.loadtxt takes every cell (it refuses
+    some that float() reads, such as '1_000'); any other goes through :func:`_table`, which
+    reports every error.
     """
     header = ["origin", "dest", value]
     axis = sorted({*codes})
@@ -193,7 +197,7 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
         text = path.read_text(encoding="utf-8-sig").rstrip()  # CRLF and lone CR read as "\n"
         n = text.count("\n")  # lines after the header, at least one; more than rows if one is blank
         if (not text.startswith(",".join(header) + "\n") or '"' in text  # '"' only exits early
-                or "\0" in text or "\0" in "".join(axis)):  # a bytes cell drops trailing NULs
+                or "\0" in text):  # a bytes cell drops trailing NULs
             raise ValueError("not a clean table")
         del text
         known = np.array(axis, dtype=f"S{max(map(len, axis))}")  # raises if none, or not ASCII
@@ -378,27 +382,6 @@ def write_json(path: str | Path, doc: dict) -> None:
         f.write("\n")
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as the csv module writes it as one cell of a row of several."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((text, ""))
-    return buf.getvalue()[:-3]  # the ",\r\n" after the cell
-
-
-def _row_blocks(n_cols: int, key_order: list[int]) -> Iterator[tuple[int, int]]:
-    """[start, end) row ranges of about BLOCK_CELLS cells.
-
-    A range ends only where the rows before it are also the first rows of
-    ``key_order``, so each range holds the same rows in both orders.
-    """
-    start, last = 0, -1
-    for end, row in enumerate(key_order, start=1):
-        last = max(last, row)
-        if last == end - 1 and ((end - start) * n_cols >= BLOCK_CELLS or end == len(key_order)):
-            yield start, end
-            start = end
-
-
 def _text(pattern: tuple[str | None, ...], *columns: Sequence[str]) -> str:
     """Cell k of the columns as ``pattern`` with its None slots filled by columns[0][k],
     columns[1][k], ..., cell after cell: one join over one list interleaving the columns
@@ -446,26 +429,25 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
                 json_file: tuple[str | Path, dict] | None = None) -> None:
     """Write each nonzero cell of ``values`` as a CSV row (row code, column code, value).
 
-    Rows follow row-major order, which is sorted order when the codes are
-    sorted.  One pass over blocks of about BLOCK_CELLS cells formats each
-    value once, as its repr (what csv and json write for a float), and feeds
-    that text to every file, each block's as one string per file (see
-    :func:`_text`): one orjson call per block in a table of at least
-    4 * BLOCK_CELLS cells (see :func:`_reprs`), and repr in a smaller one, where
+    The codes are sorted and of :data:`CODE`, as the loaders hold them, so each is its own CSV
+    cell and JSON string, and rows follow row-major order, which is sorted order.  One pass
+    over blocks of ``ceil(BLOCK_CELLS / len(cols))`` rows formats each value once, as its
+    repr (what csv and json write for a float), and feeds that text to every file, each
+    block's as one string per file (see :func:`_text`): one orjson call per block in a table
+    of at least 4 * BLOCK_CELLS cells (see :func:`_reprs`), and repr in a smaller one, where
     importing orjson would cost more than it saves.  The files:
 
     - ``plot_path``: the same rows under the header (*header[:2], "value",
       "normalized"), where normalized is the value over the largest value;
     - ``json_file`` = (path, doc): ``doc`` as :func:`write_json` writes it,
       with the value column's name, ``header[2]``, keying the object that maps
-      "row->col" to the value.  Its keys sort as the row's "code->" and then
-      the column code, which is the sorted order whenever no code contains "->".
+      "row->col" to the value.  Its keys sort in row-major order, as every code
+      character sorts above the "-" of "->".
     """
     # each code's CSV cell and the comma after it; below, each JSON key's row half, after
     # the comma and newline that end the cell before it
-    row_csv = np.array([_csv_cell(c) + "," for c in rows], dtype=object)
-    col_csv = np.array([_csv_cell(c) + "," for c in cols], dtype=object)
-    key_order = sorted(range(len(rows)), key=lambda r: rows[r] + "->")
+    row_csv = np.array([f"{c}," for c in rows], dtype=object)
+    col_csv = np.array([f"{c}," for c in cols], dtype=object)
     dumps = None  # orjson loads where it saves more than its import costs
     if values.size >= 4 * BLOCK_CELLS:
         from orjson import dumps
@@ -486,13 +468,12 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
             head, _, tail = json.dumps({**doc, key: {}}, indent=2, sort_keys=True).partition(marker)
             js = stack.enter_context(Path(json_path).open("w", encoding="utf-8"))
             js.write(head + marker[:-1])
-            rank = np.argsort(key_order)  # each row's place in the key order
-            reordered = key_order != list(range(len(rows)))  # a row's key sorts out of row order
-            row_key = np.array([f",\n    {json.dumps(c)[:-1]}->" for c in rows], dtype=object)
-            col_key = np.array([f"{json.dumps(c)[1:]}: " for c in cols], dtype=object)
+            row_key = np.array([f',\n    "{c}->' for c in rows], dtype=object)
+            col_key = np.array([f'{c}": ' for c in cols], dtype=object)
         written = False  # whether the JSON object holds a cell yet
-        for start, end in _row_blocks(len(cols), key_order):
-            block = values[start:end]
+        step = -(-BLOCK_CELLS // max(len(cols), 1))  # rows per block
+        for start in range(0, len(rows), step):
+            block = values[start:start + step]
             r, c = np.nonzero(block)
             if not r.size:
                 continue
@@ -505,9 +486,6 @@ def write_cells(values: np.ndarray, rows: list[str], cols: list[str], path: str 
                 plot.write(_text((None, None, None, ",", None, "\r\n"), *codes, text,
                                  _reprs(v / peak, dumps)))
             if js:
-                if reordered:  # the block's cells in key order
-                    k = np.argsort(rank[r], kind="stable")
-                    r, c, text = r[k], c[k], list(map(text.__getitem__, k.tolist()))
                 lines = _text((None, None, None), row_key[r].tolist(), col_key[c].tolist(), text)
                 js.write(lines if written else lines[1:])  # the object's first cell: no comma
                 written = True

@@ -31,11 +31,13 @@ def is_blocked(value: float) -> bool:
 
 def to_float(v) -> float:
     """The one reading of a number: float(v) where float() takes v, else BLOCKED for 'blocked'
-    in any case and with any spaces around it, else NaN, a bool included (JSON true is not 1)."""
+    in ASCII, in any case and with any spaces around it (lower() maps the Kelvin sign to 'k'),
+    else NaN, a bool included (JSON true is not 1)."""
     try:
         return math.nan if isinstance(v, bool) else float(v)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float's range
-        return BLOCKED if isinstance(v, str) and v.strip().lower() == "blocked" else math.nan
+        blocked = isinstance(v, str) and v.isascii() and v.strip().lower() == "blocked"
+        return BLOCKED if blocked else math.nan
 
 
 def parse_cost(v, name: str = "cost", sign: int = 0) -> float:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import os
 import shutil
 import sys
+import tracemalloc
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -161,3 +163,12 @@ def same_table(a: CountryTable, b: CountryTable) -> bool:
     """Column by column, NaN equal to NaN: == on a dataclass holding arrays is ambiguous."""
     return all(np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
                for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+def peak(f: Callable[[], object]) -> tuple[object, int]:
+    """What ``f()`` returns, and the most bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -6,9 +6,9 @@ import math
 import re
 import shutil
 import statistics
+import sys
 import tempfile
 import time
-import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -33,7 +33,7 @@ from tnrisk.dataset import COUNTRY_HEADER, write_pre_estimated
 from tnrisk.scenario import build_network
 
 import synth
-from conftest import barrier, params_from_dicts, random_params, raw_tables
+from conftest import barrier, params_from_dicts, peak, random_params, raw_tables
 
 HEADER = ",".join(COUNTRY_HEADER)
 
@@ -507,23 +507,33 @@ def test_c_pass_reads_as_the_row_reader(header, rows, endings, last, bom, tail):
             _assert_c_pass_agrees(load, path)
 
 
-def _assert_c_pass_agrees(load, path: Path) -> None:
+def _assert_c_pass_agrees(load, path: Path):
+    """The outcome of ``load``, which is the same with the C pass as with only the row reader."""
     fast = _outcome(load, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset.np, "loadtxt", _refuse)
         assert _outcome(load, path) == fast
+    return fast
 
 
 @pytest.mark.parametrize("known, row", [(["ÅAA", "BBB"], "ÅAA,BBB,1"), ([], "AAA,BBB,1"),
-                                        (["AAA\x00", "BBB"], "AAA,BBB,1")],
+                                        (["AAA", "BBB"], "AAA\x00,BBB,1")],
                          ids=["not-ascii", "empty", "nul"])
 def test_c_pass_reads_as_the_row_reader_on_odd_known_codes(tmp_path, known, row):
-    """Known codes that no bytes cell can match exactly: each table loads, or fails, as the
-    row reader has it.  For barriers.csv the first code is the supply, the rest targets."""
+    """Known codes that no bytes cell can match exactly, and an origin that a bytes cell would
+    read as the known AAA, as it drops trailing NULs: each table loads, or fails, as the row
+    reader has it, and an origin outside the alphabet is refused as one.  For barriers.csv the
+    first code is the supply, the rest targets."""
     loaders = [partial(_barriers, supply=known[:1], targets=known[1:]),
                partial(_raw_pairs, axis=known), partial(_distances, axis=known)]
+    origin = row.split(",")[0]
     for (name, value, _), load in zip(PAIR_LOADERS, loaders):
-        _assert_c_pass_agrees(load, write(tmp_path, name, f"origin,dest,{value}\n{row}\n"))
+        outcome = _assert_c_pass_agrees(load, write(tmp_path, name,
+                                                    f"origin,dest,{value}\n{row}\n"))
+        # the csv module reads a NUL from Python 3.11 on; before, it is a csv error
+        if origin != "AAA" and (sys.version_info >= (3, 11) or "\0" not in origin):
+            assert outcome == (ModelError, f"line 2: origin in {name} must be a country code "
+                                           f"of ASCII letters, digits and '_', got {origin!r}")
 
 
 @pytest.mark.parametrize("other, tail", [("", []), ("BBB,AAA,blocked\n", [np.inf]),
@@ -642,14 +652,9 @@ def test_c_pass_error_cell_reads_one_line(monkeypatch, tmp_path):
     monkeypatch.setattr(dataset, "_table", row_reader)
     _, lines, _, _, values, cell = dataset._pair_table(path, "cost", [*sources, *targets])
     assert len(values) == 200_000 and lines[2] == 4 and np.isnan(values[2])
-    tracemalloc.start()
-    try:
-        quoted = cell(2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    quoted, most = peak(lambda: cell(2))
     assert quoted == "nan" and cell(3) == "1.5" and cell(199_999) == "1.5"
-    assert peak < 2**20
+    assert most < 2**20
 
 
 def test_raw_pairs_load_as_pair_lists(tmp_path):
@@ -663,13 +668,8 @@ def test_raw_pairs_load_as_pair_lists(tmp_path):
     distance += [f"{d},{o},{100 + k}\n" for k, (o, d) in enumerate(pairs) if k % 10 == 0]
     data = raw_tables(tmp_path, "".join(f"{o},{d},5\n" for o, d in pairs), "".join(distance),
                       dict.fromkeys(codes, (1e6, 0.0)))
-    tracemalloc.start()
-    try:
-        bundle = load_bundle(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8
+    bundle, most = peak(lambda: load_bundle(data))
+    assert most < n * n * 8
     np.testing.assert_array_equal(bundle.distance, 100 + np.arange(n))
 
 
@@ -679,8 +679,8 @@ def test_first_bad_code_found_in_one_scan(tmp_path):
     path = write(tmp_path, "supply.csv",
                  "code,supply\n" + "".join(f"C{k}->X,1\n" for k in range(20_000)))
     start = time.perf_counter()
-    with pytest.raises(ModelError, match=r"^line 2: code in supply.csv must be a country "
-                                         r"code, not blank or with '->', got 'C0->X'$"):
+    with pytest.raises(ModelError, match=r"^line 2: code in supply.csv must be a country code "
+                                         r"of ASCII letters, digits and '_', got 'C0->X'$"):
         dataset._table(path, ["code", "supply"])
     assert time.perf_counter() - start < 1.0
 

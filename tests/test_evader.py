@@ -33,6 +33,28 @@ from oracle import (
 )
 
 
+def assert_conserves_mass(params) -> None:
+    """Attacks + abandoned + unroutable = S_i, source by source, within (T + 2) eps S_i for T
+    targets, a bound from counting roundings, each within u = eps / 2 relative.
+
+    A source with no open route holds all of S_i as unroutable, exactly.  Else its T + 1 route
+    weights w_k >= 0 sum to W, T additions in whatever order: W = (1 + a) sum w_k with
+    |a| <= T u.  Each plot count fl(S_i fl(w_k / W)) is two roundings more:
+    S_i w_k / W (1 + b_k), |b_k| <= 2 u.  Their exact sum is S_i (1 + b) / (1 + a), where b is
+    a weighted mean of the b_k, which is S_i (1 + c) with |c| <= (T + 2) u to first order.
+    Summing the T attack cells and then adding the abandoned plots is T additions of terms
+    >= 0, each within u of its exact sum: (1 + d) times it, |d| <= T u; adding unroutable
+    (0.0) is exact.  So the error is at most (2 T + 2) u = (T + 1) eps of S_i to first order,
+    and one eps more covers the second-order terms, at most about (2 T + 2)^2 u^2 in all.  A
+    product that underflows loses at most half the least subnormal, far below eps S_i here,
+    where every S_i >= 1."""
+    m = solve(params)
+    supply = np.array([params.S[i] for i in m.sources])
+    mass = m.N.sum(axis=1) + m.abandoned + m.unroutable
+    bound = (len(m.targets) + 2) * np.finfo(float).eps * supply
+    assert np.all(np.abs(mass - supply) <= bound), np.abs(mass - supply) / supply
+
+
 def solve_chain(params):
     net = build_network(params)
     costs = least_cost_to_end(net)
@@ -143,10 +165,9 @@ class TestAttackMatrix:
         assert m.N.sum() == pytest.approx(100.0)
 
     def test_conservation(self, pre_params):
-        p = pre_params
-        m = solve(p)
-        for k, i in enumerate(m.sources):
-            assert m.N[k].sum() + m.abandoned[k] == pytest.approx(p.S[i], abs=1e-9)
+        """The bundle at the (lambda, A) points of the exact-logit test."""
+        for lam, abandon in EXACT_POINTS:
+            assert_conserves_mass(replace(pre_params, lam=lam, A=abandon))
 
     def test_target_totals_sum(self, pre_params):
         m = solve(pre_params)
@@ -179,11 +200,7 @@ class TestAttackMatrix:
     @settings(max_examples=100, deadline=None)
     def test_mass_conservation(self, seed):
         """Attacks + abandoned + unroutable = supply, source by source."""
-        p = random_params(np.random.default_rng(seed), blocked_fraction=0.5)
-        m = solve(p)
-        supply = np.array([p.S[i] for i in m.sources])
-        mass = m.N.sum(axis=1) + m.abandoned + m.unroutable
-        assert np.all(np.abs(mass - supply) <= 1e-9 * supply)
+        assert_conserves_mass(random_params(np.random.default_rng(seed), blocked_fraction=0.5))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0.0, 1.0),
            st.sampled_from([0.0, 0.5, 1.0]))
@@ -201,12 +218,14 @@ class TestAttackMatrix:
             solve(tiny_params(lam=lam))
 
 
+# (lambda, A): the bundle's solve against its exact logit, and its mass conservation
+EXACT_POINTS = [(0.0, BLOCKED), (0.1, BLOCKED), (0.1, -53.0), (2.0, -30.0), (10.0, -53.0)]
+
 # half the least subnormal float: a value below it rounds to 0
 HALF_SUBNORMAL = Decimal(2) ** -1075
 
 
-@pytest.mark.parametrize("lam, abandon", [(0.0, BLOCKED), (0.1, BLOCKED), (0.1, -53.0),
-                                          (2.0, -30.0), (10.0, -53.0)])
+@pytest.mark.parametrize("lam, abandon", EXACT_POINTS)
 def test_solve_is_within_its_rounding_of_the_exact_logit(pre_params, lam, abandon):
     """solve on the bundle against :func:`exact_solve`, the logit at 50 digits on the same float
     route costs: each normal cell is within (1 + lam gap) eps of it, relative, where gap is the

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import math
 import pkgutil
+import re
 import struct
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import tnrisk
-from tnrisk import BLOCKED
+from tnrisk import BLOCKED, ModelError, dataset
 from tnrisk.params import parse_cost, parse_number, to_float
+from tnrisk.scenario import ScenarioSpec
 
 from conftest import barrier, params_from_dicts
 
@@ -67,9 +69,30 @@ def test_to_float_reads_blocked_in_any_case_and_spacing(before, upper, after):
 def test_to_float_reads_anything_else_as_nan(v):
     """Text float() refuses, other than 'blocked', is NaN, and so is a bool (JSON true is not
     1), None, an int past float's range or anything else float() refuses."""
-    blocked = isinstance(v, str) and v.strip().lower() == "blocked"
+    blocked = isinstance(v, str) and v.isascii() and v.strip().lower() == "blocked"
     assume(isinstance(v, bool) or _float(v) is None and not blocked)
     assert math.isnan(to_float(v))
+
+
+# "blocked" with U+212A KELVIN SIGN for its k, which str.lower() maps to "k"
+KELVIN_BLOCKED = "bloc\u212aed"
+
+
+def test_blocked_is_ascii(tmp_path):
+    """The Kelvin-sign spelling is not the word: it reads as NaN, a spec's a_override spelled so
+    is refused, and so is a barrier cell, by the row reader, with its line; the word in any ASCII
+    case, with spaces around it, is still BLOCKED."""
+    assert math.isnan(to_float(KELVIN_BLOCKED)) and KELVIN_BLOCKED.lower() == "blocked"
+    assert to_float("BLOCKED") == to_float(" blocked\t") == BLOCKED
+    with pytest.raises(ModelError, match="^scenario a_override must be a number"):
+        ScenarioSpec(a_override=KELVIN_BLOCKED)
+    assert ScenarioSpec(a_override=" blocked\t").a_override == BLOCKED
+    path = tmp_path / "barriers.csv"
+    path.write_text(f"origin,dest,cost\nAAA,BBB,1\nAAA,CCC,{KELVIN_BLOCKED}\n", encoding="utf-8")
+    message = (f"line 3: cost in barriers.csv must be a number, 'inf' or 'blocked', "
+               f"got {KELVIN_BLOCKED!r}")
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        dataset._load_barriers(path, {"AAA": 1.0}, {"BBB", "CCC"})
 
 
 @pytest.mark.parametrize("parse, value, message", [

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import json
+import csv
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,17 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import AttackMatrix, ModelParams, dataset, solve
+from tnrisk import AttackMatrix, ModelError, ModelParams, dataset, load_pre_estimated, solve
 from tnrisk.evader import write_matrix_csv
 
-from conftest import params_from_dicts, random_params
+import synth
+from conftest import params_from_dicts, peak, random_params
 from writer_oracle import write_delta_csv, write_matrix_files
 
 FILES = ("attack_matrix.csv", "attack_matrix.json", "plot_data.csv")
 
-# codes the csv module must quote (",", '"', space, newline), non-ASCII codes, and
-# "!" and "-", which sort below or at the "-" of a "source->target" JSON key
-CODES = st.text(alphabet='AB!- ,"\né国', min_size=1, max_size=4)
+# codes of the loaders' alphabet, from few characters so that one code is often a prefix of
+# another: its ends, "0", "9", "A", "Z", "_", "a" and "z"
+CODES = st.text(alphabet="09AZ_az", min_size=1, max_size=4)
 
 # the parameters the JSON document echoes, as the CLI passes them
 PARAMS = {"lambda": 0.1, "abandon_yield": "inf", "weights_preset": "default"}
@@ -53,8 +55,9 @@ def relabel(p: ModelParams, codes: list[str]) -> ModelParams:
        st.sampled_from([1, 3, dataset.BLOCK_CELLS]))
 @settings(max_examples=100, deadline=None)
 def test_writers_match_oracle(seed, codes, block):
-    """Byte for byte the oracle's files, whatever the codes and however the cells are blocked;
-    with blocks of 1 and 3 cells many tables cross the orjson threshold, 4 * BLOCK_CELLS."""
+    """Byte for byte the oracle's files, whatever codes of the alphabet and however the cells are
+    blocked; with blocks of 1 and 3 cells many tables cross the orjson threshold,
+    4 * BLOCK_CELLS."""
     p = relabel(random_params(np.random.default_rng(seed), blocked_fraction=0.5), codes)
     m = solve(p)
     alt = p.copy()
@@ -108,14 +111,34 @@ def matrix(sources: list[str], targets: list[str], N: np.ndarray) -> AttackMatri
                         unroutable=np.zeros(n), total_plots=float(N.sum()) + n * (n - 1) / 2)
 
 
-def test_json_keys_out_of_row_major_order(tmp_path):
-    # "A!->X" sorts before "A->X" because "!" sorts below "-"
-    codes = ["A", "A!", "A!!", "AB"]
-    m = matrix(codes, ["X", "Y"], np.arange(1.0, 9.0).reshape(4, 2))
-    assert_matches_oracle(m, tmp_path)
-    keys = list(json.loads((tmp_path / "new" / FILES[1]).read_text())["expected_plots"])
-    assert keys == sorted(keys)
-    assert keys[:2] == ["A!!->X", "A!!->Y"]
+# text that is no code once stripped; NUL aside, which the csv module reads only from Python 3.11
+NOT_CODES = st.text().filter(lambda c: "\0" not in c and not dataset.CODE.fullmatch(c.strip()))
+# each code column: its table, the table's header and a good row of it
+CODE_TABLES = {"code": ("supply.csv", ["code", "supply"], ["AAA", "1"]),
+               "origin": ("barriers.csv", ["origin", "dest", "cost"], ["AAA", "BBB", "1"]),
+               "dest": ("barriers.csv", ["origin", "dest", "cost"], ["AAA", "BBB", "1"])}
+
+
+@given(NOT_CODES, st.sampled_from(list(CODE_TABLES)), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_codes_outside_the_alphabet_are_refused(code, column, before):
+    """A code the writers could not write as it is, one to quote in CSV or escape in JSON or
+    whose "code->" key would sort out of row order, is refused with its line, after ``before``
+    good rows: in a one-code table, and in a pair table, which the C pass leaves to the row
+    reader."""
+    name, header, good = CODE_TABLES[column]
+    bad = [code if c == column else cell for c, cell in zip(header, good)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        with path.open("w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows([header, *[good] * before, bad, good])
+        message = (f"line {before + 2}: {column} in {name} must be a country code of ASCII "
+                   f"letters, digits and '_', got {code!r}")
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            if column == "code":
+                list(dataset._rows(path, header))
+            else:
+                dataset._pair_table(path, "cost", ["AAA", "BBB"])
 
 
 def test_all_zero_matrix(tmp_path):
@@ -126,10 +149,10 @@ def test_all_zero_matrix(tmp_path):
     assert '\n  "expected_plots": {},\n' in (tmp_path / "new" / FILES[1]).read_text()
 
 
-def reordered_pairs(pairs: int) -> AttackMatrix:
-    """Rows "000", "000!", "001", "001!", ...: each "k!" sorts before its "k" in the JSON keys,
-    so no row block ends between them."""
-    sources = [code for k in range(pairs) for code in (f"{k:03d}", f"{k:03d}!")]
+def prefixed_pairs(pairs: int) -> AttackMatrix:
+    """Rows "000", "000_", "001", "001_", ...: each "k" is a prefix of "k_", and its JSON key
+    "k->" still sorts first, since "-" sorts below "_"."""
+    sources = [code for k in range(pairs) for code in (f"{k:03d}", f"{k:03d}_")]
     targets = [f"T{k:02d}" for k in range(60)]
     rng = np.random.default_rng(7)
     N = rng.uniform(0.0, 100.0, (len(sources), len(targets)))
@@ -138,21 +161,23 @@ def reordered_pairs(pairs: int) -> AttackMatrix:
 
 
 def test_matrix_larger_than_one_block(tmp_path):
-    # with 60 targets the first block would end between a "k!" and its "k", so it must end
-    # one row later
-    m = reordered_pairs(60)
+    m = prefixed_pairs(60)
     assert m.N.size > dataset.BLOCK_CELLS
     assert_matches_oracle(m, tmp_path)
 
 
-def test_split_inside_a_reordered_pair(tmp_path, monkeypatch):
-    """59 pairs of one-row blocks: no block ends between a "k!" and its "k", so each pair is
-    one block and its JSON cells are reordered within it."""
-    monkeypatch.setattr(dataset, "BLOCK_CELLS", 60)
-    m = reordered_pairs(59)
-    key_order = sorted(range(len(m.sources)), key=lambda r: m.sources[r] + "->")
-    assert list(dataset._row_blocks(60, key_order)) == [(r, r + 2) for r in range(0, 118, 2)]
+def test_blocks_of_whole_rows_with_a_partial_last_block(tmp_path, monkeypatch):
+    """Blocks of ceil(150 / 60) = 3 rows of 60 cells over 118 rows: 39 whole blocks, whose
+    ends fall inside and between prefixed pairs, and a last block of one row."""
+    monkeypatch.setattr(dataset, "BLOCK_CELLS", 150)
+    blocks = []
+    reprs = dataset._reprs
+    monkeypatch.setattr(dataset, "_reprs", lambda values, dumps: blocks.append(values.size)
+                        or reprs(values, dumps))
+    m = prefixed_pairs(59)
     assert_matches_oracle(m, tmp_path)
+    per_block = [np.count_nonzero(m.N[r:r + 3]) for r in range(0, 118, 3)]
+    assert blocks == [n for n in per_block for _ in range(2)]  # the values, then normalized
 
 
 @pytest.mark.parametrize("zero", ["first", "second", "both"])
@@ -188,3 +213,19 @@ def test_a_failed_write_raises_and_leaves_only_the_outputs(tmp_path, monkeypatch
         write_matrix_csv(m, tmp_path / FILES[0], (tmp_path / FILES[1], PARAMS),
                          tmp_path / FILES[2])
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(FILES)
+
+
+def test_writer_memory_does_not_grow_with_the_table(tmp_path):
+    """write_matrix_csv, with the JSON and the plot data, streams its blocks: its peak at
+    400 x 200 is under 1.5 times its peak at 100 x 50 (bench/synth.py, seed 1, A = -30), where
+    a writer that formatted the whole table at once would hold 16 times as much."""
+    peaks = []
+    for shape in ((100, 50), (400, 200)):
+        data = tmp_path / "x".join(map(str, shape))
+        synth.generate(data, 1, *shape)
+        p = load_pre_estimated(data / "pre_estimated")
+        p.A = -30.0
+        m = solve(p)
+        peaks.append(peak(lambda: write_matrix_csv(m, data / FILES[0], (data / FILES[1], PARAMS),
+                                                   data / FILES[2]))[1])
+    assert peaks[1] < 1.5 * peaks[0], peaks

@@ -128,6 +128,8 @@ BUNDLE_EDITS = {
     "huge-population": ("countries.csv", "AFG,", 3, "1e200"),
     # a code that is not ASCII, so no bytes cell of the C pass matches it: the row reader fails
     "non-ascii-migration-origin": ("migration.csv", "AFG,AUS,", 0, "ÅFG"),
+    # a country whose code is outside the alphabet of ASCII letters, digits and '_'
+    "hyphenated-country": ("countries.csv", None, 0, "A-B,A-B,Europe,1e6,,,0,,,,,0,0"),
     # AFG,AUS,1977 listed the other way within 1e-6: the later row holds both ways
     "reverse-distance-within-tolerance": ("distance_km.csv", None, 0, "AUS,AFG,1977.0001"),
     # a domestic migration row with no distance row: it loads, at distance 0
@@ -157,6 +159,8 @@ PRE_ESTIMATED_EDITS = {
     "repeated-supply-code": ("pre_estimated/supply.csv", None, 0, "AFG,10168.3"),
     # a supply code countries.csv does not list: validate fails, solve does not
     "unknown-supply-code": ("pre_estimated/supply.csv", None, 0, "ZZZ,5"),
+    # a supply code outside the alphabet: every command fails
+    "spaced-supply-code": ("pre_estimated/supply.csv", None, 0, "A B,5"),
 }
 PRE_ESTIMATED_COMMANDS = [["solve"], ["scenario", "homegrown"], ["validate"]]
 
