@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataset, evader, scenario as scn
@@ -86,8 +87,7 @@ def _load_params(args: argparse.Namespace):
         params = estimation.estimate_params(dataset.load_bundle(args.data), args.weights, args.q)
     else:
         params = dataset.load_pre_estimated(args.data / "pre_estimated")
-    params.lam, params.A = args.lam, args.abandon
-    return params
+    return replace(params, lam=args.lam, A=args.abandon)
 
 
 def _echo(args: argparse.Namespace, params) -> dict:

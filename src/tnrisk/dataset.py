@@ -91,7 +91,9 @@ def _table(path: str | Path, header: list[str]) -> tuple[list[int], list[list[st
             reader = csv.reader(f)
             if next(reader, None) != header:
                 raise ModelError(f"line 1: bad header in {path.name}, expected {','.join(header)}")
-            for line, row in enumerate(reader, start=2):
+            start = reader.line_num + 1  # a record's first line in the file
+            for row in reader:
+                line, start = start, reader.line_num + 1
                 if not any(map(str.strip, row)):
                     continue
                 if len(row) != width:
@@ -202,9 +204,9 @@ def _pair_table(path: Path, value: str, codes: Iterable[str]) -> tuple[
         del text
         known = np.array(axis, dtype=f"S{max(map(len, axis))}")  # raises if none, or not ASCII
         code = f"S{known.itemsize + 1}"  # a longer cell is cut to this, longer than any code
-        with warnings.catch_warnings():  # numpy >= 1.23 warns of a blank row, counted below
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(path, dtype=[("origin", code), ("dest", code), (value, float)],
+        with warnings.catch_warnings(), path.open(encoding="utf-8-sig") as f:  # a path imports gzip
+            warnings.simplefilter("ignore", UserWarning)  # a blank row warns: counted below
+            table = np.loadtxt(f, dtype=[("origin", code), ("dest", code), (value, float)],
                                delimiter=",", comments=None, skiprows=1, max_rows=n, ndmin=1,
                                encoding="utf-8-sig")  # max_rows: not the blank lines after
         code_cells = np.stack([table["origin"], table["dest"]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,3 @@ class ModelParams:
     @property
     def targets(self) -> list[str]:
         return sorted(set(self.I) & set(self.Y))
-
-    def copy(self) -> "ModelParams":
-        """A copy whose S, I and Y dicts are its own (T is read-only, so it is shared)."""
-        return replace(self, S=dict(self.S), I=dict(self.I), Y=dict(self.Y))

@@ -1,6 +1,6 @@
 """The attack-allocation solver, counterfactual perturbations and comparisons.
 
-A scenario is a list of overrides applied to a copy of the model parameters:
+A scenario is a list of overrides from which a new ModelParams is built:
 barrier overrides (with '*' wildcards that never touch the diagonal), and
 optional replacements for the abandon yield, lambda, interception and yield
 vectors.  Built-in scenarios cover the fortress and home-grown counterfactuals.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,7 @@ class ScenarioSpec:
 
 
 def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
-    """Return a new ModelParams with the scenario's overrides applied, in order.
+    """A new ModelParams, its S, I and Y dicts its own, with the spec's overrides applied in order.
 
     A code the parameters do not have, or a known code with no value to override, raises a
     ModelError naming the spec field.
@@ -95,7 +95,6 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
                 what = (f"{code!r}, which has no {key.split('_')[0]} value" if code in index
                         else f"unknown country code {code!r}")
                 raise ModelError(f"scenario {key} names {what}")
-    out = params.copy()
     if spec.barrier_overrides:
         cost, listed = params.T.cost.copy(), params.T.listed.copy()
         for origin, dest, value in spec.barrier_overrides:
@@ -106,14 +105,12 @@ def apply_scenario(params: ModelParams, spec: ScenarioSpec) -> ModelParams:
             if "*" in (origin, dest):  # wildcards never touch domestic barriers
                 np.fill_diagonal(cost, home[0])
                 np.fill_diagonal(listed, home[1])
-        out.T = Barriers(params.T.codes, cost, listed)
-    out.I.update(spec.interception_overrides)
-    out.Y.update(spec.yield_overrides)
-    if spec.a_override is not None:
-        out.A = spec.a_override
-    if spec.lambda_override is not None:
-        out.lam = spec.lambda_override
-    return out
+    return replace(params, S=dict(params.S),
+                   T=Barriers(params.T.codes, cost, listed) if spec.barrier_overrides else params.T,
+                   I={**params.I, **spec.interception_overrides},
+                   Y={**params.Y, **spec.yield_overrides},
+                   A=params.A if spec.a_override is None else spec.a_override,
+                   lam=params.lam if spec.lambda_override is None else spec.lambda_override)
 
 
 # named scenarios usable directly from the CLI

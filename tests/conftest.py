@@ -21,6 +21,7 @@ from tnrisk.dataset import COUNTRY_HEADER
 from tnrisk.params import Barriers
 from tnrisk.scenario import ScenarioSpec, apply_scenario
 
+import synth
 from compare_outputs import edit_table
 
 
@@ -34,9 +35,25 @@ def pre_params():
     return load_pre_estimated(bundled_data_dir() / "pre_estimated")
 
 
+@pytest.fixture(scope="session")
+def synthetic(tmp_path_factory) -> Callable[[int, int], Path]:
+    """The pre_estimated directory of bench/synth.py's seed-1 dataset of a shape, (sources,
+    targets), each shape written once."""
+    made: dict[tuple[int, int], Path] = {}
+
+    def directory(*shape: int) -> Path:
+        if shape not in made:
+            data = tmp_path_factory.mktemp("x".join(map(str, shape)))
+            synth.generate(data, 1, *shape)
+            made[shape] = data / "pre_estimated"
+        return made[shape]
+    return directory
+
+
 @pytest.fixture()
 def params(pre_params):
-    return pre_params.copy()
+    """The bundle's parameters with S, I and Y dicts of their own, for a test to edit."""
+    return apply_scenario(pre_params, ScenarioSpec())
 
 
 def cell_dict(matrix, values: np.ndarray | None = None) -> dict[tuple[str, str], float]:

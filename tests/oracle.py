@@ -309,3 +309,32 @@ def exact_solve(params: ModelParams) -> list[list[Decimal]]:
             total = sum(weights) if math.isfinite(best) else Decimal(1)  # all 0: nothing routed
             matrix.append([Decimal(supply) * w / total for w in weights])
     return matrix
+
+
+def exact_sweep(params: ModelParams, grid: list[float]) -> list[list[Decimal]]:
+    """The closed form of :func:`tnrisk.scenario.deterrence_sweep` in 50-digit decimal
+    arithmetic: row g holds each target's expected plots at abandon yield ``grid[g]``.
+
+    N_j(A) = sum_i S_i exp(-lam c_ij) / (sum_k exp(-lam c_ik) + exp(-lam A)) over the sources of
+    ``route_network(params)`` with an open target route, on its float route costs c taken as
+    given, as in :func:`exact_solve`; each exponent is taken relative to the row's cheapest
+    target route, so none overflows.  A blocked route (+inf) gets 0.
+    """
+    net = route_network(params)
+    rows = []  # (supply, cheapest target route, its weight per target)
+    with localcontext(Context(prec=50)):
+        lam = Decimal(params.lam)
+        for supply, costs in zip(net.supply.tolist(), net.cost[:, :-1].tolist()):
+            best = min(costs)
+            if math.isfinite(best):
+                rows.append((Decimal(supply), Decimal(best),
+                             [(-lam * (Decimal(c) - Decimal(best))).exp() if math.isfinite(c)
+                              else Decimal(0) for c in costs]))
+        curve = []
+        for a in grid:
+            totals = [Decimal(0)] * len(net.targets)
+            for supply, best, weights in rows:
+                scale = supply / (sum(weights) + (-lam * (Decimal(a) - best)).exp())
+                totals = [t + scale * w for t, w in zip(totals, weights)]
+            curve.append(totals)
+    return curve

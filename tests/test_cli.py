@@ -757,7 +757,8 @@ def test_cli_import_loads_no_estimation():
 def test_estimate_mode_loads_only_the_estimators(tmp_path):
     """After an estimate-mode command, the only module a pre-mode solve has not loaded is
     tnrisk.estimation: the median leaves numpy.ma unloaded, and a run that logs nothing
-    leaves logging unloaded."""
+    leaves logging unloaded.  No command loads gzip: np.loadtxt reads an open file, not a
+    path, so its compressed-file openers stay unloaded."""
     probe = ("import sys, tnrisk.cli; tnrisk.cli.main(sys.argv[1:]); "
              "print(*sorted(sys.modules), file=sys.stderr)")
 
@@ -769,6 +770,7 @@ def test_estimate_mode_loads_only_the_estimators(tmp_path):
         return set(done.stderr.split())
 
     solved = modules("solve")
+    assert "gzip" not in solved
     for argv in (["solve", "--mode", "estimate"], ["estimate"]):
         assert modules(*argv) - solved == {"tnrisk.estimation"}, argv
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnrisk import BLOCKED, ModelError, apply_scenario, solve, target_totals
+from tnrisk import BLOCKED, ModelError, apply_scenario, deterrence_sweep, solve, target_totals
 from tnrisk.evader import write_matrix_csv
 from tnrisk.params import is_blocked
 from tnrisk.scenario import BUILTIN_SCENARIOS, build_network as route_network
@@ -25,6 +25,7 @@ from oracle import (
     build_network,
     enumerate_path_distribution,
     exact_solve,
+    exact_sweep,
     least_cost_to_end,
     sample_paths,
     source,
@@ -249,6 +250,66 @@ def test_solve_is_within_its_rounding_of_the_exact_logit(pre_params, lam, abando
             assert error <= (1 + lam * gap[i, j]) * np.finfo(float).eps, where
 
 
+# the abandon yields of the sweep's exact check: 7 points from -80 to 10
+SWEEP_POINTS = [-80.0 + 15.0 * k for k in range(7)]
+
+
+def sweep_rounding_bound(p, grid: list[float]) -> np.ndarray:
+    """Per (point, target), a bound on deterrence_sweep's relative error against the exact curve
+    on the same float route costs c_ij, from counting roundings to first order, each within
+    u = eps / 2 relative, and exp's within one ulp, 2 u.  In units of u, with b_i the cheapest
+    target route of source i and g_ij = c_ij - b_i:
+
+    - a weight w_ij = exp(-lam (c_ij - b_i)), rounding the gap, its product and exp: 2 lam g_ij + 2;
+    - its total W_i, T - 1 additions of terms >= 0: T - 1 and its weights' mean error;
+    - the share Q_ij = S_i (w_ij / W_i): w_ij's and W_i's error, and 2;
+    - r_i = exp(-lam (A - b_i)) / W_i: 2 lam |A - b_i| + 2, W_i's, and 1; the kept share
+      s_i = 1 / (1 + r_i) takes r_i / (1 + r_i) of it, and 2;
+    - the cell, the sum over n sources of s_i Q_ij, each product rounded: 1 more, its terms'
+      mean error, and n - 1 for the additions.  One u more covers second-order terms.
+    """
+    net = route_network(p)
+    cost = net.cost[:, :-1]
+    best = cost.min(axis=1)
+    live = np.isfinite(best)
+    best, gap = best[live], cost[live] - best[live, None]
+    lam_gap = p.lam * np.where(np.isfinite(gap), gap, 0.0)
+    weight = np.where(np.isfinite(gap), np.exp(-lam_gap), 0.0)
+    total = weight.sum(axis=1)
+    total_error = cost.shape[1] - 1 + (weight * (2 * lam_gap + 2)).sum(axis=1) / total
+    share_error = 2 * lam_gap + 2 + total_error[:, None] + 2
+    share = net.supply[live, None] * weight / total[:, None]
+    bound = []
+    for a in grid:
+        r = np.exp(-p.lam * (a - best)) / total
+        kept_error = r / (1 + r) * (2 * p.lam * abs(a - best) + 3 + total_error) + 2
+        term = share / (1 + r)[:, None]
+        with np.errstate(invalid="ignore"):  # 0 / 0 for a target no source reaches: its cell is 0
+            mean = (term * (kept_error[:, None] + share_error + 1)).sum(axis=0) / term.sum(axis=0)
+        bound.append(mean + len(best))
+    return np.array(bound) * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0])
+def test_sweep_is_within_its_rounding_of_the_exact_curve(pre_params, lam):
+    """deterrence_sweep on the bundle against :func:`exact_sweep`, the curve at 50 digits on the
+    same float route costs: each normal (point, target) cell within :func:`sweep_rounding_bound`
+    of it, relative to itself, not to the largest column.  A cell is 0 only where the exact
+    value is below half the least subnormal; a subnormal cell is not held to the bound.  The
+    worst cell reads 0.05 of the bound at lam = 0.1 and 0.21 at lam = 2 (5.4e-16 and 5.6e-15
+    relative)."""
+    p = replace(pre_params, lam=lam)
+    curve = deterrence_sweep(p, SWEEP_POINTS)
+    bound = sweep_rounding_bound(p, SWEEP_POINTS)
+    for (g, j), exact in np.ndenumerate(np.array(exact_sweep(p, SWEEP_POINTS), dtype=object)):
+        x = curve.per_target[g, j]
+        where = f"A = {SWEEP_POINTS[g]}, {curve.targets[j]}: {x!r} against {exact:.17e}"
+        if x == 0:
+            assert exact < HALF_SUBNORMAL, where
+        elif abs(x) >= np.finfo(float).tiny:
+            assert abs(Decimal(x) - exact) / exact <= bound[g, j], where
+
+
 class TestOracleTriangle:
     """The closed-form solver, path enumeration, and the fundamental matrix must agree."""
 
@@ -312,9 +373,7 @@ class TestOracleTriangle:
         cases += [random_params(rng) for _ in range(50)]
         for lam in (0.0, 0.1, 1.0, 10.0):
             for a in (BLOCKED, -60.0, -20.0, 0.0, 5.0):
-                p = pre_params.copy()
-                p.lam, p.A = lam, a
-                cases.append(p)
+                cases.append(replace(pre_params, lam=lam, A=a))
         cases += [apply_scenario(pre_params, BUILTIN_SCENARIOS["homegrown"]),
                   fortress(pre_params, "USA")]
         cases.append(params_from_dicts(S={"A": 1.0},
@@ -406,9 +465,7 @@ class TestLambdaLimits:
     @staticmethod
     def cases(pre_params):
         for a in (BLOCKED, -20.0):
-            p = pre_params.copy()
-            p.A = a
-            yield p
+            yield replace(pre_params, A=a)
         rng = np.random.default_rng(4)  # the instances of acceptance criterion 4
         yield from (random_params(rng) for _ in range(50))
         # an exact tie between a target (2.0 + 0.0 - 2.5) and abandoning

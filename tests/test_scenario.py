@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tnrisk import (
     diff_matrices,
     find_threshold,
     is_blocked,
+    load_pre_estimated,
     solve,
     target_totals,
 )
@@ -29,8 +31,8 @@ from tnrisk.params import Barriers
 from tnrisk.scenario import BUILTIN_SCENARIOS
 
 import closed_form
-from conftest import (barrier, cell_dict, child_env, fortress, params_from_dicts, random_params,
-                      tiny_params)
+from conftest import (barrier, cell_dict, child_env, fortress, params_from_dicts, peak,
+                      random_params, tiny_params)
 
 
 class TestApplyScenario:
@@ -74,6 +76,20 @@ class TestApplyScenario:
         out = apply_scenario(params, ScenarioSpec(a_override=-35.0, lambda_override=0.2))
         assert out.A == -35.0 and out.lam == 0.2
         assert is_blocked(params.A)  # original untouched
+
+    def test_variant_is_new_and_params_untouched(self, params):
+        """Every override lands in the variant alone: params keeps its values, and the variant's
+        S, I and Y are dicts of its own.  With no barrier override, T is shared: it is read-only."""
+        def state(p):
+            return [dict(p.S), dict(p.I), dict(p.Y), p.A, p.lam]
+        before = state(params)
+        out = apply_scenario(params, ScenarioSpec(a_override=-35.0, lambda_override=0.2,
+                                                  interception_overrides={"USA": 3.0},
+                                                  yield_overrides={"USA": -10.0}))
+        assert state(params) == before
+        assert (out.I["USA"], out.Y["USA"], out.A, out.lam) == (3.0, -10.0, -35.0, 0.2)
+        assert not {id(params.S), id(params.I), id(params.Y)} & {id(out.S), id(out.I), id(out.Y)}
+        assert out.T is params.T
 
     def test_unknown_code(self, params):
         with pytest.raises(ModelError, match="^scenario barrier_overrides names unknown country "
@@ -385,6 +401,21 @@ p = ModelParams(S=dict(zip(codes, rng.uniform(1.0, 1000.0, 1000).tolist())),
 curve = deterrence_sweep(p, [-60.0 + 0.5 * k for k in range(141)])
 print(hashlib.sha256(curve.per_target.tobytes()).hexdigest())
 """
+
+
+# at 100 x 50 fixed costs pass the bound: 6.2 matrices for solve, 7.7 for the sweep
+@pytest.mark.parametrize("shape", [(200, 100), (400, 200)])
+def test_solve_and_sweep_hold_under_six_matrices(synthetic, shape):
+    """solve, and deterrence_sweep over 141 points, each peak under 6 float matrices of the
+    solve's shape, S x (T + 1), on bench/synth.py's seed-1 data at A = -30.  They measure 5.5
+    and 4.6 at 200 x 100, 5.1 and 4.5 at 400 x 200: a step that held another whole matrix at
+    once would fail."""
+    p = replace(load_pre_estimated(synthetic(*shape)), A=-30.0)
+    matrix = len(p.sources) * (len(p.targets) + 1) * 8
+    grid = [round(-60 + 0.5 * k, 9) for k in range(141)]
+    for run in (lambda: solve(p), lambda: deterrence_sweep(p, grid)):
+        most = peak(run)[1]
+        assert most < 6 * matrix, most / matrix
 
 
 def test_sweep_bytes_independent_of_blas_threads():

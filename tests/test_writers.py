@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -60,9 +61,7 @@ def test_writers_match_oracle(seed, codes, block):
     4 * BLOCK_CELLS."""
     p = relabel(random_params(np.random.default_rng(seed), blocked_fraction=0.5), codes)
     m = solve(p)
-    alt = p.copy()
-    alt.lam = p.lam / 2
-    delta = solve(alt).N - m.N
+    delta = solve(replace(p, lam=p.lam / 2)).N - m.N
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(dataset, "BLOCK_CELLS", block):
         directory = Path(tmp)

@@ -12,8 +12,9 @@ a ``bench/synth.py`` dataset (seed 1, 400 x 200) with copies of it edited in the
 same way.  The tables below list the commands and edits, each with the path it
 takes; ``main`` adds, each with its comment, a spec and a supply.csv that start
 with a byte-order mark, a supply.csv that is not UTF-8, a migration.csv that
-gives AFG no route abroad, I/O errors, the synthetic runs, a synthetic copy
-whose barriers.csv has a byte-order mark, CRLF line ends and trailing blank lines,
+gives AFG no route abroad, a countries.csv with a name across two lines, I/O
+errors, the synthetic runs, a synthetic copy whose barriers.csv has a byte-order
+mark, CRLF line ends and trailing blank lines,
 a synthetic copy whose supplies are 1e15 times as large, some of whose values are
 1e16 or more, the synthetic runs at ``--lambda 2``, most of whose values are below
 1e-4, and a seeded raw dataset (:func:`write_raw_dataset`, 300 sources and 300 targets)
@@ -328,6 +329,14 @@ def main(argv: list[str]) -> int:
         for line in migration.read_text(encoding="utf-8").splitlines():
             if line.startswith("AFG,"):
                 edit_table(migration, line, 2, "0")
+        commands += [(f"{copy.name} {' '.join(c)}", [*c, "--data", str(copy)])
+                     for c in EDITED_BUNDLE_COMMANDS]
+        # AFG's name quoted across two lines, and AUT's population below 0: the error names
+        # AUT's line in the file, one past its record's number
+        copy = work / "two-line-name"
+        shutil.copytree(bundle, copy)
+        edit_table(copy / "countries.csv", "AFG,", 1, '"Afghan\nistan"')
+        edit_table(copy / "countries.csv", "AUT,", 3, "-8.4e+06")
         commands += [(f"{copy.name} {' '.join(c)}", [*c, "--data", str(copy)])
                      for c in EDITED_BUNDLE_COMMANDS]
         # a supply.csv ending in a byte that is not UTF-8, an error naming the table, and one
